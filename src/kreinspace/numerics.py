@@ -99,12 +99,6 @@ def eigendecomposition(m) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def hermitian_min_eig(m) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (Hermiticity is assumed)."""
-    a = validate_matrix(m)
-    return float(np.linalg.eigvalsh(a)[0])
-
-
 def orthonormalize(m, rank_tol: float | None = None) -> tuple[np.ndarray, int]:
     """Orthonormal basis of the column space of ``m`` with its numerical rank.
 

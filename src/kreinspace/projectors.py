@@ -14,6 +14,10 @@ proportion to the clearance, which keeps the node count logarithmic in
 R/clearance instead of linear.  A uniform "trapezoid" rule (trapezoid on the
 arc, uniform Gauss panels on the segment) is kept for comparison; the defect
 contracts, checked by doubling the node budget, are normative for both.
+Each call sums the resolvent at the contour's node budget and at twice that
+budget and returns the doubled sum.  The solver calls it on a ladder of four
+budgets, by default 64, 128, 256 and 512, and climbs one rung whenever the
+doubling check fails.
 
 Resolvent evaluations at the nodes are independent; they are evaluated as one
 batched solve and reduced in a fixed order, so results are reproducible
@@ -79,6 +83,7 @@ class ProjectorReport:
     enclosed_eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0, complex))
     trace: float = 0.0
     method: str = "exact"
+    # resolvent nodes of both quadrature sums; 0 for the Schur oracle
     nodes_used: int = 0
     # cached SVD of q_plus, shared with the subspace extraction
     svd_u: np.ndarray | None = field(default=None, repr=False)
@@ -107,10 +112,18 @@ def default_contour_radius(a, iterations: int = 40, seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _batch_sigma_min(lams: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _shifted_stack(lams: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The stack of lambda_k I - A, one d x d slice per node."""
     d = a.shape[0]
-    shifted = lams[:, None, None] * np.eye(d) - a[None, :, :]
-    return np.linalg.svd(shifted, compute_uv=False)[:, -1]
+    shifted = np.empty((lams.size, d, d), dtype=np.complex128)
+    shifted[:] = -a
+    diag = np.arange(d)
+    shifted[:, diag, diag] += lams[:, None]
+    return shifted
+
+
+def _batch_sigma_min(lams: np.ndarray, a: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(_shifted_stack(lams, a), compute_uv=False)[:, -1]
 
 
 def _refine_probes(xs, cs, mat, to_lambda, floor: float, rounds: int = 20):
@@ -221,10 +234,8 @@ def _contour_nodes(contour: Contour, budget: int, seg_profile, arc_profile):
 
 
 def _quadrature_sum(a: np.ndarray, lams: np.ndarray, weights: np.ndarray, gap: float):
-    d = a.shape[0]
-    shifted = lams[:, None, None] * np.eye(d) - a[None, :, :]
     try:
-        inverses = np.linalg.inv(shifted)
+        inverses = np.linalg.inv(_shifted_stack(lams, a))
     except np.linalg.LinAlgError as exc:
         raise ContourTooClose(f"resolvent singular on the contour: {exc}") from exc
     # sigma_min >= 1/frobenius(inverse); only ambiguous nodes get the exact check
@@ -252,11 +263,13 @@ def riesz_projector_quadrature(
 ) -> ProjectorReport:
     """Quadrature realization of the upper Riesz projector.
 
-    The node budget of the contour is evaluated twice (once doubled); a
-    projector change above ``refine_tol`` raises
+    The node budget of the contour is evaluated twice (once doubled) and the
+    doubled sum is returned; a projector change above ``refine_tol`` raises
     :class:`QuadratureNotConverged`, an eigenvalue within ``gap_factor * R``
-    of the contour raises :class:`ContourTooClose`.  The caller is
-    responsible for a radius that encloses the whole upper spectrum.
+    of the contour raises :class:`ContourTooClose`.  The report's
+    ``nodes_used`` counts the resolvent nodes of both sums; the graded rule
+    may place more nodes than the budget.  The caller is responsible for a
+    radius that encloses the whole upper spectrum.
     """
     mat = validate_matrix(a)
     if mat.shape[0] != mat.shape[1]:
@@ -281,9 +294,11 @@ def riesz_projector_quadrature(
     seg_c = np.maximum(seg_c, gap)
     arc_c = np.maximum(arc_c, gap)
     results = []
+    evaluated = 0
     for budget in (contour.nodes, 2 * contour.nodes):
         lams, weights = _contour_nodes(contour, budget, (seg_x, seg_c), (arc_t, arc_c))
         results.append(_quadrature_sum(mat, lams, weights, gap))
+        evaluated += lams.size
     drift = operator_norm(results[1] - results[0])
     if drift > refine_tol:
         raise QuadratureNotConverged(
@@ -295,7 +310,7 @@ def riesz_projector_quadrature(
         raise QuadratureNotConverged(
             f"projector trace {tr:.8f} is not within 1e-6 of an integer"
         )
-    return _finish_report(mat, q, method=contour.rule, nodes=2 * contour.nodes)
+    return _finish_report(mat, q, method=contour.rule, nodes=evaluated)
 
 
 def _finish_report(mat, q, method, nodes=0, enclosed=None) -> ProjectorReport:

@@ -68,6 +68,8 @@ from .projectors import (
 )
 
 _DEFAULT_EPS_SCHEDULE = tuple(2.0 ** (-k) for k in range(15))
+# node budgets per cell: contour_nodes, doubled up to three times
+_QUADRATURE_RUNGS = 4
 
 
 @dataclass(frozen=True)
@@ -77,12 +79,16 @@ class SolverConfig:
     ``mu`` fixes the transfer-function shift; None selects the smallest
     i*t with |G(i t + i eps)| < 1/2 across the whole schedule.  The epsilon
     schedule must decrease strictly and reach 1e-4 or below.
+    ``contour_nodes`` is the first rung of the per-cell quadrature ladder.
+    The budget doubles after each failed node-doubling check, so the default
+    ladder is 64, 128, 256, 512; the projector kept is the doubled sum of
+    the rung that passed.
     """
 
     mu: complex | None = None
     eps_schedule: tuple[float, ...] = _DEFAULT_EPS_SCHEDULE
     galerkin_dims: tuple[int, ...] | None = None
-    contour_nodes: int = 128
+    contour_nodes: int = 64
     contour_rule: str = "gauss_segments"
     riccati_tol: float = 1e-8
     invariance_tol: float = 1e-7
@@ -304,7 +310,7 @@ def _upper_projector(full, margin, cfg: SolverConfig, projector: str):
         return riesz_projector_exact(full, "upper_open", tol=margin / 2.0)
     last_exc = None
     nodes = cfg.contour_nodes
-    for _ in range(3):
+    for _ in range(_QUADRATURE_RUNGS):
         try:
             return riesz_projector_quadrature(
                 full, Contour(radius, nodes, cfg.contour_rule)
@@ -334,8 +340,12 @@ def solve_uniformly_dissipative(
     upper spectrum is bounded, so the semicircular contour applies; the
     projector range is the maximal uniformly positive invariant subspace and
     its angle operator solves the Riccati equation up to projector accuracy.
-    ``projector`` picks "quadrature" (node budget escalates on demand),
-    "exact", or "auto" (quadrature with exact fallback near the axis).
+    ``projector`` picks "quadrature", "exact", or "auto" (quadrature with
+    exact fallback near the axis or when the quadrature fails).  The
+    quadrature starts at ``cfg.contour_nodes`` (64 by default) and doubles
+    the budget on demand, at most three times (up to 512 by default); the
+    projector it returns is the sum at twice the budget of the rung that
+    passed.
     """
     if cfg is None:
         cfg = SolverConfig()

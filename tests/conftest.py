@@ -1,14 +1,22 @@
 """Test-session setup.
 
 The whole suite works on desk-scale matrices where multithreaded BLAS is
-pure overhead; pin the pools to one thread so timings are stable.  The
+pure overhead; pin the pools to one thread so timings are stable.  The pin
+is set through ``KREIN_THREADS`` before numpy loads, which needs no extra
+package; ``threadpoolctl`` also caps the pools when it is installed.  The
 acceptance module's per-criterion verdict lines are echoed in the terminal
 summary.
 """
 
+import os
 import sys
 
-import pytest
+# numpy is not loaded yet: importing kreinspace now turns the cap into the
+# BLAS thread variables before OpenBLAS reads them
+os.environ.setdefault("KREIN_THREADS", "1")
+
+import kreinspace  # noqa: E402, F401
+import pytest  # noqa: E402
 
 try:
     from threadpoolctl import threadpool_limits

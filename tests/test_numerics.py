@@ -1,7 +1,11 @@
 """Contracts of the dense linear-algebra kernel."""
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -138,3 +142,33 @@ def test_orthonormalize_rank():
 
 def test_smallest_singular_value():
     assert smallest_singular_value(np.diag([3.0, 4.0])) == pytest.approx(3.0)
+
+
+def _openblas_thread_counts():
+    """Thread counts reported by the OpenBLAS copies bundled with numpy/scipy."""
+    counts = []
+    for pkg in (np, scipy):
+        libdir = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(libdir.glob("lib*openblas*.so*")):
+            lib = ctypes.CDLL(str(path))
+            for symbol in (
+                "scipy_openblas_get_num_threads64_",
+                "scipy_openblas_get_num_threads",
+                "openblas_get_num_threads64_",
+                "openblas_get_num_threads",
+            ):
+                fn = getattr(lib, symbol, None)
+                if fn is not None:
+                    fn.argtypes = []
+                    fn.restype = ctypes.c_int
+                    counts.append(int(fn()))
+                    break
+    return counts
+
+
+def test_suite_blas_runs_single_threaded():
+    # conftest sets KREIN_THREADS=1 before numpy loads
+    counts = _openblas_thread_counts()
+    if not counts:
+        pytest.skip("no bundled OpenBLAS with a thread-count query")
+    assert counts == [1] * len(counts)

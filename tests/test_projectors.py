@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kreinspace import projectors
 from kreinspace.errors import (
     BoundaryEigenvalue,
     ContourTooClose,
@@ -108,6 +109,33 @@ def test_quadrature_not_converged_reports():
     a = np.diag([0.05j, -0.05j])
     with pytest.raises((QuadratureNotConverged, ContourTooClose)):
         riesz_projector_quadrature(a, Contour(4.0, 16, "trapezoid"))
+
+
+def test_shifted_stack_matches_broadcast():
+    rng = np.random.Generator(np.random.Philox(4))
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    lams = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    expected = lams[:, None, None] * np.eye(5) - a[None, :, :]
+    np.testing.assert_array_equal(projectors._shifted_stack(lams, a), expected)
+
+
+def test_nodes_used_counts_evaluated_resolvents(monkeypatch):
+    counted = []
+    original = projectors._quadrature_sum
+
+    def counting(a, lams, weights, gap):
+        counted.append(lams.size)
+        return original(a, lams, weights, gap)
+
+    monkeypatch.setattr(projectors, "_quadrature_sum", counting)
+    rng = np.random.Generator(np.random.Philox(0))
+    a, w = random_gapped(rng, 6)
+    rep = riesz_projector_quadrature(a, Contour(2 * (np.max(np.abs(w)) + 1), 128))
+    assert len(counted) == 2
+    assert rep.nodes_used == sum(counted)
+    # the graded panels of this spectrum place more nodes than the budgets
+    assert rep.nodes_used > 128 + 256
+    assert riesz_projector_exact(a, "upper_open", tol=1e-3).nodes_used == 0
 
 
 def test_invariance_of_range():

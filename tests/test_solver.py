@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from kreinspace import solver
 from kreinspace.blocks import assemble, decompose, dissipativity_margin, schur_data
 from kreinspace.errors import (
     DimensionMismatch,
     NoCauchyConvergence,
     NotDissipative,
     NotUniformlyDissipative,
+    QuadratureNotConverged,
     RankDeficientBasis,
 )
 from kreinspace.geometry import AngleOperator, KreinStructure
@@ -199,6 +201,45 @@ def test_solve_uniform_quadrature_vs_exact():
             np.linalg.norm(schur_data(a, r1.mu).s, 2) + abs(r1.mu)
         )
         assert rep_min_im(r1) > 0
+
+
+LADDER_CASE = InstanceSpec(4, 3, 0.5, seed=1)
+
+
+def test_quadrature_ladder_budgets_and_fallback(monkeypatch):
+    budgets = []
+
+    def never_converges(full, contour, *args, **kwargs):
+        budgets.append(contour.nodes)
+        raise QuadratureNotConverged("forced")
+
+    monkeypatch.setattr(solver, "riesz_projector_quadrature", never_converges)
+    a = random_dissipative(LADDER_CASE)
+    rep = solve_uniformly_dissipative(a, projector="auto")
+    assert budgets == [64, 128, 256, 512]
+    assert rep.projector_method == "schur"
+    budgets.clear()
+    with pytest.raises(QuadratureNotConverged):
+        solve_uniformly_dissipative(a, projector="quadrature")
+    assert budgets == [64, 128, 256, 512]
+
+
+def test_quadrature_ladder_escalates_on_real_instance(monkeypatch):
+    budgets = []
+    original = solver.riesz_projector_quadrature
+
+    def recording(full, contour, *args, **kwargs):
+        budgets.append(contour.nodes)
+        return original(full, contour, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "riesz_projector_quadrature", recording)
+    a = random_dissipative(LADDER_CASE)
+    cfg = SolverConfig(contour_nodes=16)
+    rep = solve_uniformly_dissipative(a, cfg, projector="quadrature")
+    assert budgets == [16, 32, 64]
+    assert rep.projector_method == "gauss_segments"
+    ref = solve_uniformly_dissipative(a, cfg, projector="exact")
+    assert np.linalg.norm(rep.k.matrix - ref.k.matrix, 2) <= 2e-15
 
 
 def rep_min_im(rep):
