@@ -49,7 +49,6 @@ from .errors import (  # noqa: E402
     NotUniformlyDissipative,
     QuadratureNotConverged,
     RankAmbiguous,
-    RankDeficientBasis,
     SingularShift,
 )
 from .geometry import (  # noqa: E402
@@ -120,7 +119,6 @@ __all__ = [
     "ProjectorReport",
     "QuadratureNotConverged",
     "RankAmbiguous",
-    "RankDeficientBasis",
     "Rectangle",
     "SchurData",
     "SingularShift",

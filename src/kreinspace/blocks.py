@@ -211,7 +211,7 @@ def check_theorem_conditions(
         caps = ConditionCaps()
     if mu.imag <= 0:
         raise DimensionMismatch("mu must lie in the open upper half-plane")
-    im_a22_max = float(np.linalg.eigvalsh(imag_part(a.a22))[-1])
+    im_a22_max = -condition_i_margin(a)
     cond_i = ConditionItem(
         value=-im_a22_max,
         passed=im_a22_max <= caps.dissipative_tol,

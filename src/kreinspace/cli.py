@@ -110,40 +110,50 @@ def _load(path: str):
     return a, cfg
 
 
-def _cmd_solve(args) -> int:
+def _solve_file(path: str, out: str | None):
+    """Load and solve a problem file: ``(a, cfg, report)`` or an exit code.
+
+    A failed solve is reported here: exit 3 (not dissipative) and exit 4
+    (no convergence, with the partial report) write their error document to
+    stdout and ``out``; other failures go to stderr with exit 2.
+    """
     from . import errors, serialize, solver
 
     try:
-        a, cfg = _load(args.problem)
+        a, cfg = _load(path)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    norm_a = a.norm()
     try:
-        rep = solver.solve_theorem(a, cfg)
+        return a, cfg, solver.solve_theorem(a, cfg)
     except (errors.NotDissipative, errors.ConditionIFailed) as exc:
-        _emit(serialize.dump_json({"error": f"{type(exc).__name__}: {exc}"}), args.out)
+        _emit(serialize.dump_json({"error": f"{type(exc).__name__}: {exc}"}), out)
         return 3
     except errors.NoCauchyConvergence as exc:
         doc = {"error": f"NoCauchyConvergence: {exc}"}
         if exc.report is not None:
-            doc["report"] = serialize.report_to_dict(exc.report, norm_a, cfg)
-        _emit(serialize.dump_json(doc), args.out)
+            doc["report"] = serialize.report_to_dict(exc.report, a.norm(), cfg)
+        _emit(serialize.dump_json(doc), out)
         return 4
     except errors.KreinError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    doc = serialize.report_to_dict(rep, norm_a, cfg)
+
+
+def _cmd_solve(args) -> int:
+    from . import serialize
+
+    solved = _solve_file(args.problem, args.out)
+    if isinstance(solved, int):
+        return solved
+    a, cfg, rep = solved
+    doc = serialize.report_to_dict(rep, a.norm(), cfg)
     _emit(serialize.dump_json(doc), args.out)
     return 0 if doc["acceptance"]["passed"] else 1
 
 
 def _result_to_dict(r) -> dict:
-    import math
-
-    def num(x):
-        x = float(x)
-        return x if math.isfinite(x) else None
+    from .serialize import _finite_or_none as num
 
     return {
         "seed": r.seed,
@@ -172,7 +182,7 @@ def _write_csv(path: str, results) -> None:
 
 
 def _cmd_verify(args) -> int:
-    from . import errors, harness, serialize
+    from . import harness, serialize
 
     if args.suite:
         try:
@@ -200,24 +210,10 @@ def _cmd_verify(args) -> int:
         }
         exit_code = 0 if suite.passed else 1
     elif args.problem:
-        from . import solver
-
-        try:
-            a, cfg = _load(args.problem)
-        except Exception as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            rep = solver.solve_theorem(a, cfg)
-        except (errors.NotDissipative, errors.ConditionIFailed) as exc:
-            _emit(serialize.dump_json({"error": f"{type(exc).__name__}: {exc}"}), args.out)
-            return 3
-        except errors.NoCauchyConvergence as exc:
-            _emit(serialize.dump_json({"error": f"NoCauchyConvergence: {exc}"}), args.out)
-            return 4
-        except errors.KreinError as exc:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 2
+        solved = _solve_file(args.problem, args.out)
+        if isinstance(solved, int):
+            return solved
+        a, cfg, rep = solved
         result = harness.check_instance(a, rep, cfg, seed=-1)
         results = [result]
         doc = {
@@ -267,7 +263,7 @@ def _cmd_spectrum(args) -> int:
             "kind": "semicircle_upper",
             "radius": radius,
             "nodes": cfg.contour_nodes,
-            "rule": cfg.contour_rule,
+            "rule": projectors.QUADRATURE_RULE,
         },
         "g_decay_profile": None,
     }
@@ -282,25 +278,6 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _thread_cap():
-    """Apply the KREIN_THREADS cap to the BLAS pools when possible."""
-    import contextlib
-    import os
-
-    raw = os.environ.get("KREIN_THREADS", "")
-    if not raw.isdigit() or int(raw) < 1:
-        return contextlib.nullcontext()
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:  # pragma: no cover - env vars were set at import
-        return contextlib.nullcontext()
-    # the pools must exist before the limit is created
-    import numpy  # noqa: F401
-    import scipy.linalg  # noqa: F401
-
-    return threadpool_limits(limits=int(raw))
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -313,8 +290,7 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "spectrum": _cmd_spectrum,
     }
-    with _thread_cap():
-        return handlers[args.command](args)
+    return handlers[args.command](args)
 
 
 def console_main() -> None:

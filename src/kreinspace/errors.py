@@ -40,10 +40,6 @@ class NormExceeded(KreinError):
     """An angle operator has norm above the admissible bound."""
 
 
-class RankDeficientBasis(KreinError):
-    """A supplied basis has numerically dependent columns."""
-
-
 class ContourTooClose(KreinError):
     """An eigenvalue sits too close to the integration contour."""
 

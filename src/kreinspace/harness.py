@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import serialize
 from .blocks import (
     BlockOperator,
     factorization_residual,
@@ -151,10 +152,9 @@ def check_instance(
     res.riccati_residual = rep.riccati_residual
     res.invariance_residual = rep.invariance_residual
     res.min_im_restriction = rep.min_im_restriction()
-    checks["k_norm"] = rep.k_norm <= 1.0 + cfg.norm_slack
-    checks["invariance"] = rep.invariance_residual <= cfg.invariance_tol * norm_a
-    checks["spectrum"] = res.min_im_restriction >= -cfg.spec_slack
-    checks["maximal"] = rep.maximal
+    triple = serialize.acceptance_triple(rep, norm_a, cfg)
+    for name in ("k_norm", "invariance", "spectrum", "maximal"):
+        checks[name] = triple[f"{name}_ok"]
 
     res.estimate10_slack = rep.estimate10.slack
     checks["estimate10"] = res.estimate10_slack >= -_ESTIMATE_TOL
@@ -240,8 +240,6 @@ def run_property_suite(specs, cfg: SolverConfig | None = None) -> SuiteReport:
         )
     passed = all(r.passed for r in results)
     if not passed:
-        from .serialize import problem_to_dict
-
         for spec, r in zip(specs, results):
             if not r.passed:
                 artifacts.append(
@@ -254,7 +252,9 @@ def run_property_suite(specs, cfg: SolverConfig | None = None) -> SuiteReport:
                             "coupling_scale": spec.coupling_scale,
                             "seed": spec.seed,
                         },
-                        "problem": problem_to_dict(random_dissipative(spec)),
+                        "problem": serialize.problem_to_dict(
+                            random_dissipative(spec)
+                        ),
                         "error": r.error,
                         "checks": {k: bool(v) for k, v in r.checks.items()},
                     }

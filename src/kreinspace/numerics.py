@@ -54,11 +54,6 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def smallest_singular_value(m) -> float:
-    a = validate_matrix(m)
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
-
-
 def solve_shifted(m, mu: complex, b, floor: float = SINGULAR_FLOOR) -> np.ndarray:
     """Solve (M - mu*I) X = B for X.
 
@@ -97,17 +92,3 @@ def eigendecomposition(m) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK cap
         raise NoConvergence(str(exc)) from exc
     return w, v
-
-
-def orthonormalize(m, rank_tol: float | None = None) -> tuple[np.ndarray, int]:
-    """Orthonormal basis of the column space of ``m`` with its numerical rank.
-
-    SVD based so that near-dependent columns are detected; ``rank_tol``
-    defaults to the usual machine-precision scale.
-    """
-    a = validate_matrix(m)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if rank_tol is None:
-        rank_tol = max(a.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > rank_tol))
-    return u[:, :rank], rank

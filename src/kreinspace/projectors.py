@@ -8,16 +8,15 @@ Two independent routes to the same projector:
 * :func:`riesz_projector_exact` splits a sorted complex Schur form with a
   Sylvester solve and serves as the oracle the quadrature is tested against.
 
-The quadrature grades its Gauss panels by the local spectral clearance
-sigma_min(lambda - A) probed along the contour: panel lengths shrink in
-proportion to the clearance, which keeps the node count logarithmic in
-R/clearance instead of linear.  A uniform "trapezoid" rule (trapezoid on the
-arc, uniform Gauss panels on the segment) is kept for comparison; the defect
-contracts, checked by doubling the node budget, are normative for both.
-Each call sums the resolvent at the contour's node budget and at twice that
-budget and returns the doubled sum.  The solver calls it on a ladder of four
-budgets, by default 64, 128, 256 and 512, and climbs one rung whenever the
-doubling check fails.
+The quadrature has one rule: Gauss panels graded by the local spectral
+clearance sigma_min(lambda - A) probed along the contour.  Panel lengths
+shrink in proportion to the clearance, which keeps the node count
+logarithmic in R/clearance instead of linear.  Each call sums the resolvent
+at the contour's node budget and at twice that budget and returns the
+doubled sum; a drift above 1e-8 between the two sums, or an eigenvalue
+within 1e-6 R of the contour, fails the call.  The solver calls it on a
+ladder of four budgets, by default 64, 128, 256 and 512, and climbs one rung
+whenever the doubling check fails.
 
 Resolvent evaluations at the nodes are independent; they are evaluated as one
 batched solve and reduced in a fixed order, so results are reproducible
@@ -42,17 +41,16 @@ from .errors import (
 from .geometry import KreinStructure, Subspace
 from .numerics import operator_norm, validate_matrix
 
+#: ``ProjectorReport.method`` of the quadrature route
+QUADRATURE_RULE = "gauss_segments"
 GAUSS_PANEL_ORDER = 8
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_PANEL_ORDER)
+# an eigenvalue closer than GAP_FACTOR * R to the contour is too close
+GAP_FACTOR = 1e-6
+# largest projector change allowed when the node budget doubles
+REFINE_TOL = 1e-8
 _SEGMENT_PROBES = 33
 _ARC_PROBES = 17
-
-_gauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _gauss_cache:
-        _gauss_cache[order] = np.polynomial.legendre.leggauss(order)
-    return _gauss_cache[order]
 
 
 @dataclass(frozen=True)
@@ -61,14 +59,8 @@ class Contour:
 
     radius: float
     nodes: int = 128
-    rule: str = "gauss_segments"
-    kind: str = "semicircle_upper"
 
     def __post_init__(self):
-        if self.kind != "semicircle_upper":
-            raise DimensionMismatch(f"unsupported contour kind {self.kind!r}")
-        if self.rule not in ("gauss_segments", "trapezoid"):
-            raise DimensionMismatch(f"unsupported rule {self.rule!r}")
         if not self.radius > 0:
             raise DimensionMismatch("contour radius must be positive")
         if self.nodes < 16 or self.nodes % 2:
@@ -182,20 +174,13 @@ def _graded_panels(lo, hi, probe_x, probe_c, budget, order):
     return panels
 
 
-def _uniform_panels(lo, hi, budget, order):
-    count = max(1, budget // order)
-    edges = np.linspace(lo, hi, count + 1)
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _panel_nodes(panels, order):
-    xi, wi = _gauss(order)
+def _panel_nodes(panels):
     xs, ws = [], []
     for lo, hi in panels:
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        xs.append(mid + half * xi)
-        ws.append(half * wi)
+        xs.append(mid + half * _GAUSS_X)
+        ws.append(half * _GAUSS_W)
     return np.concatenate(xs), np.concatenate(ws)
 
 
@@ -205,25 +190,15 @@ def _contour_nodes(contour: Contour, budget: int, seg_profile, arc_profile):
     seg_x, seg_c = seg_profile
     arc_t, arc_c = arc_profile
     q = GAUSS_PANEL_ORDER
-    if contour.rule == "trapezoid":
-        n_arc = max(8, int(round(budget * np.pi / (np.pi + 2.0))))
-        n_seg = max(q, budget - n_arc)
-        panels = _uniform_panels(-r, r, n_seg, q)
-        ts, tw = _panel_nodes(panels, q)
-        thetas = np.linspace(0.0, np.pi, n_arc)
-        h = np.pi / (n_arc - 1)
-        th_w = np.full(n_arc, h)
-        th_w[0] = th_w[-1] = h / 2.0
-    else:
-        seg_measure = np.trapezoid(1.0 / seg_c, seg_x)
-        arc_measure = np.trapezoid(r / arc_c, arc_t)
-        total = seg_measure + arc_measure
-        n_seg = int(round(budget * seg_measure / total))
-        n_seg = min(max(n_seg, q), budget - q)
-        n_arc = budget - n_seg
-        ts, tw = _panel_nodes(_graded_panels(-r, r, seg_x, seg_c, n_seg, q), q)
-        arc_panels = _graded_panels(0.0, np.pi, arc_t, arc_c / r, n_arc, q)
-        thetas, th_w = _panel_nodes(arc_panels, q)
+    seg_measure = np.trapezoid(1.0 / seg_c, seg_x)
+    arc_measure = np.trapezoid(r / arc_c, arc_t)
+    total = seg_measure + arc_measure
+    n_seg = int(round(budget * seg_measure / total))
+    n_seg = min(max(n_seg, q), budget - q)
+    n_arc = budget - n_seg
+    ts, tw = _panel_nodes(_graded_panels(-r, r, seg_x, seg_c, n_seg, q))
+    arc_panels = _graded_panels(0.0, np.pi, arc_t, arc_c / r, n_arc, q)
+    thetas, th_w = _panel_nodes(arc_panels)
     lam_seg = ts.astype(np.complex128)
     w_seg = tw.astype(np.complex128)
     lam_arc = r * np.exp(1j * thetas)
@@ -255,27 +230,23 @@ def _quadrature_sum(a: np.ndarray, lams: np.ndarray, weights: np.ndarray, gap: f
     return np.einsum("k,kij->ij", weights, inverses)
 
 
-def riesz_projector_quadrature(
-    a,
-    contour: Contour,
-    gap_factor: float = 1e-6,
-    refine_tol: float = 1e-8,
-) -> ProjectorReport:
+def riesz_projector_quadrature(a, contour: Contour) -> ProjectorReport:
     """Quadrature realization of the upper Riesz projector.
 
-    The node budget of the contour is evaluated twice (once doubled) and the
-    doubled sum is returned; a projector change above ``refine_tol`` raises
-    :class:`QuadratureNotConverged`, an eigenvalue within ``gap_factor * R``
-    of the contour raises :class:`ContourTooClose`.  The report's
-    ``nodes_used`` counts the resolvent nodes of both sums; the graded rule
-    may place more nodes than the budget.  The caller is responsible for a
-    radius that encloses the whole upper spectrum.
+    The graded Gauss rule is evaluated at the contour's node budget and at
+    twice that budget, and the doubled sum is returned.  A projector change
+    above ``REFINE_TOL`` (1e-8) raises :class:`QuadratureNotConverged`; an
+    eigenvalue within ``GAP_FACTOR * R`` (1e-6 R) of the contour raises
+    :class:`ContourTooClose`.  The report's ``nodes_used`` counts the
+    resolvent nodes of both sums; the graded rule may place more nodes than
+    the budget.  The caller is responsible for a radius that encloses the
+    whole upper spectrum.
     """
     mat = validate_matrix(a)
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch("expected a square matrix")
     r = contour.radius
-    gap = gap_factor * r
+    gap = GAP_FACTOR * r
     seg_x = np.linspace(-r, r, _SEGMENT_PROBES)
     seg_c = _batch_sigma_min(seg_x.astype(np.complex128), mat)
     seg_x, seg_c = _refine_probes(
@@ -300,7 +271,7 @@ def riesz_projector_quadrature(
         results.append(_quadrature_sum(mat, lams, weights, gap))
         evaluated += lams.size
     drift = operator_norm(results[1] - results[0])
-    if drift > refine_tol:
+    if drift > REFINE_TOL:
         raise QuadratureNotConverged(
             f"doubling the node budget moved the projector by {drift:.3e}"
         )
@@ -310,7 +281,7 @@ def riesz_projector_quadrature(
         raise QuadratureNotConverged(
             f"projector trace {tr:.8f} is not within 1e-6 of an integer"
         )
-    return _finish_report(mat, q, method=contour.rule, nodes=evaluated)
+    return _finish_report(mat, q, method=QUADRATURE_RULE, nodes=evaluated)
 
 
 def _finish_report(mat, q, method, nodes=0, enclosed=None) -> ProjectorReport:

@@ -35,7 +35,6 @@ _CONFIG_KEYS = {
     "eps_schedule",
     "galerkin_dims",
     "contour_nodes",
-    "contour_rule",
     "riccati_tol",
     "invariance_tol",
     "norm_slack",

@@ -32,7 +32,6 @@ from .blocks import (
     SchurData,
     condition_i_margin,
     dissipativity_margin,
-    imag_part,
     schur_data,
 )
 from .errors import (
@@ -48,7 +47,6 @@ from .errors import (
     NotUniformlyDissipative,
     QuadratureNotConverged,
     RankAmbiguous,
-    RankDeficientBasis,
     SingularShift,
 )
 from .geometry import (
@@ -56,9 +54,10 @@ from .geometry import (
     KreinStructure,
     Subspace,
     angle_operator_from_subspace,
+    gram_matrix,
     maximality_witness,
 )
-from .numerics import operator_norm, orthonormalize, validate_matrix
+from .numerics import operator_norm
 from .projectors import (
     Contour,
     default_contour_radius,
@@ -79,7 +78,8 @@ class SolverConfig:
     ``mu`` fixes the transfer-function shift; None selects the smallest
     i*t with |G(i t + i eps)| < 1/2 across the whole schedule.  The epsilon
     schedule must decrease strictly and reach 1e-4 or below.
-    ``contour_nodes`` is the first rung of the per-cell quadrature ladder.
+    ``contour_nodes`` is the first rung of the per-cell quadrature ladder,
+    which always uses the graded Gauss rule of :mod:`projectors`.
     The budget doubles after each failed node-doubling check, so the default
     ladder is 64, 128, 256, 512; the projector kept is the doubled sum of
     the rung that passed.
@@ -89,7 +89,6 @@ class SolverConfig:
     eps_schedule: tuple[float, ...] = _DEFAULT_EPS_SCHEDULE
     galerkin_dims: tuple[int, ...] | None = None
     contour_nodes: int = 64
-    contour_rule: str = "gauss_segments"
     riccati_tol: float = 1e-8
     invariance_tol: float = 1e-7
     norm_slack: float = 1e-8
@@ -205,31 +204,16 @@ def regularize(a: BlockOperator, eps: float) -> BlockOperator:
     )
 
 
-def galerkin_truncate(a: BlockOperator, n: int, basis_plus=None) -> BlockOperator:
-    """Compress the positive component to an n-dimensional subspace.
+def galerkin_truncate(a: BlockOperator, n: int) -> BlockOperator:
+    """Compress the positive component to its leading n coordinates.
 
-    ``basis_plus`` (p x n) is orthonormalized internally; the default is the
-    span of the leading n coordinates of H+.  The negative component is kept
-    whole, so the result acts on C^(n+m).
+    The Galerkin space is the span of the first n coordinate vectors of H+.
+    The negative component is kept whole, so the result acts on C^(n+m).
     """
     p = a.structure.p
     if not 1 <= n <= p:
         raise DimensionMismatch(f"need 1 <= n <= {p}, got {n}")
-    if basis_plus is None:
-        q = np.eye(p, dtype=np.complex128)[:, :n]
-    else:
-        b = validate_matrix(basis_plus, "basis_plus")
-        if b.shape != (p, n):
-            raise DimensionMismatch(f"basis_plus must be {p}x{n}, got {b.shape}")
-        if operator_norm(b.conj().T @ b - np.eye(n)) <= 1e-10:
-            q = b  # already orthonormal: keep the caller's coordinates
-        else:
-            _, rank = orthonormalize(b)
-            if rank < n:
-                raise RankDeficientBasis(f"basis has rank {rank} < {n}")
-            q, r_fac = np.linalg.qr(b)
-            phases = np.diag(r_fac) / np.abs(np.diag(r_fac))
-            q = q * phases[np.newaxis, :]
+    q = np.eye(p, dtype=np.complex128)[:, :n]
     return BlockOperator(
         KreinStructure(n, a.structure.m),
         q.conj().T @ a.a11 @ q,
@@ -312,9 +296,7 @@ def _upper_projector(full, margin, cfg: SolverConfig, projector: str):
     nodes = cfg.contour_nodes
     for _ in range(_QUADRATURE_RUNGS):
         try:
-            return riesz_projector_quadrature(
-                full, Contour(radius, nodes, cfg.contour_rule)
-            )
+            return riesz_projector_quadrature(full, Contour(radius, nodes))
         except QuadratureNotConverged as exc:
             last_exc = exc
             nodes *= 2
@@ -390,10 +372,7 @@ def _assemble_report(
     full = a.to_matrix()
     ab = full @ b
     invariance = operator_norm(ab - b @ (b.conj().T @ ab))
-    jb = b.copy()
-    jb[s.p:] *= -1.0
-    gram = b.conj().T @ jb
-    min_rayleigh = float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[0])
+    min_rayleigh = float(np.linalg.eigvalsh(gram_matrix(subspace))[0])
     a_plus_norm = operator_norm(b.conj().T @ ab)
     lower = 2.0 * margin / (np.pi * a_plus_norm) if a_plus_norm > 0 else 0.0
     est10 = Estimate10(margin, a_plus_norm, lower, min_rayleigh)
@@ -621,7 +600,7 @@ def maximal_dissipativity_check(
     expected, not failures).
     """
     ja = a.structure.signature() @ a.to_matrix()
-    margin = float(np.linalg.eigvalsh(imag_part(ja))[0])
+    margin = dissipativity_margin(a)
     rng = np.random.Generator(np.random.Philox(seed))
     radius = 2.0 * (1.0 + operator_norm(ja))
     mus = rng.uniform(-radius, radius, samples) + 1j * rng.uniform(

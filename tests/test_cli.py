@@ -1,10 +1,15 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kreinspace
 from kreinspace.blocks import assemble
 from kreinspace.cli import main
 from kreinspace.serialize import CSV_HEADER, dump_json, problem_to_dict
@@ -231,10 +236,30 @@ def test_unknown_flag_exit_2(capsys):
     assert code == 2
 
 
-def test_thread_cap_env(capsys, monkeypatch, ij_problem):
-    monkeypatch.setenv("KREIN_THREADS", "1")
-    code, out, _ = run(capsys, "solve", ij_problem)
-    assert code == 0
-    monkeypatch.setenv("KREIN_THREADS", "bogus")  # ignored, not fatal
-    code, _, _ = run(capsys, "solve", ij_problem)
-    assert code == 0
+def test_no_cauchy_exit_4_emits_report(capsys, tmp_path):
+    a = assemble([[1.0]], [[1.0]], [[-1.0]], [[-1.0]])
+    solver = {"eps_schedule": [1.0, 0.5, 0.25, 1e-4], "polish": False}
+    path = write_problem(tmp_path / "no_cauchy.json", a, solver)
+    for command in ("solve", "verify"):
+        code, out, _ = run(capsys, command, path)
+        assert code == 4
+        doc = json.loads(out)
+        assert doc["error"].startswith("NoCauchyConvergence")
+        assert doc["report"]["convergence_trace"]
+
+
+def test_krein_threads_sets_blas_variables():
+    # a fresh interpreter each time: the cap only acts before numpy is loaded
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(kreinspace.__file__).parents[1])
+    probe = "import os, kreinspace; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    for value, expected in (("2", "2"), ("bogus", "None")):
+        env["KREIN_THREADS"] = value
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == expected

@@ -14,8 +14,6 @@ from kreinspace.errors import DimensionMismatch, NonFinite, SingularShift
 from kreinspace.numerics import (
     eigendecomposition,
     operator_norm,
-    orthonormalize,
-    smallest_singular_value,
     solve_shifted,
     validate_matrix,
 )
@@ -130,18 +128,6 @@ def test_operator_norm_unitary_invariance(re, im):
     u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     v, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     assert operator_norm(u @ m @ v) == pytest.approx(operator_norm(m), abs=1e-9)
-
-
-def test_orthonormalize_rank():
-    basis = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
-    q, rank = orthonormalize(basis)
-    assert rank == 1
-    assert q.shape == (3, 1)
-    np.testing.assert_allclose(q.conj().T @ q, np.eye(1), atol=1e-12)
-
-
-def test_smallest_singular_value():
-    assert smallest_singular_value(np.diag([3.0, 4.0])) == pytest.approx(3.0)
 
 
 def _openblas_thread_counts():

@@ -12,6 +12,7 @@ from kreinspace.errors import (
     QuadratureNotConverged,
 )
 from kreinspace.geometry import KreinStructure
+from kreinspace.harness import InstanceSpec, random_dissipative
 from kreinspace.projectors import (
     Contour,
     Rectangle,
@@ -92,23 +93,16 @@ def test_quadrature_contour_deformation():
     assert np.linalg.norm(q1.q_plus - q2.q_plus, 2) <= 1e-8
 
 
-def test_quadrature_rules_agree():
-    a = np.diag([2j, 1 - 1j, -2j]) + 0.1
-    q1 = riesz_projector_quadrature(a, Contour(8.0, 128, "gauss_segments"))
-    q2 = riesz_projector_quadrature(a, Contour(8.0, 512, "trapezoid"), refine_tol=1e-6)
-    assert np.linalg.norm(q1.q_plus - q2.q_plus, 2) <= 1e-5
-
-
 def test_quadrature_contour_too_close():
     with pytest.raises(ContourTooClose):
         riesz_projector_quadrature(np.diag([1.0 + 0j, 2j]), Contour(10.0))
 
 
 def test_quadrature_not_converged_reports():
-    # a pole only 0.05 above the segment defeats a 16-node uniform rule
-    a = np.diag([0.05j, -0.05j])
-    with pytest.raises((QuadratureNotConverged, ContourTooClose)):
-        riesz_projector_quadrature(a, Contour(4.0, 16, "trapezoid"))
+    # 16 graded nodes move the projector by ~2.5e-3 when doubled
+    a = random_dissipative(InstanceSpec(4, 3, 0.5, seed=1)).to_matrix()
+    with pytest.raises(QuadratureNotConverged):
+        riesz_projector_quadrature(a, Contour(default_contour_radius(a), 16))
 
 
 def test_shifted_stack_matches_broadcast():
@@ -241,5 +235,3 @@ def test_contour_validation():
         Contour(-1.0)
     with pytest.raises(DimensionMismatch):
         Contour(1.0, nodes=15)
-    with pytest.raises(DimensionMismatch):
-        Contour(1.0, rule="midpoint")
