@@ -152,27 +152,6 @@ def _cmd_solve(args) -> int:
     return 0 if doc["acceptance"]["passed"] else 1
 
 
-def _result_to_dict(r) -> dict:
-    from .serialize import _finite_or_none as num
-
-    return {
-        "seed": r.seed,
-        "p": r.p,
-        "m": r.m,
-        "margin": num(r.margin),
-        "passed": bool(r.passed),
-        "error": r.error,
-        "K_norm": num(r.k_norm),
-        "riccati_residual": num(r.riccati_residual),
-        "invariance_residual": num(r.invariance_residual),
-        "min_im_restriction": num(r.min_im_restriction),
-        "estimate10_slack": num(r.estimate10_slack),
-        "estimate11_slack": num(r.estimate11_slack),
-        "g_bound_ratio": num(r.g_bound_ratio),
-        "checks": {k: bool(v) for k, v in r.checks.items()},
-    }
-
-
 def _write_csv(path: str, results) -> None:
     from . import serialize
 
@@ -185,6 +164,9 @@ def _cmd_verify(args) -> int:
     from . import harness, serialize
 
     if args.suite:
+        if args.seeds < 1:
+            print("error: --seeds must be at least 1", file=sys.stderr)
+            return 2
         try:
             specs = [
                 harness.InstanceSpec(
@@ -205,7 +187,7 @@ def _cmd_verify(args) -> int:
         doc = {
             "passed": bool(suite.passed),
             "no_cauchy_count": suite.no_cauchy_count,
-            "rows": [_result_to_dict(r) for r in results],
+            "rows": [serialize.row_to_dict(r) for r in results],
             "failure_artifacts": suite.failure_artifacts,
         }
         exit_code = 0 if suite.passed else 1
@@ -219,7 +201,7 @@ def _cmd_verify(args) -> int:
         doc = {
             "passed": bool(result.passed),
             "no_cauchy_count": 0,
-            "rows": [_result_to_dict(result)],
+            "rows": [serialize.row_to_dict(result)],
             "failure_artifacts": [],
         }
         exit_code = 0 if result.passed else 1
@@ -240,7 +222,7 @@ def _cmd_spectrum(args) -> int:
     from . import blocks, projectors, serialize
 
     try:
-        a, cfg = _load(args.problem)
+        a, _ = _load(args.problem)
         heights = None
         if args.profile:
             heights = [float(h) for h in args.profile.split(",")]
@@ -262,7 +244,7 @@ def _cmd_spectrum(args) -> int:
         "contour_used": {
             "kind": "semicircle_upper",
             "radius": radius,
-            "nodes": cfg.contour_nodes,
+            "nodes": projectors.Contour(radius).nodes,
             "rule": projectors.QUADRATURE_RULE,
         },
         "g_decay_profile": None,

@@ -30,6 +30,10 @@ NONNEGATIVE = "nonnegative"
 UNIFORMLY_POSITIVE = "uniformly_positive"
 INDEFINITE = "indefinite"
 
+#: Gram-eigenvalue tolerance of :func:`classify_subspace`:
+#: 1e-9 * (1 + |B|^2) with |B| = 1 for orthonormal bases.
+CLASSIFY_TOL = 2e-9
+
 
 @dataclass(frozen=True)
 class KreinStructure:
@@ -140,22 +144,21 @@ def gram_matrix(L: Subspace) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def classify_subspace(L: Subspace, tol: float | None = None) -> SubspaceClass:
+def classify_subspace(L: Subspace) -> SubspaceClass:
     """Classify ``L`` by the spectrum of its indefinite Gram matrix.
 
     With orthonormal basis B, min_x [x,x]/(x,x) over L equals
     lambda_min(B* J B), so the classification reduces to eigenvalue signs.
-    Ties go to the inclusive "nonnegative" label.
+    Eigenvalues within ``CLASSIFY_TOL`` of zero count as zero; ties go to
+    the inclusive "nonnegative" label.
     """
-    if tol is None:
-        tol = 2e-9  # 1e-9 * (1 + |B|^2) with |B| = 1 for orthonormal bases
     eigs = np.linalg.eigvalsh(gram_matrix(L))
     lo, hi = float(eigs[0]), float(eigs[-1])
-    if lo > tol:
+    if lo > CLASSIFY_TOL:
         return SubspaceClass(UNIFORMLY_POSITIVE, lo, hi, delta=lo)
-    if lo >= -tol:
+    if lo >= -CLASSIFY_TOL:
         return SubspaceClass(NONNEGATIVE, lo, hi)
-    if hi > tol:
+    if hi > CLASSIFY_TOL:
         return SubspaceClass(INDEFINITE, lo, hi)
     return SubspaceClass(NEGATIVE_TOUCHING, lo, hi)
 

@@ -54,12 +54,12 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def solve_shifted(m, mu: complex, b, floor: float = SINGULAR_FLOOR) -> np.ndarray:
+def solve_shifted(m, mu: complex, b) -> np.ndarray:
     """Solve (M - mu*I) X = B for X.
 
     The shifted matrix is rejected as :class:`SingularShift` when its smallest
-    singular value falls below ``floor`` times its norm.  The returned X
-    satisfies ``|(M - mu I) X - B| <= 1e-10 (|M| + |mu|) |X|``.
+    singular value falls below ``SINGULAR_FLOOR`` times its norm.  The
+    returned X satisfies ``|(M - mu I) X - B| <= 1e-10 (|M| + |mu|) |X|``.
     """
     a = validate_matrix(m, "M")
     rhs = validate_matrix(b, "B")
@@ -71,7 +71,7 @@ def solve_shifted(m, mu: complex, b, floor: float = SINGULAR_FLOOR) -> np.ndarra
         )
     shifted = a - complex(mu) * np.eye(a.shape[0])
     sings = np.linalg.svd(shifted, compute_uv=False)
-    if sings[-1] < floor * max(sings[0], 1.0):
+    if sings[-1] < SINGULAR_FLOOR * max(sings[0], 1.0):
         raise SingularShift(
             f"sigma_min(M - mu I) = {sings[-1]:.3e} below floor; "
             f"mu = {mu} is numerically in the spectrum"

@@ -11,12 +11,11 @@ Two independent routes to the same projector:
 The quadrature has one rule: Gauss panels graded by the local spectral
 clearance sigma_min(lambda - A) probed along the contour.  Panel lengths
 shrink in proportion to the clearance, which keeps the node count
-logarithmic in R/clearance instead of linear.  Each call sums the resolvent
-at the contour's node budget and at twice that budget and returns the
-doubled sum; a drift above 1e-8 between the two sums, or an eigenvalue
-within 1e-6 R of the contour, fails the call.  The solver calls it on a
-ladder of four budgets, by default 64, 128, 256 and 512, and climbs one rung
-whenever the doubling check fails.
+logarithmic in R/clearance instead of linear.  Each call probes the contour
+once and climbs a ladder of node budgets, the contour's budget doubled up to
+``LADDER_DOUBLINGS`` (4) times, by default 64, 128, ..., 1024; it returns the
+first sum that moves less than 1e-8 from the sum before it and has an
+integer trace.  An eigenvalue within 1e-6 R of the contour fails the call.
 
 Resolvent evaluations at the nodes are independent; they are evaluated as one
 batched solve and reduced in a fixed order, so results are reproducible
@@ -49,6 +48,8 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_PANEL_ORDER)
 GAP_FACTOR = 1e-6
 # largest projector change allowed when the node budget doubles
 REFINE_TOL = 1e-8
+# the ladder sums at nodes, 2 nodes, ..., 2**LADDER_DOUBLINGS nodes
+LADDER_DOUBLINGS = 4
 _SEGMENT_PROBES = 33
 _ARC_PROBES = 17
 
@@ -58,7 +59,7 @@ class Contour:
     """Closed contour: segment [-R, R] plus the upper semicircle of radius R."""
 
     radius: float
-    nodes: int = 128
+    nodes: int = 64
 
     def __post_init__(self):
         if not self.radius > 0:
@@ -75,21 +76,21 @@ class ProjectorReport:
     enclosed_eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0, complex))
     trace: float = 0.0
     method: str = "exact"
-    # resolvent nodes of both quadrature sums; 0 for the Schur oracle
+    # resolvent nodes of every quadrature sum of the ladder; 0 for the Schur oracle
     nodes_used: int = 0
     # cached SVD of q_plus, shared with the subspace extraction
     svd_u: np.ndarray | None = field(default=None, repr=False)
     svd_s: np.ndarray | None = field(default=None, repr=False)
 
 
-def default_contour_radius(a, iterations: int = 40, seed: int = 0) -> float:
-    """R = 2 max(1, spectral bound) with the bound from power iteration on A*A."""
+def default_contour_radius(a) -> float:
+    """R = 2 max(1, spectral bound), the bound from 40 power iterations on A*A."""
     mat = validate_matrix(a)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(0))
     v = rng.standard_normal(mat.shape[0]) + 1j * rng.standard_normal(mat.shape[0])
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(iterations):
+    for _ in range(40):
         w = mat.conj().T @ (mat @ v)
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
@@ -118,17 +119,17 @@ def _batch_sigma_min(lams: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(_shifted_stack(lams, a), compute_uv=False)[:, -1]
 
 
-def _refine_probes(xs, cs, mat, to_lambda, floor: float, rounds: int = 20):
+def _refine_probes(xs, cs, mat, to_lambda, floor: float):
     """Bisect probe intervals whose clearance is small against their width.
 
     Coarse probing can step right over a narrow resolvent spike; refinement
-    continues until the local spacing drops well below the local clearance or
-    below ``floor`` (the too-close threshold), so an eigenvalue sitting on
-    the contour is actually seen.
+    continues, for at most 20 rounds, until the local spacing drops well below
+    the local clearance or below ``floor`` (the too-close threshold), so an
+    eigenvalue sitting on the contour is actually seen.
     """
     xs = np.asarray(xs, dtype=float)
     cs = np.asarray(cs, dtype=float)
-    for _ in range(rounds):
+    for _ in range(20):
         width = np.diff(xs)
         tight = (np.minimum(cs[:-1], cs[1:]) < 2.0 * width) & (width > 0.5 * floor)
         if not np.any(tight):
@@ -233,14 +234,17 @@ def _quadrature_sum(a: np.ndarray, lams: np.ndarray, weights: np.ndarray, gap: f
 def riesz_projector_quadrature(a, contour: Contour) -> ProjectorReport:
     """Quadrature realization of the upper Riesz projector.
 
-    The graded Gauss rule is evaluated at the contour's node budget and at
-    twice that budget, and the doubled sum is returned.  A projector change
-    above ``REFINE_TOL`` (1e-8) raises :class:`QuadratureNotConverged`; an
-    eigenvalue within ``GAP_FACTOR * R`` (1e-6 R) of the contour raises
+    The contour is probed once; the graded Gauss rule is then summed at the
+    contour's node budget and at its doublings up to
+    ``2**LADDER_DOUBLINGS`` times that budget.  The first sum that moves less
+    than ``REFINE_TOL`` (1e-8) from the sum before it and whose trace lies
+    within 1e-6 of an integer is returned; if the top sum fails either check,
+    :class:`QuadratureNotConverged` is raised.  An eigenvalue within
+    ``GAP_FACTOR * R`` (1e-6 R) of the contour raises
     :class:`ContourTooClose`.  The report's ``nodes_used`` counts the
-    resolvent nodes of both sums; the graded rule may place more nodes than
-    the budget.  The caller is responsible for a radius that encloses the
-    whole upper spectrum.
+    resolvent nodes of every sum evaluated; the graded rule may place more
+    nodes than the budget.  The caller is responsible for a radius that
+    encloses the whole upper spectrum.
     """
     mat = validate_matrix(a)
     if mat.shape[0] != mat.shape[1]:
@@ -264,24 +268,24 @@ def riesz_projector_quadrature(a, contour: Contour) -> ProjectorReport:
         )
     seg_c = np.maximum(seg_c, gap)
     arc_c = np.maximum(arc_c, gap)
-    results = []
+    profiles = (seg_x, seg_c), (arc_t, arc_c)
     evaluated = 0
-    for budget in (contour.nodes, 2 * contour.nodes):
-        lams, weights = _contour_nodes(contour, budget, (seg_x, seg_c), (arc_t, arc_c))
-        results.append(_quadrature_sum(mat, lams, weights, gap))
+    prev = None
+    for doubling in range(LADDER_DOUBLINGS + 1):
+        budget = contour.nodes * 2**doubling
+        lams, weights = _contour_nodes(contour, budget, *profiles)
+        q = _quadrature_sum(mat, lams, weights, gap)
         evaluated += lams.size
-    drift = operator_norm(results[1] - results[0])
-    if drift > REFINE_TOL:
-        raise QuadratureNotConverged(
-            f"doubling the node budget moved the projector by {drift:.3e}"
-        )
-    q = results[1]
-    tr = float(np.trace(q).real)
-    if abs(tr - round(tr)) > 1e-6:
-        raise QuadratureNotConverged(
-            f"projector trace {tr:.8f} is not within 1e-6 of an integer"
-        )
-    return _finish_report(mat, q, method=QUADRATURE_RULE, nodes=evaluated)
+        if prev is not None:
+            drift = operator_norm(q - prev)
+            tr = float(np.trace(q).real)
+            if drift <= REFINE_TOL and abs(tr - round(tr)) <= 1e-6:
+                return _finish_report(mat, q, method=QUADRATURE_RULE, nodes=evaluated)
+        prev = q
+    raise QuadratureNotConverged(
+        f"doubling the node budget to {budget} moved the projector by "
+        f"{drift:.3e} (trace {tr:.8f})"
+    )
 
 
 def _finish_report(mat, q, method, nodes=0, enclosed=None) -> ProjectorReport:
@@ -433,14 +437,12 @@ class StabilityReport:
     passed: bool
 
 
-def spectral_stability_check(
-    t_sequence, t_limit, omega: Rectangle, tol: float = 1e-9
-) -> StabilityReport:
+def spectral_stability_check(t_sequence, t_limit, omega: Rectangle) -> StabilityReport:
     """Norm convergence keeps a spectrum-free region spectrum free.
 
     Every approximant must avoid ``omega`` (otherwise
     :class:`HypothesisViolated` fires, a harness signal); the limit is then
-    asserted to avoid it as well, with at least ``tol`` clearance from the
+    asserted to avoid it as well, with at least 1e-9 clearance from the
     boundary.
     """
     limit = validate_matrix(t_limit, "T_limit")
@@ -461,4 +463,4 @@ def spectral_stability_check(
             )
         seq_dists.append(worst)
     limit_dist = min(omega.signed_distance(z) for z in np.linalg.eigvals(limit))
-    return StabilityReport(tuple(seq_dists), float(limit_dist), limit_dist >= tol)
+    return StabilityReport(tuple(seq_dists), float(limit_dist), limit_dist >= 1e-9)

@@ -16,6 +16,7 @@ reproduces byte-identical output.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -26,24 +27,24 @@ from .errors import KreinError
 from .geometry import KreinStructure
 from .solver import SolveReport, SolverConfig
 
-CSV_HEADER = (
-    "seed,p,m,margin,K_norm,riccati_residual,invariance_residual,"
-    "min_im_restriction,estimate10_slack,estimate11_slack,g_bound_ratio"
+# The columns of a verify row, in CSV order: the integer identity columns,
+# then the measured values.  Each column reads the InstanceResult attribute
+# of its lower-cased name.
+_ROW_IDS = ("seed", "p", "m")
+_ROW_VALUES = (
+    "margin",
+    "K_norm",
+    "riccati_residual",
+    "invariance_residual",
+    "min_im_restriction",
+    "estimate10_slack",
+    "estimate11_slack",
+    "g_bound_ratio",
 )
+CSV_HEADER = ",".join(_ROW_IDS + _ROW_VALUES)
 
-_CONFIG_KEYS = {
-    "eps_schedule",
-    "galerkin_dims",
-    "contour_nodes",
-    "riccati_tol",
-    "invariance_tol",
-    "norm_slack",
-    "spec_slack",
-    "cauchy_tol",
-    "dissipativity_tol",
-    "polish",
-    "mu",
-}
+# the "solver" keys a problem file may set
+_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(SolverConfig))
 
 
 class ProblemFormatError(KreinError):
@@ -55,11 +56,20 @@ def complex_to_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _is_number(x) -> bool:
+    # JSON true/false arrive as bool, a subclass of int
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def pair_to_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ProblemFormatError(f"complex entries must be [re, im], got {pair!r}")
     re, im = pair
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    if not _is_number(re) or not _is_number(im):
         raise ProblemFormatError(f"complex entries must be numeric, got {pair!r}")
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ProblemFormatError(f"non-finite entry {pair!r}")
@@ -107,10 +117,9 @@ def problem_from_dict(doc) -> tuple[BlockOperator, dict]:
     structure = doc.get("structure")
     if not isinstance(structure, dict):
         raise ProblemFormatError("missing structure object")
-    try:
-        p, m = int(structure["p"]), int(structure["m"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"bad structure: {exc}") from exc
+    p, m = structure.get("p"), structure.get("m")
+    if not _is_integer(p) or not _is_integer(m):
+        raise ProblemFormatError(f"structure p and m must be integers, got {structure!r}")
     if p < 1 or m < 1:
         raise ProblemFormatError(f"need p, m >= 1, got p={p}, m={m}")
     blocks = doc.get("blocks")
@@ -136,12 +145,20 @@ def problem_from_dict(doc) -> tuple[BlockOperator, dict]:
 
 def config_from_overrides(overrides: dict) -> SolverConfig:
     kwargs = dict(overrides)
-    if "mu" in kwargs and kwargs["mu"] is not None:
+    if kwargs.get("mu") is not None:
         kwargs["mu"] = pair_to_complex(kwargs["mu"])
-    if "eps_schedule" in kwargs:
-        kwargs["eps_schedule"] = tuple(float(e) for e in kwargs["eps_schedule"])
-    if "galerkin_dims" in kwargs:
-        kwargs["galerkin_dims"] = tuple(int(n) for n in kwargs["galerkin_dims"])
+    for key, accept, kind in (
+        ("eps_schedule", _is_number, "numbers"),
+        ("galerkin_dims", _is_integer, "integers"),
+    ):
+        values = kwargs.get(key)
+        if values is not None and not (
+            isinstance(values, (list, tuple)) and all(map(accept, values))
+        ):
+            raise ProblemFormatError(f"{key} must be a list of {kind}, got {values!r}")
+    polish = kwargs.get("polish", True)
+    if not isinstance(polish, bool):
+        raise ProblemFormatError(f"polish must be true or false, got {polish!r}")
     try:
         return SolverConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -241,24 +258,24 @@ def report_to_dict(rep: SolveReport, norm_a: float, cfg: SolverConfig) -> dict:
 
 
 def csv_row(result) -> str:
+    """One verify row under :data:`CSV_HEADER`."""
+
     def fmt(x):
         x = float(x)
         if math.isnan(x):
             return "nan"
         return f"{x:.12g}"
 
-    return ",".join(
-        [
-            str(result.seed),
-            str(result.p),
-            str(result.m),
-            fmt(result.margin),
-            fmt(result.k_norm),
-            fmt(result.riccati_residual),
-            fmt(result.invariance_residual),
-            fmt(result.min_im_restriction),
-            fmt(result.estimate10_slack),
-            fmt(result.estimate11_slack),
-            fmt(result.g_bound_ratio),
-        ]
-    )
+    ids = [str(getattr(result, c)) for c in _ROW_IDS]
+    values = [fmt(getattr(result, c.lower())) for c in _ROW_VALUES]
+    return ",".join(ids + values)
+
+
+def row_to_dict(result) -> dict:
+    """One verify row as JSON: the CSV columns, the verdict and the checks."""
+    doc = {c: getattr(result, c) for c in _ROW_IDS}
+    doc.update((c, _finite_or_none(getattr(result, c.lower()))) for c in _ROW_VALUES)
+    doc["passed"] = bool(result.passed)
+    doc["error"] = result.error
+    doc["checks"] = {k: bool(v) for k, v in result.checks.items()}
+    return doc

@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
 
 from .blocks import (
+    DISSIPATIVITY_TOL,
     BlockOperator,
     SchurData,
     condition_i_margin,
@@ -67,35 +69,40 @@ from .projectors import (
 )
 
 _DEFAULT_EPS_SCHEDULE = tuple(2.0 ** (-k) for k in range(15))
-# node budgets per cell: contour_nodes, doubled up to three times
-_QUADRATURE_RUNGS = 4
+# mu must keep |G(mu + i eps)| below this across the schedule
+_MU_COUPLING_BOUND = 0.5
+# Newton polish: cap on the total correction, and on the number of steps
+_NEWTON_MAX_STEP = 0.1
+_NEWTON_MAX_ITER = 30
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the regularized Galerkin pipeline.
+    """Settings of the regularized Galerkin pipeline.
 
     ``mu`` fixes the transfer-function shift; None selects the smallest
     i*t with |G(i t + i eps)| < 1/2 across the whole schedule.  The epsilon
     schedule must decrease strictly and reach 1e-4 or below.
-    ``contour_nodes`` is the first rung of the per-cell quadrature ladder,
-    which always uses the graded Gauss rule of :mod:`projectors`.
-    The budget doubles after each failed node-doubling check, so the default
-    ladder is 64, 128, 256, 512; the projector kept is the doubled sum of
-    the rung that passed.
+    ``galerkin_dims`` lists the Galerkin dimensions (None: p/4, p/2 and p,
+    rounded up) and ``polish`` turns the final Newton polish on.  Each
+    cell's projector comes from :func:`projectors.riesz_projector_quadrature`
+    with its own node ladder, or from the Schur split.
+
+    The certificate thresholds are class constants: readable as
+    ``cfg.invariance_tol`` and so on, never set per instance.
     """
 
     mu: complex | None = None
     eps_schedule: tuple[float, ...] = _DEFAULT_EPS_SCHEDULE
     galerkin_dims: tuple[int, ...] | None = None
-    contour_nodes: int = 64
-    riccati_tol: float = 1e-8
-    invariance_tol: float = 1e-7
-    norm_slack: float = 1e-8
-    spec_slack: float = 1e-6
-    cauchy_tol: float = 1e-6
-    dissipativity_tol: float = 1e-10
     polish: bool = True
+
+    riccati_tol: ClassVar[float] = 1e-8
+    invariance_tol: ClassVar[float] = 1e-7
+    norm_slack: ClassVar[float] = 1e-8
+    spec_slack: ClassVar[float] = 1e-6
+    cauchy_tol: ClassVar[float] = 1e-6
+    dissipativity_tol: ClassVar[float] = DISSIPATIVITY_TOL
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_schedule)
@@ -255,8 +262,8 @@ def restriction_matrix(a: BlockOperator, k: AngleOperator, mu: complex) -> np.nd
     return sd.s + sd.g @ l_op
 
 
-def _select_mu(a: BlockOperator, eps_values, bound: float = 0.5) -> complex:
-    """Smallest i*t (doubling t) with |G(i t + i eps)| < bound for all eps."""
+def _select_mu(a: BlockOperator, eps_values) -> complex:
+    """Smallest i*t (doubling t) with |G(i t + i eps)| < 1/2 for all eps."""
     t = 1.0 + operator_norm(a.a22)
     for _ in range(64):
         mu = 1j * t
@@ -266,7 +273,7 @@ def _select_mu(a: BlockOperator, eps_values, bound: float = 0.5) -> complex:
             )
         except SingularShift:
             worst = math.inf
-        if worst < bound:
+        if worst < _MU_COUPLING_BOUND:
             return mu
         t *= 2.0
     raise KreinError("no shift with small transfer coupling found")  # pragma: no cover
@@ -288,31 +295,20 @@ _CELL_ERRORS = (
 )
 
 
-def _upper_projector(full, margin, cfg: SolverConfig, projector: str):
+def _upper_projector(full, margin, projector: str):
     radius = default_contour_radius(full)
     if projector == "exact" or (projector == "auto" and margin < 2e-3 * radius):
         return riesz_projector_exact(full, "upper_open", tol=margin / 2.0)
-    last_exc = None
-    nodes = cfg.contour_nodes
-    for _ in range(_QUADRATURE_RUNGS):
-        try:
-            return riesz_projector_quadrature(full, Contour(radius, nodes))
-        except QuadratureNotConverged as exc:
-            last_exc = exc
-            nodes *= 2
-        except ContourTooClose as exc:
-            # a larger radius cannot cure axis proximity; only "auto" may
-            # switch to the spectral split
-            last_exc = exc
-            break
-    if projector == "auto":
-        return riesz_projector_exact(full, "upper_open", tol=margin / 2.0)
-    raise last_exc
+    try:
+        return riesz_projector_quadrature(full, Contour(radius))
+    except (QuadratureNotConverged, ContourTooClose):
+        if projector != "auto":
+            raise
+    return riesz_projector_exact(full, "upper_open", tol=margin / 2.0)
 
 
 def solve_uniformly_dissipative(
     a: BlockOperator,
-    cfg: SolverConfig | None = None,
     mu: complex | None = None,
     projector: str = "quadrature",
 ) -> SolveReport:
@@ -322,23 +318,21 @@ def solve_uniformly_dissipative(
     upper spectrum is bounded, so the semicircular contour applies; the
     projector range is the maximal uniformly positive invariant subspace and
     its angle operator solves the Riccati equation up to projector accuracy.
-    ``projector`` picks "quadrature", "exact", or "auto" (quadrature with
-    exact fallback near the axis or when the quadrature fails).  The
-    quadrature starts at ``cfg.contour_nodes`` (64 by default) and doubles
-    the budget on demand, at most three times (up to 512 by default); the
-    projector it returns is the sum at twice the budget of the rung that
-    passed.
+    ``mu`` is the transfer-function shift of the report (None: the smallest
+    i*t with |G(i t)| < 1/2).  ``projector`` picks "quadrature", "exact", or
+    "auto" (quadrature with exact fallback near the axis or when the
+    quadrature fails).  The quadrature uses the default 64-node
+    :class:`Contour`; :func:`riesz_projector_quadrature` doubles the budget
+    on demand.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     margin = dissipativity_margin(a)
     scale = max(a.norm(), 1.0)
     if margin <= 1e-14 * scale:
         raise NotUniformlyDissipative(f"margin {margin:.3e} is not positive")
     if mu is None:
-        mu = cfg.mu if cfg.mu is not None else _select_mu(a, (0.0,))
+        mu = _select_mu(a, (0.0,))
     full = a.to_matrix()
-    rep = _upper_projector(full, margin, cfg, projector)
+    rep = _upper_projector(full, margin, projector)
     subspace = invariant_subspace_from_projector(full, rep, a.structure)
     if subspace is None or subspace.dim != a.structure.p:
         got = 0 if subspace is None else subspace.dim
@@ -406,9 +400,7 @@ def _assemble_report(
 # ---------------------------------------------------------------------------
 
 
-def _newton_polish(
-    a: BlockOperator, k0: np.ndarray, max_step: float = 0.1, max_iter: int = 30
-) -> tuple[np.ndarray, float, bool]:
+def _newton_polish(a: BlockOperator, k0: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """Refine K by Newton steps on the graph Riccati equation.
 
     Each step is one Sylvester solve.  The total correction is capped so the
@@ -423,7 +415,7 @@ def _newton_polish(
     k = best.copy()
     res = res0
     moved = 0.0
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if res <= 1e-15 * scale:
             break
         try:
@@ -433,7 +425,7 @@ def _newton_polish(
         except (np.linalg.LinAlgError, ValueError):
             break
         step = operator_norm(delta)
-        if not np.isfinite(step) or moved + step > max_step:
+        if not np.isfinite(step) or moved + step > _NEWTON_MAX_STEP:
             break
         k_next = k + delta
         res_next = operator_norm(graph_defect(a, k_next))
@@ -482,7 +474,7 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
     if cfg.mu is not None:
         mu = complex(cfg.mu)
         worst = max(operator_norm(schur_data(a, mu + 1j * e).g) for e in eps_all)
-        if worst >= 0.5:
+        if worst >= _MU_COUPLING_BOUND:
             raise DimensionMismatch(
                 f"fixed mu gives |G(mu + i eps)| = {worst:.3f} >= 1/2"
             )
@@ -505,7 +497,7 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
         for eps in cfg.eps_schedule:
             cell = regularize(a_n, eps)
             try:
-                rep = solve_uniformly_dissipative(cell, cfg, mu=mu, projector="auto")
+                rep = solve_uniformly_dissipative(cell, mu=mu, projector="auto")
             except _CELL_ERRORS as exc:
                 trace.append(
                     CellTrace(n, eps, ok=False, error=f"{type(exc).__name__}: {exc}")
@@ -588,26 +580,23 @@ class MaxDissReport:
     passed: bool
 
 
-def maximal_dissipativity_check(
-    a: BlockOperator, samples: int = 24, tol: float = 1e-10, seed: int = 7
-) -> MaxDissReport:
+def maximal_dissipativity_check(a: BlockOperator) -> MaxDissReport:
     """Finite-dimensional maximality surrogate.
 
     In finite dimension a dissipative operator is automatically maximal, so
-    the verdict is the margin criterion; sigma_min(JA - mu) at sampled upper
-    shifts is reported as a diagnostic (the spectrum of a dissipative JA
-    lies in the closed upper half-plane, so small defects there are
+    the verdict is the margin criterion; sigma_min(JA - mu) at 24 sampled
+    upper shifts is reported as a diagnostic (the spectrum of a dissipative
+    JA lies in the closed upper half-plane, so small defects there are
     expected, not failures).
     """
     ja = a.structure.signature() @ a.to_matrix()
     margin = dissipativity_margin(a)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(7))
     radius = 2.0 * (1.0 + operator_norm(ja))
-    mus = rng.uniform(-radius, radius, samples) + 1j * rng.uniform(
-        1e-3, radius, samples
-    )
+    mus = rng.uniform(-radius, radius, 24) + 1j * rng.uniform(1e-3, radius, 24)
     defects = [
         float(np.linalg.svd(ja - mu * np.eye(ja.shape[0]), compute_uv=False)[-1])
         for mu in mus
     ]
-    return MaxDissReport(margin, min(defects), max(defects), margin >= -tol)
+    passed = margin >= -DISSIPATIVITY_TOL
+    return MaxDissReport(margin, min(defects), max(defects), passed)

@@ -197,11 +197,10 @@ def test_criterion_3_riccati_invariance_equivalence():
 
 def test_criterion_4_rayleigh_lower_bound(ensemble):
     """min [x,x]/(x,x) over the solution space >= 2 eps / (pi |A+|) - 1e-8."""
-    cfg = SolverConfig()
     failures = []
     for inst in ensemble:
         for eps in (1.0, 0.1, 0.01):
-            rep = solve_uniformly_dissipative(regularize(inst.a, eps), cfg)
+            rep = solve_uniformly_dissipative(regularize(inst.a, eps))
             bound = 2.0 * eps / (np.pi * rep.estimate10.a_plus_norm)
             if rep.estimate10.min_rayleigh < bound - 1e-8:
                 failures.append((inst.spec.seed, eps))

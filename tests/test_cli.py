@@ -248,6 +248,72 @@ def test_no_cauchy_exit_4_emits_report(capsys, tmp_path):
         assert doc["report"]["convergence_trace"]
 
 
+@pytest.mark.parametrize(
+    "a, solver",
+    [
+        # the exit-4 file, with every acceptance threshold opened wide
+        (
+            assemble([[1.0]], [[1.0]], [[-1.0]], [[-1.0]]),
+            {
+                "eps_schedule": [1.0, 0.5, 0.25, 1e-4],
+                "polish": False,
+                "riccati_tol": 1e9,
+                "invariance_tol": 1e9,
+                "norm_slack": 1e9,
+                "spec_slack": 1e9,
+            },
+        ),
+        # an anti-dissipative operator, with the dissipativity test opened wide
+        (assemble([[-1j]], [[0.0]], [[0.0]], [[1j]]), {"dissipativity_tol": 1e9}),
+    ],
+)
+def test_problem_file_cannot_move_thresholds(capsys, tmp_path, a, solver):
+    path = write_problem(tmp_path / "p.json", a, solver)
+    for command in ("solve", "verify"):
+        code, _, err = run(capsys, command, path)
+        assert code == 2
+        assert "unknown solver keys" in err
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_verify_suite_rejects_empty_suite(capsys, seeds):
+    code, out, err = run(capsys, "verify", "--suite", "--seeds", seeds)
+    assert code == 2
+    assert out == ""
+    assert "--seeds" in err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("blocks", "A12", [[[False, True]]]),
+        ("structure", "p", True),
+        ("solver", "mu", [False, True]),
+        ("solver", "polish", "no"),
+        ("solver", "galerkin_dims", [1.7]),
+        ("solver", "galerkin_dims", [True]),
+        ("solver", "eps_schedule", 0.5),
+        ("solver", "eps_schedule", ["0.5", 1e-4]),
+    ],
+)
+def test_problem_file_values_are_type_checked(capsys, tmp_path, section, key, value):
+    from kreinspace.serialize import (
+        ProblemFormatError,
+        config_from_overrides,
+        load_problem,
+    )
+
+    doc = problem_to_dict(assemble([[1j]], [[0.0]], [[0.0]], [[-1j]]))
+    doc.setdefault(section, {})[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(dump_json(doc))
+    with pytest.raises(ProblemFormatError):
+        config_from_overrides(load_problem(str(path))[1])
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+
+
 def test_krein_threads_sets_blas_variables():
     # a fresh interpreter each time: the cap only acts before numpy is loaded
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}

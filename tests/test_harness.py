@@ -7,7 +7,7 @@ from kreinspace.blocks import dissipativity_margin
 from kreinspace.harness import InstanceSpec, random_dissipative, run_property_suite
 from kreinspace.solver import SolverConfig, solve_theorem, solve_uniformly_dissipative
 
-FAST = SolverConfig(eps_schedule=(0.5, 0.25, 0.125, 1e-4), contour_nodes=64)
+FAST = SolverConfig(eps_schedule=(0.5, 0.25, 0.125, 1e-4))
 
 
 def test_determinism():

@@ -98,11 +98,41 @@ def test_quadrature_contour_too_close():
         riesz_projector_quadrature(np.diag([1.0 + 0j, 2j]), Contour(10.0))
 
 
-def test_quadrature_not_converged_reports():
-    # 16 graded nodes move the projector by ~2.5e-3 when doubled
-    a = random_dissipative(InstanceSpec(4, 3, 0.5, seed=1)).to_matrix()
+LADDER_CASE = InstanceSpec(4, 3, 0.5, seed=1)
+
+
+def record_budgets(monkeypatch):
+    budgets = []
+    original = projectors._contour_nodes
+
+    def recording(contour, budget, *profiles):
+        budgets.append(budget)
+        return original(contour, budget, *profiles)
+
+    monkeypatch.setattr(projectors, "_contour_nodes", recording)
+    return budgets
+
+
+def test_quadrature_not_converged_reports(monkeypatch):
+    # a negative drift tolerance fails every rung: the ladder climbs to the top
+    budgets = record_budgets(monkeypatch)
+    monkeypatch.setattr(projectors, "REFINE_TOL", -1.0)
+    a = random_dissipative(LADDER_CASE).to_matrix()
     with pytest.raises(QuadratureNotConverged):
-        riesz_projector_quadrature(a, Contour(default_contour_radius(a), 16))
+        riesz_projector_quadrature(a, Contour(default_contour_radius(a)))
+    assert budgets == [64, 128, 256, 512, 1024]
+
+
+def test_quadrature_ladder_escalates_on_real_instance(monkeypatch):
+    # 16 graded nodes move the projector by ~2.5e-3 when doubled; the ladder
+    # climbs until a doubling moves it by less than REFINE_TOL
+    budgets = record_budgets(monkeypatch)
+    a = random_dissipative(LADDER_CASE).to_matrix()
+    rep = riesz_projector_quadrature(a, Contour(default_contour_radius(a), 16))
+    assert budgets == [16, 32, 64, 128]
+    assert rep.method == "gauss_segments"
+    ref = riesz_projector_exact(a, "upper_open", tol=0.25)
+    assert np.linalg.norm(rep.q_plus - ref.q_plus, 2) <= 1e-13
 
 
 def test_shifted_stack_matches_broadcast():
