@@ -134,11 +134,9 @@ def check_instance(
     cfg: SolverConfig,
     seed: int = -1,
     margin_label: float | None = None,
-    rng=None,
 ) -> InstanceResult:
     """Re-check every quantified estimate on one solved instance."""
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=max(seed, 0), counter=1))
+    rng = np.random.Generator(np.random.Philox(key=max(seed, 0), counter=1))
     norm_a = a.norm()
     res = InstanceResult(
         seed=seed,
@@ -234,9 +232,8 @@ def run_property_suite(specs, cfg: SolverConfig | None = None) -> SuiteReport:
             base.error = f"{type(exc).__name__}: {exc}"
             results.append(base)
             continue
-        rng = np.random.Generator(np.random.Philox(key=spec.seed, counter=1))
         results.append(
-            check_instance(a, rep, cfg, seed=spec.seed, margin_label=spec.margin, rng=rng)
+            check_instance(a, rep, cfg, seed=spec.seed, margin_label=spec.margin)
         )
     passed = all(r.passed for r in results)
     if not passed:

@@ -8,14 +8,16 @@ Two independent routes to the same projector:
 * :func:`riesz_projector_exact` splits a sorted complex Schur form with a
   Sylvester solve and serves as the oracle the quadrature is tested against.
 
-The quadrature has one rule: Gauss panels graded by the local spectral
-clearance sigma_min(lambda - A) probed along the contour.  Panel lengths
-shrink in proportion to the clearance, which keeps the node count
-logarithmic in R/clearance instead of linear.  Each call probes the contour
-once and climbs a ladder of node budgets, the contour's budget doubled up to
-``LADDER_DOUBLINGS`` (4) times, by default 64, 128, ..., 1024; it returns the
-first sum that moves less than 1e-8 from the sum before it and has an
-integer trace.  An eigenvalue within 1e-6 R of the contour fails the call.
+The quadrature has one rule: 16-point Gauss panels graded by the local
+spectral clearance sigma_min(lambda - A) probed along the contour.  Each
+panel carries an equal share of the integral of 1/clearance, so panel
+lengths shrink in proportion to the clearance, which keeps the node count
+logarithmic in R/clearance instead of linear, and a node budget buys exactly
+its whole panels.  Each call probes the contour once and climbs a ladder of
+node budgets, the contour's budget doubled up to ``LADDER_DOUBLINGS`` (4)
+times, by default 64, 128, ..., 1024; it returns the first sum that moves
+less than 1e-8 from the sum before it and has an integer trace.  An
+eigenvalue within 1e-6 R of the contour fails the call.
 
 Resolvent evaluations at the nodes are independent; they are evaluated as one
 batched solve and reduced in a fixed order, so results are reproducible
@@ -42,7 +44,7 @@ from .numerics import operator_norm, validate_matrix
 
 #: ``ProjectorReport.method`` of the quadrature route
 QUADRATURE_RULE = "gauss_segments"
-GAUSS_PANEL_ORDER = 8
+GAUSS_PANEL_ORDER = 16
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_PANEL_ORDER)
 # an eigenvalue closer than GAP_FACTOR * R to the contour is too close
 GAP_FACTOR = 1e-6
@@ -84,20 +86,8 @@ class ProjectorReport:
 
 
 def default_contour_radius(a) -> float:
-    """R = 2 max(1, spectral bound), the bound from 40 power iterations on A*A."""
-    mat = validate_matrix(a)
-    rng = np.random.Generator(np.random.Philox(0))
-    v = rng.standard_normal(mat.shape[0]) + 1j * rng.standard_normal(mat.shape[0])
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(40):
-        w = mat.conj().T @ (mat @ v)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            break
-        est = np.sqrt(nrm)
-        v = w / nrm
-    return 2.0 * max(1.0, 1.1 * est)
+    """R = 2 max(1, 1.1 |A|), which encloses the spectrum since rho(A) <= |A|."""
+    return 2.0 * max(1.0, 1.1 * operator_norm(a))
 
 
 # ---------------------------------------------------------------------------
@@ -143,69 +133,47 @@ def _refine_probes(xs, cs, mat, to_lambda, floor: float):
     return xs, cs
 
 
-def _panel_min_clearance(lo, hi, probe_x, probe_c) -> float:
-    i0, i1 = np.searchsorted(probe_x, (lo, hi))
-    inner = probe_c[i0:i1]
-    ends = (np.interp(lo, probe_x, probe_c), np.interp(hi, probe_x, probe_c))
-    return float(min(inner.min() if inner.size else np.inf, *ends))
+def _running_measure(x, c):
+    """Running trapezoid integral of 1/c over the probe points x."""
+    density = 1.0 / c
+    steps = 0.5 * (density[1:] + density[:-1]) * np.diff(x)
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def _graded_panels(lo, hi, probe_x, probe_c, budget, order):
-    """Split [lo, hi] into panels whose length tracks the local clearance."""
-    density = 1.0 / probe_c
-    measure = np.trapezoid(density, probe_x)
-    count = max(1, int(round(budget / order)))
-    panels = []
-    x = lo
-    step_measure = measure / count
-    guard = 6 * count + 32
-    while x < hi - 1e-14 * max(abs(hi), 1.0) and len(panels) < guard:
-        c_here = np.interp(x, probe_x, probe_c)
-        # a panel must not straddle a clearance dip: re-fit to the minimum
-        for _ in range(3):
-            end = min(x + step_measure * c_here, hi)
-            c_min = _panel_min_clearance(x, end, probe_x, probe_c)
-            if c_min >= 0.99 * c_here:
-                break
-            c_here = c_min
-        panels.append((x, end))
-        x = end
-    if panels and panels[-1][1] < hi:
-        panels.append((panels[-1][1], hi))
-    return panels
+def _panel_nodes(x, measure, count):
+    """Gauss nodes and weights of ``count`` panels of equal measure.
 
-
-def _panel_nodes(panels):
-    xs, ws = [], []
-    for lo, hi in panels:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        xs.append(mid + half * _GAUSS_X)
-        ws.append(half * _GAUSS_W)
-    return np.concatenate(xs), np.concatenate(ws)
+    The panel edges invert the running measure by interpolation, so panel
+    lengths track the local clearance and a clearance dip inside a panel
+    shortens it.
+    """
+    edges = np.interp(np.linspace(0.0, measure[-1], count + 1), measure, x)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = mid[:, None] + half[:, None] * _GAUSS_X
+    return nodes.ravel(), (half[:, None] * _GAUSS_W).ravel()
 
 
 def _contour_nodes(contour: Contour, budget: int, seg_profile, arc_profile):
-    """All contour nodes with complex weights including the orientation factor."""
+    """All contour nodes with complex weights including the orientation factor.
+
+    The profiles pair the probe points with the running measure of
+    1/clearance.  The budget buys ``max(2, budget // GAUSS_PANEL_ORDER)``
+    Gauss panels, split between segment and arc in proportion to their
+    measures with at least one panel on each; every sum therefore evaluates
+    exactly ``GAUSS_PANEL_ORDER`` times that many nodes.
+    """
     r = contour.radius
-    seg_x, seg_c = seg_profile
-    arc_t, arc_c = arc_profile
-    q = GAUSS_PANEL_ORDER
-    seg_measure = np.trapezoid(1.0 / seg_c, seg_x)
-    arc_measure = np.trapezoid(r / arc_c, arc_t)
-    total = seg_measure + arc_measure
-    n_seg = int(round(budget * seg_measure / total))
-    n_seg = min(max(n_seg, q), budget - q)
-    n_arc = budget - n_seg
-    ts, tw = _panel_nodes(_graded_panels(-r, r, seg_x, seg_c, n_seg, q))
-    arc_panels = _graded_panels(0.0, np.pi, arc_t, arc_c / r, n_arc, q)
-    thetas, th_w = _panel_nodes(arc_panels)
-    lam_seg = ts.astype(np.complex128)
-    w_seg = tw.astype(np.complex128)
+    seg_x, seg_measure = seg_profile
+    arc_t, arc_measure = arc_profile
+    panels = max(2, budget // GAUSS_PANEL_ORDER)
+    share = seg_measure[-1] / (seg_measure[-1] + arc_measure[-1])
+    n_seg = min(max(int(round(panels * share)), 1), panels - 1)
+    ts, tw = _panel_nodes(seg_x, seg_measure, n_seg)
+    thetas, th_w = _panel_nodes(arc_t, arc_measure, panels - n_seg)
     lam_arc = r * np.exp(1j * thetas)
-    w_arc = th_w * 1j * lam_arc
-    lams = np.concatenate([lam_seg, lam_arc])
-    weights = np.concatenate([w_seg, w_arc]) / (2j * np.pi)
+    lams = np.concatenate([ts, lam_arc])
+    weights = np.concatenate([tw, th_w * 1j * lam_arc]) / (2j * np.pi)
     return lams, weights
 
 
@@ -241,10 +209,11 @@ def riesz_projector_quadrature(a, contour: Contour) -> ProjectorReport:
     within 1e-6 of an integer is returned; if the top sum fails either check,
     :class:`QuadratureNotConverged` is raised.  An eigenvalue within
     ``GAP_FACTOR * R`` (1e-6 R) of the contour raises
-    :class:`ContourTooClose`.  The report's ``nodes_used`` counts the
-    resolvent nodes of every sum evaluated; the graded rule may place more
-    nodes than the budget.  The caller is responsible for a radius that
-    encloses the whole upper spectrum.
+    :class:`ContourTooClose`.  A budget ``b`` places exactly
+    ``GAUSS_PANEL_ORDER * max(2, b // GAUSS_PANEL_ORDER)`` nodes, and the
+    report's ``nodes_used`` counts the resolvent nodes of every sum
+    evaluated.  The caller is responsible for a radius that encloses the
+    whole upper spectrum.
     """
     mat = validate_matrix(a)
     if mat.shape[0] != mat.shape[1]:
@@ -266,9 +235,11 @@ def riesz_projector_quadrature(a, contour: Contour) -> ProjectorReport:
         raise ContourTooClose(
             f"probed clearance {min_clear:.3e} below threshold {gap:.3e}"
         )
-    seg_c = np.maximum(seg_c, gap)
-    arc_c = np.maximum(arc_c, gap)
-    profiles = (seg_x, seg_c), (arc_t, arc_c)
+    # the arc's clearance per radian is its clearance per arc length over R
+    profiles = (
+        (seg_x, _running_measure(seg_x, np.maximum(seg_c, gap))),
+        (arc_t, _running_measure(arc_t, np.maximum(arc_c, gap) / r)),
+    )
     evaluated = 0
     prev = None
     for doubling in range(LADDER_DOUBLINGS + 1):

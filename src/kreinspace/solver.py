@@ -163,7 +163,6 @@ class CellTrace:
     restriction_min_im: float = math.nan
     projector_method: str = ""
     l_bound_ok: bool = True
-    k_extended: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -517,7 +516,6 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
                     restriction_min_im=rep.min_im_restriction(),
                     projector_method=rep.projector_method,
                     l_bound_ok=l_norm <= l_cap * (1.0 + 1e-6),
-                    k_extended=k_tilde,
                 )
             )
             if n == p:

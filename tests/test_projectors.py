@@ -13,6 +13,7 @@ from kreinspace.errors import (
 )
 from kreinspace.geometry import KreinStructure
 from kreinspace.harness import InstanceSpec, random_dissipative
+from kreinspace.numerics import operator_norm
 from kreinspace.projectors import (
     Contour,
     Rectangle,
@@ -124,8 +125,9 @@ def test_quadrature_not_converged_reports(monkeypatch):
 
 
 def test_quadrature_ladder_escalates_on_real_instance(monkeypatch):
-    # 16 graded nodes move the projector by ~2.5e-3 when doubled; the ladder
-    # climbs until a doubling moves it by less than REFINE_TOL
+    # budgets 16 and 32 both buy two 16-point panels, whose sum has trace
+    # 4.03; 64 nodes move it by ~4e-2, and the ladder climbs until a doubling
+    # moves it by less than REFINE_TOL
     budgets = record_budgets(monkeypatch)
     a = random_dissipative(LADDER_CASE).to_matrix()
     rep = riesz_projector_quadrature(a, Contour(default_contour_radius(a), 16))
@@ -133,6 +135,36 @@ def test_quadrature_ladder_escalates_on_real_instance(monkeypatch):
     assert rep.method == "gauss_segments"
     ref = riesz_projector_exact(a, "upper_open", tol=0.25)
     assert np.linalg.norm(rep.q_plus - ref.q_plus, 2) <= 1e-13
+
+
+def probe_profiles(a, radius):
+    """The probe points and running measures the quadrature grades panels by."""
+    seen = []
+    original = projectors._contour_nodes
+
+    def recording(contour, budget, *profiles):
+        seen.append(profiles)
+        return original(contour, budget, *profiles)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projectors, "_contour_nodes", recording)
+        riesz_projector_quadrature(a, Contour(radius))
+    return seen[0]
+
+
+@pytest.mark.parametrize("case", ["gapped", "ladder"])
+def test_contour_nodes_keep_the_budget(case):
+    if case == "gapped":
+        a, w = random_gapped(np.random.Generator(np.random.Philox(0)), 6)
+        radius = 2 * (np.max(np.abs(w)) + 1)
+    else:
+        a = random_dissipative(LADDER_CASE).to_matrix()
+        radius = default_contour_radius(a)
+    profiles = probe_profiles(a, radius)
+    order = projectors.GAUSS_PANEL_ORDER
+    for budget in (16, 32, 64, 96, 128, 1000):
+        lams, weights = projectors._contour_nodes(Contour(radius), budget, *profiles)
+        assert lams.size == weights.size == order * max(2, budget // order)
 
 
 def test_shifted_stack_matches_broadcast():
@@ -155,10 +187,9 @@ def test_nodes_used_counts_evaluated_resolvents(monkeypatch):
     rng = np.random.Generator(np.random.Philox(0))
     a, w = random_gapped(rng, 6)
     rep = riesz_projector_quadrature(a, Contour(2 * (np.max(np.abs(w)) + 1), 128))
-    assert len(counted) == 2
-    assert rep.nodes_used == sum(counted)
-    # the graded panels of this spectrum place more nodes than the budgets
-    assert rep.nodes_used > 128 + 256
+    # each budget buys exactly its nodes; this spectrum needs a third sum
+    assert counted == [128, 256, 512]
+    assert rep.nodes_used == sum(counted) == 896
     assert riesz_projector_exact(a, "upper_open", tol=1e-3).nodes_used == 0
 
 
@@ -217,6 +248,15 @@ def test_subspace_extraction_zero_projector():
     a = np.diag([-1j, -2j])
     rep = riesz_projector_exact(a)
     assert invariant_subspace_from_projector(a, rep, KreinStructure(1, 1)) is None
+
+
+def test_default_radius_is_the_operator_norm_bound():
+    # a Jordan-like block: |A| = 10 while every eigenvalue is within 1 of 0
+    a = np.array([[1j, 10.0], [0.0, -1j]])
+    r = default_contour_radius(a)
+    assert r == 2.0 * max(1.0, 1.1 * operator_norm(a))
+    assert r > np.max(np.abs(np.linalg.eigvals(a)))
+    assert default_contour_radius(np.zeros((2, 2))) == 2.0
 
 
 def test_default_radius_covers_spectrum():
