@@ -9,7 +9,10 @@ a seed pins the matrices bit-for-bit on every platform.
 The suite runs the full solver on each instance and re-checks the quantified
 estimates (Rayleigh lower bound, restriction norm cap, uniform transfer
 bound, factorization and perturbation identities, resolvent asymptotics), so
-one call machine-checks everything on an ensemble.  Failures are data:
+one call machine-checks everything on an ensemble.  It also runs the paper's
+contour quadrature once per instance, on the regularized operator A + iJ,
+against the sorted-Schur projector the solver builds its cells from: the two
+are independent routes to the same upper Riesz projector.  Failures are data:
 offending instances are kept in the report for replay, and the suite passes
 only with zero failures.
 """
@@ -32,10 +35,19 @@ from .blocks import (
 )
 from .errors import KreinError, NoCauchyConvergence
 from .geometry import KreinStructure
-from .solver import SolveReport, SolverConfig, solve_theorem
+from .numerics import operator_norm
+from .projectors import (
+    Contour,
+    default_contour_radius,
+    riesz_projector_exact,
+    riesz_projector_quadrature,
+)
+from .solver import SolveReport, SolverConfig, regularize, solve_theorem
 
 _IDENTITY_TOL = 1e-9
 _ESTIMATE_TOL = 1e-8
+# quadrature against Schur projector, relative to max(1, |Q|): criterion 2's bound
+_QUADRATURE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -116,6 +128,8 @@ class InstanceResult:
     factorization_worst: float = math.nan
     identity_worst: float = math.nan
     asymptotics_ratio: float = math.nan
+    # |Q_quadrature - Q_schur| on A + iJ; inf when either route raised
+    quadrature_gap: float = math.nan
     checks: dict = field(default_factory=dict)
     report: SolveReport | None = field(default=None, repr=False)
 
@@ -135,7 +149,11 @@ def check_instance(
     seed: int = -1,
     margin_label: float | None = None,
 ) -> InstanceResult:
-    """Re-check every quantified estimate on one solved instance."""
+    """Re-check every quantified estimate on one solved instance.
+
+    ``checks["quadrature"]`` compares the contour-quadrature projector of
+    A + iJ with its sorted-Schur projector (``quadrature_gap``).
+    """
     rng = np.random.Generator(np.random.Philox(key=max(seed, 0), counter=1))
     norm_a = a.norm()
     res = InstanceResult(
@@ -200,6 +218,8 @@ def check_instance(
     else:
         checks["asymptotics"] = True
 
+    res.quadrature_gap, checks["quadrature"] = _quadrature_cross_check(a, margin)
+
     cells = [t for t in rep.convergence_trace if t.ok]
     checks["cells"] = all(t.k_norm < 1.0 for t in cells) and all(
         t.l_bound_ok for t in cells
@@ -208,6 +228,23 @@ def check_instance(
     res.checks = checks
     res.passed = all(checks.values())
     return res
+
+
+def _quadrature_cross_check(a: BlockOperator, margin: float) -> tuple[float, bool]:
+    """Quadrature and Schur projectors of A + iJ, and whether they agree.
+
+    The regularization raises the margin to ``margin + 1``, so every
+    eigenvalue is at least that far from the real axis, and A + iJ is the
+    solver's first full-dimension cell under the default schedule.
+    """
+    cell = regularize(a, 1.0).to_matrix()
+    try:
+        quad = riesz_projector_quadrature(cell, Contour(default_contour_radius(cell)))
+        schur = riesz_projector_exact(cell, "upper_open", tol=(margin + 1.0) / 2.0)
+    except KreinError:
+        return math.inf, False
+    gap = operator_norm(quad.q_plus - schur.q_plus)
+    return gap, gap <= _QUADRATURE_TOL * max(1.0, operator_norm(schur.q_plus))
 
 
 def run_property_suite(specs, cfg: SolverConfig | None = None) -> SuiteReport:

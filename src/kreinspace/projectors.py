@@ -1,12 +1,20 @@
-"""Riesz spectral projectors for the upper half-plane.
+"""Riesz spectral projectors and invariant subspaces of the upper half-plane.
 
-Two independent routes to the same projector:
+Two independent routes to the upper spectral projector:
 
 * :func:`riesz_projector_quadrature` discretizes (2 pi i)^{-1} times the
   contour integral of the resolvent over a closed contour made of the
   segment [-R, R] and the upper semicircle of radius R;
 * :func:`riesz_projector_exact` splits a sorted complex Schur form with a
-  Sylvester solve and serves as the oracle the quadrature is tested against.
+  Sylvester solve.
+
+The sorted Schur form also gives the projector's range directly:
+:func:`upper_invariant_subspace` returns its leading Schur vectors, which is
+how the solver computes every cell.  The quadrature is the paper's own
+construction and stays independent of the Schur route; it serves as the
+cross-check of the Schur projector (``harness.check_instance``, acceptance
+criterion 2) and as the ``"quadrature"`` route of
+``solver.solve_uniformly_dissipative``.
 
 The quadrature has one rule: 16-point Gauss panels graded by the local
 spectral clearance sigma_min(lambda - A) probed along the contour.  Each
@@ -66,8 +74,9 @@ class Contour:
     def __post_init__(self):
         if not self.radius > 0:
             raise DimensionMismatch("contour radius must be positive")
-        if self.nodes < 16 or self.nodes % 2:
-            raise DimensionMismatch("node count must be even and at least 16")
+        # below 32 nodes a budget and its double buy the same two panels
+        if self.nodes < 32 or self.nodes % 2:
+            raise DimensionMismatch("node count must be even and at least 32")
 
 
 @dataclass
@@ -290,40 +299,53 @@ def _finish_report(mat, q, method, nodes=0, enclosed=None) -> ProjectorReport:
 # ---------------------------------------------------------------------------
 
 
-def riesz_projector_exact(a, region: str = "upper_open", tol: float = 1e-9) -> ProjectorReport:
-    """Spectral projector onto the generalized eigenspaces of the upper region.
+def _upper_schur(mat: np.ndarray, region: str, tol: float):
+    """Complex Schur form ``(T, Z, sdim)`` with the upper eigenvalues first.
 
     ``region`` is "upper_open" (Im > 0; eigenvalues within ``tol`` of the
     real axis raise :class:`BoundaryEigenvalue`) or "upper_closed"
-    (Im >= -tol).  Computed from a sorted complex Schur form; the coupling
-    block is resolved by a Sylvester solve, which is the invariant-subspace
-    refinement of a plain eigenvector sum.
+    (Im >= -tol).  The eigenvalues are read from the diagonal of T.  A
+    reordering LAPACK cannot carry out, or a selection count that disagrees
+    with that diagonal, means the spectrum straddles the splitting boundary
+    and raises :class:`BoundaryEigenvalue` as well.
     """
-    mat = validate_matrix(a)
-    if mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatch("expected a square matrix")
     if region not in ("upper_open", "upper_closed"):
         raise DimensionMismatch(f"unknown region {region!r}")
-    eigs = np.linalg.eigvals(mat)
-    if region == "upper_open":
-        if np.any(np.abs(eigs.imag) < tol):
-            worst = eigs[np.argmin(np.abs(eigs.imag))]
-            raise BoundaryEigenvalue(
-                f"eigenvalue {worst:.6g} within {tol:.1e} of the real axis"
-            )
-        cut = 0.0
-    else:
-        cut = -tol
+    cut = 0.0 if region == "upper_open" else -tol
     selector = lambda z: z.imag > cut  # noqa: E731 - passed to LAPACK gees
-    t, z, sdim = scipy.linalg.schur(mat, output="complex", sort=selector)
+    try:
+        t, z, sdim = scipy.linalg.schur(mat, output="complex", sort=selector)
+    except np.linalg.LinAlgError as exc:
+        raise BoundaryEigenvalue(f"Schur reordering failed: {exc}") from exc
+    eigs = np.diag(t)
+    if region == "upper_open" and np.any(np.abs(eigs.imag) < tol):
+        worst = eigs[np.argmin(np.abs(eigs.imag))]
+        raise BoundaryEigenvalue(
+            f"eigenvalue {worst:.6g} within {tol:.1e} of the real axis"
+        )
     expected = int(np.sum(eigs.imag > cut))
     if sdim != expected:
         raise BoundaryEigenvalue(
             f"Schur reordering selected {sdim} eigenvalues, expected {expected}; "
             "spectrum straddles the splitting boundary"
         )
+    return t, z, int(sdim)
+
+
+def riesz_projector_exact(a, region: str = "upper_open", tol: float = 1e-9) -> ProjectorReport:
+    """Spectral projector onto the generalized eigenspaces of the upper region.
+
+    ``region`` and ``tol`` are those of the sorted Schur form (eigenvalues
+    within ``tol`` of the real axis raise :class:`BoundaryEigenvalue` for
+    "upper_open"; "upper_closed" keeps Im >= -tol).  The coupling block of
+    the Schur form is resolved by a Sylvester solve, which is the
+    invariant-subspace refinement of a plain eigenvector sum.
+    """
+    mat = validate_matrix(a)
+    if mat.shape[0] != mat.shape[1]:
+        raise DimensionMismatch("expected a square matrix")
+    t, z, k = _upper_schur(mat, region, tol)
     d = mat.shape[0]
-    k = int(sdim)
     if k == 0:
         q = np.zeros_like(mat)
         enclosed = np.empty(0, dtype=np.complex128)
@@ -339,6 +361,21 @@ def riesz_projector_exact(a, region: str = "upper_open", tol: float = 1e-9) -> P
         q = z @ core @ z.conj().T
         enclosed = np.diag(t11)
     return _finish_report(mat, q, method="schur", enclosed=enclosed)
+
+
+def upper_invariant_subspace(a, structure: KreinStructure, tol: float) -> Subspace | None:
+    """The invariant subspace of the eigenvalues with Im > 0, or None if none.
+
+    Its orthonormal basis is the leading Schur vectors of the sorted complex
+    Schur form (Laub's Schur method), so no projector is formed.  An
+    eigenvalue within ``tol`` of the real axis raises
+    :class:`BoundaryEigenvalue`.
+    """
+    mat = validate_matrix(a)
+    if mat.shape[0] != mat.shape[1]:
+        raise DimensionMismatch("expected a square matrix")
+    _, z, sdim = _upper_schur(mat, "upper_open", tol)
+    return Subspace(structure, z[:, :sdim]) if sdim else None
 
 
 def invariant_subspace_from_projector(

@@ -2,11 +2,15 @@
 
 The computational route follows the constructive double limit: compress the
 positive component to growing Galerkin subspaces, add the regularization
-i*eps*J which raises the dissipativity margin by exactly eps, solve each
-regularized cell through its upper Riesz projector, read off the angle
-operator K, and drive eps down a geometric schedule.  Every cell result is
-recorded in a convergence trace; the accepted K is the small-eps limit,
-finished off by a Newton step on the graph-invariance Riccati equation
+i*eps*J which raises the dissipativity margin by exactly eps, take each
+regularized cell's invariant subspace for the eigenvalues with Im > 0 (the
+range of its upper Riesz projector) from a sorted complex Schur form, read
+off the angle operator K = Z21 Z11^{-1} of the leading Schur vectors, and
+drive eps down a geometric schedule.  A cell computes only what its trace
+records: |K|, |L| with L = A21 + (A22 - mu) K, and min Im of the spectrum of
+A11 + A12 K.  Every cell result is recorded in a convergence trace; the
+accepted K is the small-eps limit, finished off by a Newton step on the
+graph-invariance Riccati equation
 
     A21 + A22 K - K A11 - K A12 K = 0,
 
@@ -14,6 +18,11 @@ which is the shift-free form of L = K(S - mu + G L) with
 L = A21 + (A22 - mu) K.  The residual of that equation vanishes exactly when
 the graph of K is invariant, and the spectrum of the restriction to the
 graph equals the spectrum of S + G L (= A11 + A12 K), independent of mu.
+
+The full report, with its certificates, is assembled once, for the limit.
+The contour quadrature of the paper is not on this path; it remains the
+``"quadrature"`` route of :func:`solve_uniformly_dissipative` and the
+harness's independent cross-check of the Schur projector.
 
 Pipeline cells are independent; the trace is assembled in schedule order so
 reports are deterministic.
@@ -39,7 +48,6 @@ from .blocks import (
 from .errors import (
     BoundaryEigenvalue,
     ConditionIFailed,
-    ContourTooClose,
     DimensionMismatch,
     KreinError,
     NoCauchyConvergence,
@@ -47,8 +55,6 @@ from .errors import (
     NotMaximal,
     NotNonnegative,
     NotUniformlyDissipative,
-    QuadratureNotConverged,
-    RankAmbiguous,
     SingularShift,
 )
 from .geometry import (
@@ -61,11 +67,12 @@ from .geometry import (
 )
 from .numerics import operator_norm
 from .projectors import (
+    QUADRATURE_RULE,
     Contour,
     default_contour_radius,
     invariant_subspace_from_projector,
-    riesz_projector_exact,
     riesz_projector_quadrature,
+    upper_invariant_subspace,
 )
 
 _DEFAULT_EPS_SCHEDULE = tuple(2.0 ** (-k) for k in range(15))
@@ -84,9 +91,10 @@ class SolverConfig:
     i*t with |G(i t + i eps)| < 1/2 across the whole schedule.  The epsilon
     schedule must decrease strictly and reach 1e-4 or below.
     ``galerkin_dims`` lists the Galerkin dimensions (None: p/4, p/2 and p,
-    rounded up) and ``polish`` turns the final Newton polish on.  Each
-    cell's projector comes from :func:`projectors.riesz_projector_quadrature`
-    with its own node ladder, or from the Schur split.
+    rounded up) and ``polish`` turns the final Newton polish on.  Every
+    cell takes K from the sorted Schur basis of its upper spectral subspace
+    (:func:`projectors.upper_invariant_subspace`); no setting selects
+    another route.
 
     The certificate thresholds are class constants: readable as
     ``cfg.invariance_tol`` and so on, never set per instance.
@@ -282,28 +290,43 @@ def _select_mu(a: BlockOperator, eps_values) -> complex:
 # single uniformly dissipative solve
 # ---------------------------------------------------------------------------
 
+# what a cell can raise; the trace records it and the Galerkin row stops
 _CELL_ERRORS = (
-    ContourTooClose,
-    QuadratureNotConverged,
-    RankAmbiguous,
     BoundaryEigenvalue,
     NotMaximal,
     NotNonnegative,
-    SingularShift,
     NotUniformlyDissipative,
 )
+# projector route of _upper_projector -> the projector_method it reports
+_PROJECTOR_METHODS = {"exact": "schur", "quadrature": QUADRATURE_RULE}
 
 
-def _upper_projector(full, margin, projector: str):
-    radius = default_contour_radius(full)
-    if projector == "exact" or (projector == "auto" and margin < 2e-3 * radius):
-        return riesz_projector_exact(full, "upper_open", tol=margin / 2.0)
-    try:
-        return riesz_projector_quadrature(full, Contour(radius))
-    except (QuadratureNotConverged, ContourTooClose):
-        if projector != "auto":
-            raise
-    return riesz_projector_exact(full, "upper_open", tol=margin / 2.0)
+def _upper_projector(a: BlockOperator, projector: str) -> AngleOperator:
+    """Angle operator of the upper spectral subspace of a strictly dissipative A.
+
+    "exact" takes the leading vectors of the sorted Schur form, "quadrature"
+    the range of the contour-quadrature projector.  A subspace of dimension
+    other than p raises :class:`NotMaximal`.
+    """
+    if projector not in _PROJECTOR_METHODS:
+        raise DimensionMismatch(
+            f"unknown projector {projector!r}; use 'exact' or 'quadrature'"
+        )
+    margin = dissipativity_margin(a)
+    full = a.to_matrix()
+    if margin <= 1e-14 * max(operator_norm(full), 1.0):
+        raise NotUniformlyDissipative(f"margin {margin:.3e} is not positive")
+    if projector == "exact":
+        subspace = upper_invariant_subspace(full, a.structure, tol=margin / 2.0)
+    else:
+        rep = riesz_projector_quadrature(full, Contour(default_contour_radius(full)))
+        subspace = invariant_subspace_from_projector(full, rep, a.structure)
+    got = 0 if subspace is None else subspace.dim
+    if got != a.structure.p:
+        raise NotMaximal(
+            f"upper spectral subspace has dimension {got}, expected {a.structure.p}"
+        )
+    return angle_operator_from_subspace(subspace)
 
 
 def solve_uniformly_dissipative(
@@ -318,28 +341,24 @@ def solve_uniformly_dissipative(
     projector range is the maximal uniformly positive invariant subspace and
     its angle operator solves the Riccati equation up to projector accuracy.
     ``mu`` is the transfer-function shift of the report (None: the smallest
-    i*t with |G(i t)| < 1/2).  ``projector`` picks "quadrature", "exact", or
-    "auto" (quadrature with exact fallback near the axis or when the
-    quadrature fails).  The quadrature uses the default 64-node
-    :class:`Contour`; :func:`riesz_projector_quadrature` doubles the budget
-    on demand.
+    i*t with |G(i t)| < 1/2).  ``projector`` is "quadrature" (the contour
+    integral on the default 64-node :class:`Contour`, whose node ladder
+    :func:`riesz_projector_quadrature` doubles on demand; a quadrature
+    failure is raised) or "exact" (the sorted Schur basis that
+    :func:`solve_theorem` uses for every cell); any other value raises
+    :class:`DimensionMismatch`.  The report certifies the graph of the
+    returned K.
     """
-    margin = dissipativity_margin(a)
-    scale = max(a.norm(), 1.0)
-    if margin <= 1e-14 * scale:
-        raise NotUniformlyDissipative(f"margin {margin:.3e} is not positive")
+    k = _upper_projector(a, projector)
     if mu is None:
         mu = _select_mu(a, (0.0,))
-    full = a.to_matrix()
-    rep = _upper_projector(full, margin, projector)
-    subspace = invariant_subspace_from_projector(full, rep, a.structure)
-    if subspace is None or subspace.dim != a.structure.p:
-        got = 0 if subspace is None else subspace.dim
-        raise NotMaximal(
-            f"upper spectral subspace has dimension {got}, expected {a.structure.p}"
-        )
-    k = angle_operator_from_subspace(subspace)
-    return _assemble_report(a, k, mu, margin, subspace, projector_method=rep.method)
+    return _assemble_report(
+        a,
+        k,
+        mu,
+        dissipativity_margin(a),
+        projector_method=_PROJECTOR_METHODS[projector],
+    )
 
 
 def _assemble_report(
@@ -347,7 +366,6 @@ def _assemble_report(
     k: AngleOperator,
     mu: complex,
     margin: float,
-    subspace: Subspace | None = None,
     projector_method: str = "",
     trace: list[CellTrace] | None = None,
     polish_method: str = "none",
@@ -357,10 +375,9 @@ def _assemble_report(
     res, l_op = _riccati_from_schur(a, k.matrix, sd)
     restriction = sd.s + sd.g @ l_op
     spectrum = np.linalg.eigvals(restriction)
-    if subspace is None:
-        stacked = np.vstack([np.eye(s.p, dtype=np.complex128), k.matrix])
-        basis, _ = np.linalg.qr(stacked)
-        subspace = Subspace(s, basis)
+    stacked = np.vstack([np.eye(s.p, dtype=np.complex128), k.matrix])
+    basis, _ = np.linalg.qr(stacked)
+    subspace = Subspace(s, basis)
     b = subspace.basis
     full = a.to_matrix()
     ab = full @ b
@@ -489,6 +506,7 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
     trace: list[CellTrace] = []
     final_ks: list[np.ndarray] = []
     final_eps: list[float] = []
+    shift_m = mu * np.eye(s.m)
     for n in dims:
         a_n = galerkin_truncate(a, n)
         embed = np.eye(p, dtype=np.complex128)[:, :n]
@@ -496,25 +514,27 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
         for eps in cfg.eps_schedule:
             cell = regularize(a_n, eps)
             try:
-                rep = solve_uniformly_dissipative(cell, mu=mu, projector="auto")
+                k_cell = _upper_projector(cell, "exact").matrix
             except _CELL_ERRORS as exc:
                 trace.append(
                     CellTrace(n, eps, ok=False, error=f"{type(exc).__name__}: {exc}")
                 )
                 break
-            k_tilde = rep.k.matrix @ embed.conj().T
+            k_tilde = k_cell @ embed.conj().T
             dist = None if prev is None else operator_norm(k_tilde - prev)
-            l_norm = operator_norm(rep.l_op)
+            # L = A21 + (A22 - mu) K; S + G L equals A11 + A12 K
+            l_norm = operator_norm(cell.a21 + (cell.a22 - shift_m) @ k_cell)
+            min_im = np.min(np.linalg.eigvals(cell.a11 + cell.a12 @ k_cell).imag)
             trace.append(
                 CellTrace(
                     n,
                     eps,
                     ok=True,
-                    k_norm=rep.k_norm,
+                    k_norm=operator_norm(k_cell),
                     l_norm=l_norm,
                     k_dist_prev=dist,
-                    restriction_min_im=rep.min_im_restriction(),
-                    projector_method=rep.projector_method,
+                    restriction_min_im=float(min_im),
+                    projector_method=_PROJECTOR_METHODS["exact"],
                     l_bound_ok=l_norm <= l_cap * (1.0 + 1e-6),
                 )
             )

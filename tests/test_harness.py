@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kreinspace import projectors
 from kreinspace.blocks import dissipativity_margin
 from kreinspace.harness import InstanceSpec, random_dissipative, run_property_suite
 from kreinspace.solver import SolverConfig, solve_theorem, solve_uniformly_dissipative
@@ -62,6 +63,23 @@ def test_suite_passes_on_dissipative_ensemble():
         assert row.passed and row.error is None
         assert row.k_norm < 1.0
         assert row.estimate10_slack >= -1e-8
+
+
+def test_suite_cross_checks_quadrature_against_schur(monkeypatch):
+    specs = [InstanceSpec(p=3, m=3, margin=0.1, seed=s) for s in range(2)]
+    suite = run_property_suite(specs, FAST)
+    assert suite.passed
+    for row in suite.results:
+        assert row.checks["quadrature"]
+        assert row.quadrature_gap <= 1e-7
+    # a quadrature that never converges fails the check, and the suite
+    monkeypatch.setattr(projectors, "REFINE_TOL", -1.0)
+    suite = run_property_suite(specs[:1], FAST)
+    row = suite.results[0]
+    assert row.error is None
+    assert row.checks["quadrature"] is False and row.quadrature_gap == np.inf
+    assert not row.passed and not suite.passed
+    assert suite.failure_artifacts[0]["checks"]["quadrature"] is False
 
 
 def test_suite_negative_control():

@@ -11,7 +11,7 @@ from kreinspace.errors import (
     HypothesisViolated,
     QuadratureNotConverged,
 )
-from kreinspace.geometry import KreinStructure
+from kreinspace.geometry import KreinStructure, angle_operator_from_subspace
 from kreinspace.harness import InstanceSpec, random_dissipative
 from kreinspace.numerics import operator_norm
 from kreinspace.projectors import (
@@ -22,6 +22,7 @@ from kreinspace.projectors import (
     riesz_projector_exact,
     riesz_projector_quadrature,
     spectral_stability_check,
+    upper_invariant_subspace,
 )
 
 TRIANGULAR = np.array([[1j, 1.0], [0.0, -1j]])
@@ -125,13 +126,13 @@ def test_quadrature_not_converged_reports(monkeypatch):
 
 
 def test_quadrature_ladder_escalates_on_real_instance(monkeypatch):
-    # budgets 16 and 32 both buy two 16-point panels, whose sum has trace
-    # 4.03; 64 nodes move it by ~4e-2, and the ladder climbs until a doubling
-    # moves it by less than REFINE_TOL
+    # the two-panel sum at 32 nodes has trace 4.03; 64 nodes move it by
+    # ~4e-2, and the ladder climbs until a doubling moves it by less than
+    # REFINE_TOL
     budgets = record_budgets(monkeypatch)
     a = random_dissipative(LADDER_CASE).to_matrix()
-    rep = riesz_projector_quadrature(a, Contour(default_contour_radius(a), 16))
-    assert budgets == [16, 32, 64, 128]
+    rep = riesz_projector_quadrature(a, Contour(default_contour_radius(a), 32))
+    assert budgets == [32, 64, 128]
     assert rep.method == "gauss_segments"
     ref = riesz_projector_exact(a, "upper_open", tol=0.25)
     assert np.linalg.norm(rep.q_plus - ref.q_plus, 2) <= 1e-13
@@ -224,6 +225,27 @@ def test_exact_boundary_eigenvalue():
         riesz_projector_exact(np.diag([1.0 + 0j, 2j]), "upper_open", tol=1e-6)
 
 
+def test_upper_invariant_subspace_matches_projector_route():
+    for seed in (10, 11, 12):
+        op = random_dissipative(InstanceSpec(p=4, m=3, margin=0.5, seed=seed))
+        a = op.to_matrix()
+        direct = upper_invariant_subspace(a, op.structure, tol=0.25)
+        rep = riesz_projector_exact(a, "upper_open", tol=0.25)
+        via_projector = invariant_subspace_from_projector(a, rep, op.structure)
+        k1 = angle_operator_from_subspace(direct).matrix
+        k2 = angle_operator_from_subspace(via_projector).matrix
+        assert np.linalg.norm(k1 - k2, 2) <= 1e-12
+
+
+def test_upper_invariant_subspace_boundary_and_empty():
+    with pytest.raises(BoundaryEigenvalue):
+        upper_invariant_subspace(
+            np.diag([1j, 1e-12j, -1j]), KreinStructure(2, 1), tol=1e-9
+        )
+    a = np.diag([-1j, -2j + 0.5, -0.1j])
+    assert upper_invariant_subspace(a, KreinStructure(2, 1), tol=1e-9) is None
+
+
 def test_exact_closed_region_includes_boundary():
     rep = riesz_projector_exact(np.diag([1.0 + 0j, -2j]), "upper_closed", tol=1e-9)
     np.testing.assert_allclose(rep.q_plus, np.diag([1.0, 0.0]), atol=1e-12)
@@ -305,3 +327,7 @@ def test_contour_validation():
         Contour(-1.0)
     with pytest.raises(DimensionMismatch):
         Contour(1.0, nodes=15)
+    with pytest.raises(DimensionMismatch):
+        Contour(1.0, nodes=16)
+    with pytest.raises(DimensionMismatch):
+        Contour(1.0, nodes=33)

@@ -193,8 +193,9 @@ def test_solve_uniform_quadrature_vs_exact():
 
 
 def test_quadrature_ladder_budgets_and_fallback(monkeypatch):
-    # the node ladder lives in riesz_projector_quadrature: the solver makes
-    # one call at the default 64-node budget and falls back only under "auto"
+    # solve_theorem never calls the quadrature; the "quadrature" route of
+    # solve_uniformly_dissipative makes one call at the default 64-node
+    # budget and re-raises its failure
     budgets = []
 
     def never_converges(full, contour):
@@ -203,13 +204,19 @@ def test_quadrature_ladder_budgets_and_fallback(monkeypatch):
 
     monkeypatch.setattr(solver, "riesz_projector_quadrature", never_converges)
     a = random_dissipative(InstanceSpec(4, 3, 0.5, seed=1))
-    rep = solve_uniformly_dissipative(a, projector="auto")
-    assert budgets == [64]
-    assert rep.projector_method == "schur"
-    budgets.clear()
+    rep = solve_theorem(a, FAST)
+    assert rep.convergence_trace
+    assert all(t.ok and t.projector_method == "schur" for t in rep.convergence_trace)
+    assert budgets == []
     with pytest.raises(QuadratureNotConverged):
         solve_uniformly_dissipative(a, projector="quadrature")
     assert budgets == [64]
+
+
+@pytest.mark.parametrize("projector", ["qudrature", "auto", "Exact", ""])
+def test_unknown_projector_is_rejected(projector):
+    with pytest.raises(DimensionMismatch):
+        solve_uniformly_dissipative(I_J, projector=projector)
 
 
 def rep_min_im(rep):
