@@ -235,7 +235,7 @@ def _quadrature_cross_check(a: BlockOperator, margin: float) -> tuple[float, boo
 
     The regularization raises the margin to ``margin + 1``, so every
     eigenvalue is at least that far from the real axis, and A + iJ is the
-    solver's first full-dimension cell under the default schedule.
+    solver's first full-dimension cell under ``DOUBLE_LIMIT_EPS_SCHEDULE``.
     """
     cell = regularize(a, 1.0).to_matrix()
     try:

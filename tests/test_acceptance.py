@@ -35,6 +35,7 @@ from kreinspace.geometry import (
 from kreinspace.harness import InstanceSpec, random_dissipative
 from kreinspace.projectors import Contour, riesz_projector_exact, riesz_projector_quadrature
 from kreinspace.solver import (
+    DOUBLE_LIMIT_EPS_SCHEDULE,
     SolverConfig,
     graph_defect,
     regularize,
@@ -87,7 +88,9 @@ def _ensemble_specs():
 
 @pytest.fixture(scope="module")
 def ensemble():
-    cfg = SolverConfig()
+    # the full-dimension eps row of the double limit, which criterion 10 reads;
+    # K is the one the default three-cell tail gives
+    cfg = SolverConfig(eps_schedule=DOUBLE_LIMIT_EPS_SCHEDULE)
     solved = []
     for spec in _ensemble_specs():
         a = random_dissipative(spec)
@@ -300,6 +303,7 @@ def test_criterion_10_regularization_tail(ensemble):
     """Tail differences decrease monotonically after a short burn-in."""
     monotone = 0
     considered = 0
+    short_tails = []
     no_cauchy = sum(
         1 for inst in ensemble if inst.error and "NoCauchy" in inst.error
     )
@@ -314,6 +318,8 @@ def test_criterion_10_regularization_tail(ensemble):
             if t.n == p and t.ok and t.k_dist_prev is not None
         ]
         tail = diffs[3:]
+        if len(tail) < 2:
+            short_tails.append((inst.spec.seed, len(tail)))
         violations = [
             i
             for i in range(len(tail) - 1)
@@ -324,11 +330,13 @@ def test_criterion_10_regularization_tail(ensemble):
     rate = monotone / considered if considered else 0.0
     _line(
         10,
-        rate >= 0.95,
+        rate >= 0.95 and not short_tails,
         f"monotone on {monotone}/{considered} strict instances "
-        f"({rate:.1%}); non-convergence count {no_cauchy} (reported, not hidden)",
+        f"({rate:.1%}), {len(short_tails)} with fewer than 2 tail differences; "
+        f"non-convergence count {no_cauchy} (reported, not hidden)",
     )
     assert considered
+    assert not short_tails, short_tails[:5]
     assert rate >= 0.95
 
 

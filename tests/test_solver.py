@@ -1,6 +1,7 @@
 """The regularized Galerkin pipeline and its Riccati layer."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from kreinspace.errors import (
 )
 from kreinspace.geometry import AngleOperator, KreinStructure
 from kreinspace.harness import InstanceSpec, random_dissipative
+from kreinspace.serialize import report_to_dict
 from kreinspace.solver import (
+    DOUBLE_LIMIT_EPS_SCHEDULE,
     SolverConfig,
     galerkin_truncate,
     graph_defect,
@@ -241,7 +244,9 @@ def test_solve_theorem_matches_direct_solve():
 
 def test_solve_theorem_trace_contracts():
     a = random_dissipative(InstanceSpec(p=4, m=4, margin=0.3, seed=14))
-    rep = solve_theorem(a)
+    cfg = SolverConfig(eps_schedule=DOUBLE_LIMIT_EPS_SCHEDULE, galerkin_dims=(1, 2, 4))
+    rep = solve_theorem(a, cfg)
+    assert {t.n for t in rep.convergence_trace} == {1, 2, 4}
     cells = [t for t in rep.convergence_trace if t.ok]
     assert cells
     assert all(t.k_norm < 1.0 for t in cells)
@@ -250,6 +255,46 @@ def test_solve_theorem_trace_contracts():
     # the full-dimension tail decreases geometrically
     diffs = [t.k_dist_prev for t in cells if t.n == 4 and t.k_dist_prev is not None]
     assert diffs[-1] <= diffs[2]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        InstanceSpec(p=4, m=4, margin=0.0, seed=0),
+        InstanceSpec(p=4, m=3, margin=1e-6, seed=1),
+        InstanceSpec(p=5, m=4, margin=0.1, seed=2),
+        InstanceSpec(p=3, m=5, margin=1.0, seed=3),
+        InstanceSpec(p=4, m=4, margin=0.0, coupling_scale=30.0, seed=4),
+        InstanceSpec(p=1, m=3, margin=0.1, seed=5),
+        InstanceSpec(p=3, m=1, margin=1e-6, coupling_scale=30.0, seed=6),
+    ],
+)
+def test_default_schedule_is_the_double_limit_tail(spec):
+    a = random_dissipative(spec)
+    p = spec.p
+    full_cfg = SolverConfig(
+        eps_schedule=DOUBLE_LIMIT_EPS_SCHEDULE,
+        galerkin_dims=sorted({math.ceil(p / 4), math.ceil(p / 2), p}),
+    )
+    cfg = SolverConfig()
+    rep = solve_theorem(a, cfg)
+    full = solve_theorem(a, full_cfg)
+    np.testing.assert_array_equal(rep.k.matrix, full.k.matrix)
+    assert (rep.mu, rep.polish_method) == (full.mu, full.polish_method)
+    doc, full_doc = (report_to_dict(r, a.norm(), cfg) for r in (rep, full))
+    del doc["convergence_trace"], full_doc["convergence_trace"]
+    assert doc == full_doc
+    # the default cells are the last three full-dimension cells of the grid
+    assert len(rep.convergence_trace) == 3
+    assert all(t.n == p for t in rep.convergence_trace)
+    tail = [t for t in full.convergence_trace if t.n == p][-3:]
+    for got, want in zip(rep.convergence_trace, tail):
+        assert got.eps == want.eps
+        assert (got.k_norm, got.l_norm, got.restriction_min_im) == (
+            want.k_norm,
+            want.l_norm,
+            want.restriction_min_im,
+        )
 
 
 def test_solve_theorem_boundary_neutral_limit():
