@@ -7,6 +7,11 @@ LAPACK (via numpy/scipy); each carries an accuracy contract that the test
 suite checks, and the contract, not the algorithm, is what the rest of the
 package relies on.
 
+Shifted solves take the shift as a batch dimension: :func:`solve_shifted`
+accepts a 1-D array of shifts and checks and solves the whole
+``(k, d, d)`` stack of shifted matrices in one batched LAPACK call each, so
+a caller that samples many shifts pays the per-call overhead once.
+
 Everything in this module is a pure function over immutable values and safe
 to call concurrently.
 """
@@ -54,12 +59,26 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def solve_shifted(m, mu: complex, b) -> np.ndarray:
-    """Solve (M - mu*I) X = B for X.
+def operator_norms(stack: np.ndarray) -> np.ndarray:
+    """Spectral norm of each matrix of a ``(k, r, c)`` stack, as a length-k array."""
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
 
-    The shifted matrix is rejected as :class:`SingularShift` when its smallest
-    singular value falls below ``SINGULAR_FLOOR`` times its norm.  The
-    returned X satisfies ``|(M - mu I) X - B| <= 1e-10 (|M| + |mu|) |X|``.
+
+def solve_shifted(m, mu, b) -> np.ndarray:
+    """Solve (M - mu*I) X = B for X, for one shift or a 1-D array of shifts.
+
+    With an array of k shifts the shift is a batch dimension: the stack of
+    the k matrices M - mu_k I is built once, checked by one batched SVD and
+    solved by one batched LU solve, and the result is the ``(k, d, n)``
+    stack of the X_k.  A scalar shift runs as a one-element stack and
+    returns the 2-D X.
+
+    Every shifted matrix is checked on its own: one whose smallest singular
+    value falls below ``SINGULAR_FLOOR * max(sigma_max, 1)`` raises
+    :class:`SingularShift` naming the first such shift.  Each returned X_k
+    satisfies ``|(M - mu_k I) X_k - B| <= 1e-10 (|M| + |mu_k|) |X_k|``.
+    Non-finite shifts raise :class:`NonFinite`, an empty shift array
+    :class:`DimensionMismatch`.
     """
     a = validate_matrix(m, "M")
     rhs = validate_matrix(b, "B")
@@ -69,14 +88,30 @@ def solve_shifted(m, mu: complex, b) -> np.ndarray:
         raise DimensionMismatch(
             f"B has {rhs.shape[0]} rows, expected {a.shape[0]}"
         )
-    shifted = a - complex(mu) * np.eye(a.shape[0])
-    sings = np.linalg.svd(shifted, compute_uv=False)
-    if sings[-1] < SINGULAR_FLOOR * max(sings[0], 1.0):
-        raise SingularShift(
-            f"sigma_min(M - mu I) = {sings[-1]:.3e} below floor; "
-            f"mu = {mu} is numerically in the spectrum"
+    shifts = np.asarray(mu, dtype=np.complex128)
+    if shifts.ndim > 1 or shifts.size == 0:
+        raise DimensionMismatch(
+            f"mu must be a scalar or a nonempty 1-D array, got shape {shifts.shape}"
         )
-    return scipy.linalg.solve(shifted, rhs)
+    if not np.all(np.isfinite(shifts)):
+        raise NonFinite("mu contains NaN or Inf entries")
+    mus = shifts.reshape(-1)
+    d = a.shape[0]
+    shifted = np.repeat(a[np.newaxis], mus.size, axis=0)
+    diag = np.arange(d)
+    shifted[:, diag, diag] -= mus[:, np.newaxis]
+    sings = np.linalg.svd(shifted, compute_uv=False)
+    below = sings[:, -1] < SINGULAR_FLOOR * np.maximum(sings[:, 0], 1.0)
+    if below.any():
+        k = int(np.argmax(below))
+        raise SingularShift(
+            f"sigma_min(M - mu I) = {sings[k, -1]:.3e} below floor; "
+            f"mu = {complex(mus[k])} is numerically in the spectrum"
+        )
+    # numpy < 2 reads a 2-D right-hand side of a stacked solve as a stack of
+    # vectors, so B is broadcast to (k, d, n) explicitly
+    x = np.linalg.solve(shifted, np.broadcast_to(rhs, (mus.size, *rhs.shape)))
+    return x if shifts.ndim else x[0]
 
 
 def eigendecomposition(m) -> tuple[np.ndarray, np.ndarray]:

@@ -72,7 +72,7 @@ from .geometry import (
     gram_matrix,
     maximality_witness,
 )
-from .numerics import operator_norm
+from .numerics import operator_norm, operator_norms
 from .projectors import (
     QUADRATURE_RULE,
     Contour,
@@ -138,6 +138,8 @@ class SolverConfig:
         object.__setattr__(self, "eps_schedule", eps)
         if self.galerkin_dims is not None:
             dims = tuple(int(n) for n in self.galerkin_dims)
+            if not dims:
+                raise DimensionMismatch("galerkin dims must be nonempty")
             if any(n < 1 for n in dims) or any(
                 n2 <= n1 for n1, n2 in zip(dims, dims[1:])
             ):
@@ -283,14 +285,16 @@ def restriction_matrix(a: BlockOperator, k: AngleOperator, mu: complex) -> np.nd
 
 
 def _select_mu(a: BlockOperator, eps_values) -> complex:
-    """Smallest i*t (doubling t) with |G(i t + i eps)| < 1/2 for all eps."""
+    """Smallest i*t (doubling t) with |G(i t + i eps)| < 1/2 for all eps.
+
+    Each doubling evaluates G at all the shifts i t + i eps as one stack.
+    """
     t = 1.0 + operator_norm(a.a22)
+    eps = np.asarray(eps_values, dtype=np.float64)
     for _ in range(64):
         mu = 1j * t
         try:
-            worst = max(
-                operator_norm(schur_data(a, mu + 1j * float(e)).g) for e in eps_values
-            )
+            worst = float(np.max(operator_norms(schur_data(a, mu + 1j * eps).g)))
         except SingularShift:
             worst = math.inf
         if worst < _MU_COUPLING_BOUND:
@@ -501,21 +505,18 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
         dims = (p,)
     if dims[-1] != p:
         raise DimensionMismatch("the last Galerkin dimension must equal p")
-    eps_all = (*cfg.eps_schedule, 0.0)
+    eps_all = np.array((*cfg.eps_schedule, 0.0))
+    mu = _select_mu(a, eps_all) if cfg.mu is None else complex(cfg.mu)
+    sd_all = schur_data(a, mu + 1j * eps_all)
     if cfg.mu is not None:
-        mu = complex(cfg.mu)
-        worst = max(operator_norm(schur_data(a, mu + 1j * e).g) for e in eps_all)
+        worst = float(np.max(operator_norms(sd_all.g)))
         if worst >= _MU_COUPLING_BOUND:
             raise DimensionMismatch(
                 f"fixed mu gives |G(mu + i eps)| = {worst:.3f} >= 1/2"
             )
-    else:
-        mu = _select_mu(a, eps_all)
     # continuity constant of i eps + S(mu + i eps) over the schedule
-    c_const = max(
-        operator_norm(1j * e * np.eye(p) + schur_data(a, mu + 1j * e).s)
-        for e in eps_all
-    )
+    i_eps = 1j * eps_all[:, np.newaxis, np.newaxis] * np.eye(p)
+    c_const = float(np.max(operator_norms(i_eps + sd_all.s)))
     l_cap = 2.0 * (c_const + abs(mu))
 
     trace: list[CellTrace] = []
@@ -587,8 +588,9 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
     )
     # a limit is accepted when the tail met the Cauchy tolerance or the
     # assembled K passes the a-posteriori Riccati certificate
+    # (the eps = 0 slice of the schedule's stack is S(mu))
     certified = report.riccati_residual <= cfg.riccati_tol * (
-        operator_norm(schur_data(a, mu).s) + abs(mu)
+        operator_norm(sd_all.s[-1]) + abs(mu)
     )
     if len(diffs) >= 2 and not tail_converged and not certified:
         raise NoCauchyConvergence(

@@ -20,6 +20,7 @@ from kreinspace.blocks import (
 )
 from kreinspace.errors import (
     ConditionIFailed,
+    DimensionMismatch,
     NotUniformlyDissipative,
     SingularShift,
 )
@@ -310,3 +311,114 @@ def test_transfer_invertibility_tracks_spectrum():
         sd = schur_data(a, off)
         smin = np.linalg.svd(sd.s - off * np.eye(3), compute_uv=False)[-1]
         assert smin > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# stacked shifts against a per-shift reference in plain numpy
+# ---------------------------------------------------------------------------
+
+STACK_SPECS = (
+    InstanceSpec(p=4, m=3, margin=0.1, seed=21),
+    InstanceSpec(p=3, m=5, margin=1.0, seed=22),
+    InstanceSpec(p=5, m=4, margin=1e-6, coupling_scale=30.0, seed=23),
+)
+
+
+def _close(x, y, rel=1e-12):
+    return abs(x - y) <= rel * max(abs(x), abs(y))
+
+
+def _reference_g(a, lam):
+    return a.a12 @ np.linalg.inv(a.a22 - lam * np.eye(a.structure.m))
+
+
+def _reference_g_bound(a, eps, lams):
+    """One sample at a time: (max ratio, first worst sample, passed)."""
+    a_const = 2.0 * np.linalg.norm(np.vstack([a.a11, a.a21]), 2) * (1.0 + 1e-6)
+    bound = 2.0 + 2.0 * a_const / eps
+    worst, worst_lam = 0.0, 0j
+    for lam in lams:
+        ratio = np.linalg.norm(_reference_g(a, lam), 2) / bound
+        if ratio > worst:
+            worst, worst_lam = ratio, complex(lam)
+    return worst, worst_lam, worst <= 1.0 + 1e-9
+
+
+def _reference_asymptotics(a, radii, seed):
+    """One shift at a time: (constants, identity defect, scale of the forms)."""
+    p, d = a.structure.p, a.structure.dim
+    rng = np.random.Generator(np.random.Philox(seed))
+    zs = rng.standard_normal((4, p)) + 1j * rng.standard_normal((4, p))
+    zs /= np.linalg.norm(zs, axis=1, keepdims=True)
+    constants, defect, scale = [], 0.0, 0.0
+    for r in sorted(radii):
+        c_fit = 0.0
+        for theta in np.linspace(0.0, np.pi, 16):
+            lam = r * np.exp(1j * theta)
+            s = a.a11 - _reference_g(a, lam) @ a.a21
+            s_res = np.linalg.inv(lam * np.eye(p) - s)
+            inv_plus = np.eye(p) / lam - s_res
+            c_fit = max(c_fit, abs(lam) ** 2 * np.linalg.norm(inv_plus, 2))
+            top_left = np.linalg.inv(lam * np.eye(d) - a.to_matrix())[:p, :p]
+            for z in zs:
+                lhs, rhs = np.vdot(z, top_left @ z), np.vdot(z, s_res @ z)
+                defect = max(defect, abs(lhs - rhs))
+                scale = max(scale, abs(lhs))
+        constants.append(c_fit)
+    return constants, defect, scale
+
+
+@pytest.mark.parametrize("spec", STACK_SPECS)
+def test_stacked_schur_data_matches_scalar_calls(spec):
+    a = random_dissipative(spec)
+    rng = np.random.Generator(np.random.Philox(spec.seed))
+    mus = rng.uniform(-3, 3, 9) + 1j * rng.uniform(0.1, 3, 9)
+    stack = schur_data(a, mus)
+    np.testing.assert_array_equal(stack.mu, mus)
+    assert stack.s.shape == (9, spec.p, spec.p)
+    for k, mu in enumerate(mus):
+        one = schur_data(a, mu)
+        assert isinstance(one.mu, complex) and one.s.ndim == 2
+        for name in ("s", "f", "g"):
+            x, y = getattr(stack, name)[k], getattr(one, name)
+            assert np.linalg.norm(x - y, 2) <= 1e-14 * np.linalg.norm(y, 2)
+
+
+@pytest.mark.parametrize("spec", STACK_SPECS)
+def test_g_bound_matches_per_sample_reference(spec):
+    a = random_dissipative(spec)
+    rng = np.random.Generator(np.random.Philox(spec.seed))
+    radius = 2.0 * (1.0 + a.norm())
+    lams = np.concatenate(
+        [
+            rng.uniform(-radius, radius, 25) + 1j * rng.uniform(0.0, radius, 25),
+            rng.uniform(-radius, radius, 25),
+        ]
+    )
+    margin = dissipativity_margin(a)
+    rep = g_uniform_bound_check(a, margin, lams)
+    worst, worst_lam, passed = _reference_g_bound(a, margin, lams)
+    assert _close(rep.max_ratio, worst)
+    assert _close(rep.worst_lambda, worst_lam)
+    assert rep.passed == passed
+
+
+@pytest.mark.parametrize("spec", STACK_SPECS)
+def test_asymptotics_matches_per_shift_reference(spec):
+    a = random_dissipative(spec)
+    r0 = 8.0 * (1.0 + a.norm())
+    rep = resolvent_asymptotics_check(a, [r0, 2.0 * r0], seed=spec.seed)
+    constants, defect, scale = _reference_asymptotics(a, [r0, 2.0 * r0], spec.seed)
+    assert all(_close(x, y) for x, y in zip(rep.constants, constants))
+    # the identity is exact, so both defects are rounding noise: they agree
+    # to 1e-12 relative to the size of the quadratic forms they compare
+    assert abs(rep.eq_identity_defect - defect) <= 1e-12 * scale
+    assert rep.passed == (max(constants) / min(constants) <= 4.0 and defect <= 1e-8)
+
+
+def test_g_bound_rejects_lower_samples_and_empty_sets():
+    a = i_j_operator()
+    with pytest.raises(DimensionMismatch, match="closed upper half-plane"):
+        g_uniform_bound_check(a, 1.0, [1j, 2.0 - 1e-3j, -1j])
+    with pytest.raises(DimensionMismatch):
+        g_uniform_bound_check(a, 1.0, [])

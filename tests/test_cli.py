@@ -133,6 +133,16 @@ def test_solve_inconsistent_override(capsys, tmp_path):
     assert "error" in err
 
 
+def test_solve_empty_galerkin_dims_exit_2(capsys, tmp_path):
+    a = assemble([[1j]], [[0.0]], [[0.0]], [[-1j]])
+    path = write_problem(tmp_path / "p.json", a, solver={"galerkin_dims": []})
+    code, out, err = run(capsys, "solve", path)
+    assert code == 2
+    assert out == ""
+    assert "galerkin dims must be nonempty" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_recomputable_from_report(capsys, tmp_path):
     # re-checking the acceptance triple from the report fields gives the code
     from kreinspace.harness import InstanceSpec, random_dissipative

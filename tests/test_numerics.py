@@ -89,6 +89,50 @@ def test_solve_shifted_residual_contract():
         assert resid <= bound
 
 
+def _random_shift_case(seed, n=6, k=7):
+    rng = np.random.Generator(np.random.Philox(seed))
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    mus = rng.standard_normal(k) + 1j * (1.0 + rng.random(k))
+    b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    return m, mus, b
+
+
+def test_solve_shifted_stack_matches_scalar_calls():
+    for seed in range(5):
+        m, mus, b = _random_shift_case(seed)
+        xs = solve_shifted(m, mus, b)
+        assert xs.shape == (mus.size, *b.shape)
+        for mu, x in zip(mus, xs):
+            resid = np.linalg.norm((m - mu * np.eye(m.shape[0])) @ x - b, 2)
+            assert resid <= 1e-10 * (operator_norm(m) + abs(mu)) * np.linalg.norm(x, 2)
+            x_one = solve_shifted(m, mu, b)
+            assert np.linalg.norm(x - x_one, 2) <= 1e-14 * np.linalg.norm(x_one, 2)
+
+
+def test_solve_shifted_stack_names_the_singular_shift():
+    m = np.diag([2.0, 3.0, 5.0]).astype(complex)
+    with pytest.raises(SingularShift, match=r"mu = \(3\+0j\)"):
+        solve_shifted(m, np.array([1j, 3.0, 5.0, 2j]), np.eye(3))
+
+
+def test_solve_shifted_scalar_shift_returns_2d():
+    m, mus, b = _random_shift_case(7)
+    assert solve_shifted(m, mus[0], b).shape == b.shape
+    assert solve_shifted(m, complex(mus[0]), b).shape == b.shape
+    assert solve_shifted(m, mus[:1], b).shape == (1, *b.shape)
+
+
+def test_solve_shifted_rejects_bad_shifts():
+    m, _, b = _random_shift_case(8)
+    for bad in (np.nan, [1j, np.inf], [1j, complex(0.0, np.nan)]):
+        with pytest.raises(NonFinite):
+            solve_shifted(m, bad, b)
+    with pytest.raises(DimensionMismatch):
+        solve_shifted(m, np.array([], dtype=complex), b)
+    with pytest.raises(DimensionMismatch):
+        solve_shifted(m, np.ones((2, 2)) * 1j, b)
+
+
 def test_eigendecomposition_diagonal():
     w, _ = eigendecomposition(np.diag([1j, -1j]))
     np.testing.assert_allclose(sorted(w, key=lambda z: z.imag), [-1j, 1j], atol=1e-14)

@@ -341,6 +341,8 @@ def test_solver_config_validation():
         SolverConfig(eps_schedule=(2.0, 1e-4))
     with pytest.raises(DimensionMismatch):
         SolverConfig(galerkin_dims=(2, 2))
+    with pytest.raises(DimensionMismatch, match="galerkin dims must be nonempty"):
+        SolverConfig(galerkin_dims=())
 
 
 def test_solve_theorem_fixed_mu_gate():
