@@ -26,6 +26,12 @@ All functions here are pure.  Shift samples are stacked: :func:`schur_data`
 takes a 1-D array of shifts and returns the transfer data as stacks, so each
 check that samples many shifts (the uniform bound on G, the resolvent
 asymptotics, the decay profile) solves all of them in one batched call.
+The identity residuals (:func:`factorization_residual`,
+:func:`g_resolvent_identity_residual`,
+:func:`schur_perturbation_residuals`) take arrays of samples the same way
+and return arrays; a scalar sample still returns a float.  Each stack of
+A22 - mu_k is checked against the singular floor once, and its transpose
+solves, which have the same singular values, reuse that check.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import numpy as np
 
 from .errors import ConditionIFailed, DimensionMismatch, NotUniformlyDissipative
 from .geometry import KreinStructure
-from .numerics import operator_norm, operator_norms, solve_shifted, validate_matrix
+from .numerics import operator_norm, operator_norms, shifted_stack, validate_matrix
 
 _EPS_A = 1e-6  # relative headroom on the half-norm constant a > 2|A P+|
 #: A dissipativity margin down to -DISSIPATIVITY_TOL counts as dissipative.
@@ -63,7 +69,11 @@ class BlockOperator:
             object.__setattr__(self, name, block)
 
     def to_matrix(self) -> np.ndarray:
-        return np.block([[self.a11, self.a12], [self.a21, self.a22]])
+        p, d = self.structure.p, self.structure.dim
+        full = np.empty((d, d), dtype=np.complex128)
+        full[:p, :p], full[:p, p:] = self.a11, self.a12
+        full[p:, :p], full[p:, p:] = self.a21, self.a22
+        return full
 
     def norm(self) -> float:
         return operator_norm(self.to_matrix())
@@ -121,50 +131,88 @@ class SchurData:
     g: np.ndarray = field(repr=False)
 
 
-def _resolvent_applied_left(a22: np.ndarray, mu, b: np.ndarray) -> np.ndarray:
-    """B (A22 - mu)^{-1} via a transposed solve; a stack for an array of shifts."""
-    return np.swapaxes(solve_shifted(a22.T, mu, b.T), -1, -2)
+def _applied_left(shifted: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The stack of B_k (A22 - mu_k)^{-1} from the checked stack of A22 - mu_k.
+
+    ``b`` is one matrix for every shift or a ``(k, p, m)`` stack, slice k
+    paired with shift k.  Each slice is the transposed solve
+    (A22 - mu_k)^T X = B_k^T.
+    """
+    bt = np.swapaxes(b, -1, -2)
+    x = np.linalg.solve(
+        np.swapaxes(shifted, -1, -2),
+        np.broadcast_to(bt, (shifted.shape[0], *bt.shape[-2:])),
+    )
+    return np.swapaxes(x, -1, -2)
 
 
 def schur_data(a: BlockOperator, mu) -> SchurData:
     """Compute S(mu), F(mu), G(mu); raises SingularShift near sigma(A22).
 
     ``mu`` is one shift or a 1-D array of shifts.  For an array the result
-    holds stacks, slice k being the transfer data at ``mu[k]``, computed in
-    one batched solve per block.  Each shift meets the singular floor of
-    :func:`numerics.solve_shifted` on its own; the first that does not
-    raises :class:`SingularShift`.
+    holds stacks, slice k being the transfer data at ``mu[k]``.  The stack of
+    A22 - mu_k is checked once against the singular floor of
+    :func:`numerics.shifted_stack` (the first shift that fails raises
+    :class:`SingularShift`); F is one batched solve with it and G one with
+    its transpose, which has the same singular values.
     """
-    f = solve_shifted(a.a22, mu, a.a21)
-    g = _resolvent_applied_left(a.a22, mu, a.a12)
-    s = a.a11 - a.a12 @ f
-    shifts = np.asarray(mu, dtype=np.complex128)
-    return SchurData(complex(mu) if shifts.ndim == 0 else shifts, s, f, g)
+    return _schur_stack(a, mu, shifted_stack(a.a22, mu))
 
 
-def factorization_residual(a: BlockOperator, mu: complex) -> float:
+def _schur_stack(a: BlockOperator, mu, shifted: np.ndarray) -> SchurData:
+    """:func:`schur_data` at the shifts ``mu`` of the checked stack A22 - mu_k."""
+    k = shifted.shape[0]
+    f = np.linalg.solve(shifted, np.broadcast_to(a.a21, (k, *a.a21.shape)))
+    g = _applied_left(shifted, a.a12)
+    if np.ndim(mu):
+        mu = np.asarray(mu, dtype=np.complex128)
+    else:
+        mu, f, g = complex(mu), f[0], g[0]
+    return SchurData(mu, a.a11 - a.a12 @ f, f, g)
+
+
+def _samples(*values):
+    """The sample values as 1-D arrays of one length, and whether all were scalars.
+
+    Scalars broadcast against arrays; anything above 1-D, or arrays of
+    different lengths, raise :class:`DimensionMismatch`.
+    """
+    arrays = [np.asarray(v) for v in values]
+    if any(v.ndim > 1 for v in arrays):
+        raise DimensionMismatch("samples must be scalars or 1-D arrays")
+    try:
+        flat = np.broadcast_arrays(*(np.atleast_1d(v) for v in arrays))
+    except ValueError as exc:
+        raise DimensionMismatch(f"sample arrays differ in length: {exc}") from exc
+    return flat, all(v.ndim == 0 for v in arrays)
+
+
+def factorization_residual(a: BlockOperator, mu):
     """Relative defect of the block LDU identity at mu.
 
     The identity is exact for finite matrices, so the residual is at
     rounding level (contract: <= 1e-9) whenever mu clears sigma(A22).
+    ``mu`` is one shift (the result is a float) or a 1-D array of shifts
+    (the result is the array of their defects), checked as one stack.
     """
-    sd = schur_data(a, mu)
-    p, m = a.structure.p, a.structure.m
-    eye_p = np.eye(p, dtype=np.complex128)
-    eye_m = np.eye(m, dtype=np.complex128)
-    upper = np.block([[eye_p, sd.g], [np.zeros((m, p)), eye_m]])
-    diag = np.block(
-        [
-            [sd.s - mu * eye_p, np.zeros((p, m))],
-            [np.zeros((m, p)), a.a22 - mu * eye_m],
-        ]
-    )
-    lower = np.block([[eye_p, np.zeros((p, m))], [sd.f, eye_m]])
-    recon = mu * np.eye(a.structure.dim) + upper @ diag @ lower
+    (mus,), scalar = _samples(np.asarray(mu, dtype=np.complex128))
+    sd = schur_data(a, mus)
+    p, d = a.structure.p, a.structure.dim
+    mu_eye = mus[:, np.newaxis, np.newaxis]
+    eye = np.eye(d, dtype=np.complex128)
+    upper = np.repeat(eye[np.newaxis], mus.size, axis=0)
+    upper[:, :p, p:] = sd.g
+    diag = np.zeros_like(upper)
+    diag[:, :p, :p] = sd.s - mu_eye * eye[:p, :p]
+    diag[:, p:, p:] = a.a22 - mu_eye * eye[p:, p:]
+    lower = np.repeat(eye[np.newaxis], mus.size, axis=0)
+    lower[:, p:, :p] = sd.f
+    recon = mu_eye * eye + upper @ diag @ lower
     denom = a.norm()
     if denom == 0.0:
         denom = 1.0
-    return operator_norm(a.to_matrix() - recon) / denom
+    res = operator_norms(a.to_matrix() - recon) / denom
+    return float(res[0]) if scalar else res
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +342,8 @@ def g_decay_profile(a: BlockOperator, heights) -> DecayProfile:
     if condition_i_margin(a) < -DISSIPATIVITY_TOL:
         raise ConditionIFailed("-A22 is not dissipative; the profile is undefined")
     decay_tol = 2.0 * operator_norm(a.a12) / DECAY_HORIZON
-    norms = operator_norms(_resolvent_applied_left(a.a22, 1j * np.array(hs), a.a12))
+    shifted = shifted_stack(a.a22, 1j * np.array(hs))
+    norms = operator_norms(_applied_left(shifted, a.a12))
     values = [(h, float(n)) for h, n in zip(hs, norms)]
     last_le_first = values[-1][1] <= values[0][1] + 1e-14
     tail_below = values[-1][0] <= DECAY_HORIZON or values[-1][1] <= decay_tol
@@ -338,7 +387,7 @@ def g_uniform_bound_check(a: BlockOperator, eps: float, sample_lambdas) -> GBoun
     if below.any():
         lam = complex(lams[np.argmax(below)])
         raise DimensionMismatch(f"sample {lam} is not in the closed upper half-plane")
-    ratios = operator_norms(_resolvent_applied_left(a.a22, lams, a.a12)) / bound
+    ratios = operator_norms(_applied_left(shifted_stack(a.a22, lams), a.a12)) / bound
     k = int(np.argmax(ratios))
     worst = float(ratios[k])
     worst_lam = complex(lams[k]) if worst > 0.0 else 0j
@@ -370,7 +419,7 @@ def resolvent_asymptotics_check(
     identity ((lambda - A)^{-1} z, z) = ((lambda - S(lambda))^{-1} z, z) for
     4 random unit z in H+ (drawn from ``seed``) is checked alongside to 1e-8
     (it is exact, so the defect stays at rounding level).  The 16 shifts of
-    a radius are one stack: one :func:`schur_data` call, one solve of
+    every radius are one stack: one :func:`schur_data` call, one solve of
     S - lambda, and one solve of lambda - A for the p columns whose top-left
     block the identity reads.
     """
@@ -386,26 +435,21 @@ def resolvent_asymptotics_check(
     full = a.to_matrix()
     eye_p = np.eye(p, dtype=np.complex128)
     eye_full = np.eye(a.structure.dim, dtype=np.complex128)
-    constants = []
-    worst_identity = 0.0
     thetas = np.linspace(0.0, np.pi, 16)
-    for r in rs:
-        lams = r * np.exp(1j * thetas)
-        lam_eye = lams[:, np.newaxis, np.newaxis]
-        sd = schur_data(a, lams)
-        # (S - lambda)^{-1}; (lambda - S)^{-1} is its negative
-        inv = np.linalg.solve(
-            sd.s - lam_eye * eye_p, np.broadcast_to(eye_p, sd.s.shape)
-        )
-        c_fit = np.abs(lams) ** 2 * operator_norms(inv + eye_p / lam_eye)
-        constants.append(float(np.max(c_fit)))
-        top_left = np.linalg.solve(
-            lam_eye * eye_full - full,
-            np.broadcast_to(eye_full[:, :p], (lams.size, a.structure.dim, p)),
-        )[:, :p, :]
-        lhs = np.einsum("zi,kij,zj->kz", zs.conj(), top_left, zs)
-        rhs = np.einsum("zi,kij,zj->kz", zs.conj(), -inv, zs)
-        worst_identity = max(worst_identity, float(np.max(np.abs(lhs - rhs))))
+    lams = (np.array(rs)[:, np.newaxis] * np.exp(1j * thetas)).ravel()
+    lam_eye = lams[:, np.newaxis, np.newaxis]
+    sd = schur_data(a, lams)
+    # (S - lambda)^{-1}; (lambda - S)^{-1} is its negative
+    inv = np.linalg.solve(sd.s - lam_eye * eye_p, np.broadcast_to(eye_p, sd.s.shape))
+    c_fit = np.abs(lams) ** 2 * operator_norms(inv + eye_p / lam_eye)
+    constants = [float(c) for c in np.max(c_fit.reshape(len(rs), -1), axis=1)]
+    top_left = np.linalg.solve(
+        lam_eye * eye_full - full,
+        np.broadcast_to(eye_full[:, :p], (lams.size, a.structure.dim, p)),
+    )[:, :p, :]
+    lhs = np.einsum("zi,kij,zj->kz", zs.conj(), top_left, zs)
+    rhs = np.einsum("zi,kij,zj->kz", zs.conj(), -inv, zs)
+    worst_identity = float(np.max(np.abs(lhs - rhs)))
     c_hi, c_lo = max(constants[-2:]), min(constants[-2:])
     if c_hi < 1e-12:
         ratio = 1.0
@@ -415,33 +459,51 @@ def resolvent_asymptotics_check(
     return AsymptoticsReport(tuple(rs), tuple(constants), ratio, worst_identity, passed)
 
 
-def g_resolvent_identity_residual(a: BlockOperator, lam: complex, mu: complex) -> float:
-    """Relative defect of G(lambda) = G(mu) + (lambda-mu) G(mu) (A22-lambda)^{-1}."""
-    g_lam = _resolvent_applied_left(a.a22, lam, a.a12)
-    g_mu = _resolvent_applied_left(a.a22, mu, a.a12)
-    recon = g_mu + (complex(lam) - complex(mu)) * _resolvent_applied_left(
-        a.a22, lam, g_mu
+def g_resolvent_identity_residual(a: BlockOperator, lam, mu):
+    """Relative defect of G(lambda) = G(mu) + (lambda-mu) G(mu) (A22-lambda)^{-1}.
+
+    ``lam`` and ``mu`` are one pair of shifts (the result is a float) or two
+    1-D arrays of one length (the result is the array of the defects of
+    their pairs); the stack of each shift array is checked once.
+    """
+    (lams, mus), scalar = _samples(
+        np.asarray(lam, dtype=np.complex128), np.asarray(mu, dtype=np.complex128)
     )
-    scale = max(operator_norm(g_lam), 1e-300)
-    return operator_norm(g_lam - recon) / scale
+    shifted_lam = shifted_stack(a.a22, lams)
+    g_lam = _applied_left(shifted_lam, a.a12)
+    g_mu = _applied_left(shifted_stack(a.a22, mus), a.a12)
+    recon = g_mu + (lams - mus)[:, np.newaxis, np.newaxis] * _applied_left(
+        shifted_lam, g_mu
+    )
+    scale = np.maximum(operator_norms(g_lam), 1e-300)
+    res = operator_norms(g_lam - recon) / scale
+    return float(res[0]) if scalar else res
 
 
-def schur_perturbation_residuals(
-    a: BlockOperator, mu: complex, eps: float
-) -> tuple[float, float]:
+def schur_perturbation_residuals(a: BlockOperator, mu, eps):
     """Relative defects of the shift-perturbation identities
 
         G(mu + i eps) = G(mu) + i eps G(mu) (A22 - i eps - mu)^{-1}
         S(mu + i eps) = S(mu) - i eps G(mu + i eps) F(mu)
 
     Both are exact resolvent algebra, so the defects sit at rounding level.
+    ``mu`` and ``eps`` are one sample (the result is a pair of floats) or two
+    1-D arrays of one length (the result is a pair of arrays).
     """
-    eps = float(eps)
-    mu_shift = complex(mu) + 1j * eps
-    sd_mu = schur_data(a, mu)
-    sd_up = schur_data(a, mu_shift)
-    g_recon = sd_mu.g + 1j * eps * _resolvent_applied_left(a.a22, mu_shift, sd_mu.g)
-    g_res = operator_norm(sd_up.g - g_recon) / max(operator_norm(sd_up.g), 1e-300)
-    s_recon = sd_mu.s - 1j * eps * (sd_up.g @ sd_mu.f)
-    s_res = operator_norm(sd_up.s - s_recon) / max(operator_norm(sd_up.s), 1e-300)
+    (mus, epss), scalar = _samples(
+        np.asarray(mu, dtype=np.complex128), np.asarray(eps, dtype=float)
+    )
+    i_eps = (1j * epss)[:, np.newaxis, np.newaxis]
+    mu_shift = mus + 1j * epss
+    sd_mu = schur_data(a, mus)
+    shifted_up = shifted_stack(a.a22, mu_shift)
+    sd_up = _schur_stack(a, mu_shift, shifted_up)
+    g_recon = sd_mu.g + i_eps * _applied_left(shifted_up, sd_mu.g)
+    g_scale = np.maximum(operator_norms(sd_up.g), 1e-300)
+    g_res = operator_norms(sd_up.g - g_recon) / g_scale
+    s_recon = sd_mu.s - i_eps * (sd_up.g @ sd_mu.f)
+    s_scale = np.maximum(operator_norms(sd_up.s), 1e-300)
+    s_res = operator_norms(sd_up.s - s_recon) / s_scale
+    if scalar:
+        return float(g_res[0]), float(s_res[0])
     return g_res, s_res

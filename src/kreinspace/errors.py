@@ -45,7 +45,7 @@ class ContourTooClose(KreinError):
 
 
 class QuadratureNotConverged(KreinError):
-    """Doubling the quadrature nodes still changes the projector."""
+    """Refining the quadrature up to its top rung still changes the projector."""
 
 
 class BoundaryEigenvalue(KreinError):

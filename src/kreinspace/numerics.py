@@ -7,10 +7,12 @@ LAPACK (via numpy/scipy); each carries an accuracy contract that the test
 suite checks, and the contract, not the algorithm, is what the rest of the
 package relies on.
 
-Shifted solves take the shift as a batch dimension: :func:`solve_shifted`
-accepts a 1-D array of shifts and checks and solves the whole
-``(k, d, d)`` stack of shifted matrices in one batched LAPACK call each, so
-a caller that samples many shifts pays the per-call overhead once.
+Shifted solves take the shift as a batch dimension: :func:`shifted_stack`
+builds the ``(k, d, d)`` stack of shifted matrices for a 1-D array of shifts
+and checks it against the singular floor in one batched SVD, and
+:func:`solve_shifted` solves it in one batched LU call, so a caller that
+samples many shifts pays the per-call overhead once.  A caller that solves
+with the same stack twice, or with its transpose, checks it once.
 
 Everything in this module is a pure function over immutable values and safe
 to call concurrently.
@@ -56,7 +58,8 @@ def validate_vector(x, length: int | None = None, name: str = "vector") -> np.nd
 def operator_norm(m) -> float:
     """Largest singular value of ``m`` (spectral norm)."""
     a = validate_matrix(m)
-    return float(np.linalg.norm(a, 2))
+    # LAPACK returns the singular values in descending order
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:
@@ -64,30 +67,20 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.norm(stack, 2, axis=(-2, -1))
 
 
-def solve_shifted(m, mu, b) -> np.ndarray:
-    """Solve (M - mu*I) X = B for X, for one shift or a 1-D array of shifts.
+def shifted_stack(m, mu) -> np.ndarray:
+    """The ``(k, d, d)`` stack of the matrices M - mu_k I, each one checked.
 
-    With an array of k shifts the shift is a batch dimension: the stack of
-    the k matrices M - mu_k I is built once, checked by one batched SVD and
-    solved by one batched LU solve, and the result is the ``(k, d, n)``
-    stack of the X_k.  A scalar shift runs as a one-element stack and
-    returns the 2-D X.
-
-    Every shifted matrix is checked on its own: one whose smallest singular
-    value falls below ``SINGULAR_FLOOR * max(sigma_max, 1)`` raises
-    :class:`SingularShift` naming the first such shift.  Each returned X_k
-    satisfies ``|(M - mu_k I) X_k - B| <= 1e-10 (|M| + |mu_k|) |X_k|``.
-    Non-finite shifts raise :class:`NonFinite`, an empty shift array
-    :class:`DimensionMismatch`.
+    ``mu`` is one shift (a one-element stack) or a 1-D array of k shifts.
+    The stack is checked by one batched SVD: a shifted matrix whose
+    smallest singular value falls below
+    ``SINGULAR_FLOOR * max(sigma_max, 1)`` raises :class:`SingularShift`
+    naming the first such shift.  The check holds for the transposed stack
+    as well, which has the same singular values.  Non-finite shifts raise
+    :class:`NonFinite`, an empty shift array :class:`DimensionMismatch`.
     """
     a = validate_matrix(m, "M")
-    rhs = validate_matrix(b, "B")
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"M must be square, got {a.shape}")
-    if a.shape[0] != rhs.shape[0]:
-        raise DimensionMismatch(
-            f"B has {rhs.shape[0]} rows, expected {a.shape[0]}"
-        )
     shifts = np.asarray(mu, dtype=np.complex128)
     if shifts.ndim > 1 or shifts.size == 0:
         raise DimensionMismatch(
@@ -108,10 +101,32 @@ def solve_shifted(m, mu, b) -> np.ndarray:
             f"sigma_min(M - mu I) = {sings[k, -1]:.3e} below floor; "
             f"mu = {complex(mus[k])} is numerically in the spectrum"
         )
+    return shifted
+
+
+def solve_shifted(m, mu, b) -> np.ndarray:
+    """Solve (M - mu*I) X = B for X, for one shift or a 1-D array of shifts.
+
+    With an array of k shifts the shift is a batch dimension: the
+    :func:`shifted_stack` of the k matrices M - mu_k I is built and checked
+    once and solved by one batched LU solve, and the result is the
+    ``(k, d, n)`` stack of the X_k.  A scalar shift runs as a one-element
+    stack and returns the 2-D X.
+
+    A shifted matrix below the singular floor raises :class:`SingularShift`
+    (see :func:`shifted_stack`).  Each returned X_k satisfies
+    ``|(M - mu_k I) X_k - B| <= 1e-10 (|M| + |mu_k|) |X_k|``.
+    """
+    rhs = validate_matrix(b, "B")
+    shifted = shifted_stack(m, mu)
+    if shifted.shape[1] != rhs.shape[0]:
+        raise DimensionMismatch(
+            f"B has {rhs.shape[0]} rows, expected {shifted.shape[1]}"
+        )
     # numpy < 2 reads a 2-D right-hand side of a stacked solve as a stack of
     # vectors, so B is broadcast to (k, d, n) explicitly
-    x = np.linalg.solve(shifted, np.broadcast_to(rhs, (mus.size, *rhs.shape)))
-    return x if shifts.ndim else x[0]
+    x = np.linalg.solve(shifted, np.broadcast_to(rhs, (shifted.shape[0], *rhs.shape)))
+    return x if np.ndim(mu) else x[0]
 
 
 def eigendecomposition(m) -> tuple[np.ndarray, np.ndarray]:

@@ -22,10 +22,15 @@ panel carries an equal share of the integral of 1/clearance, so panel
 lengths shrink in proportion to the clearance, which keeps the node count
 logarithmic in R/clearance instead of linear, and a node budget buys exactly
 its whole panels.  Each call probes the contour once and climbs a ladder of
-node budgets, the contour's budget doubled up to ``LADDER_DOUBLINGS`` (4)
-times, by default 64, 128, ..., 1024; it returns the first sum that moves
-less than 1e-8 from the sum before it and has an integer trace.  An
-eigenvalue within 1e-6 R of the contour fails the call.
+panel counts.  The first rung is the contour's budget, split between the
+segment and the arc by their measures; each further rung gives both
+pieces about half more panels, ``max(1, n // 2)``, up to the first rung
+with at least ``LADDER_REACH`` (16) times the budget's nodes.  By default
+that is 64, 96, 128, ... nodes for a 2 + 2 split.  The call returns the
+first sum that moves less than 1e-8 from the sum before it and has an
+integer trace.  An eigenvalue within 1e-6 R of the contour fails the call.
+The harness's cross-check reads only the projector, so it calls the
+ladder without the report's defects, SVD and eigenvalues.
 
 Resolvent evaluations at the nodes are independent; they are evaluated as one
 batched solve and reduced in a fixed order, so results are reproducible
@@ -56,10 +61,10 @@ GAUSS_PANEL_ORDER = 16
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_PANEL_ORDER)
 # an eigenvalue closer than GAP_FACTOR * R to the contour is too close
 GAP_FACTOR = 1e-6
-# largest projector change allowed when the node budget doubles
+# largest projector change allowed from one rung of the node ladder to the next
 REFINE_TOL = 1e-8
-# the ladder sums at nodes, 2 nodes, ..., 2**LADDER_DOUBLINGS nodes
-LADDER_DOUBLINGS = 4
+# the ladder's top rung has at least LADDER_REACH times the contour's budget
+LADDER_REACH = 16
 _SEGMENT_PROBES = 33
 _ARC_PROBES = 17
 
@@ -74,7 +79,7 @@ class Contour:
     def __post_init__(self):
         if not self.radius > 0:
             raise DimensionMismatch("contour radius must be positive")
-        # below 32 nodes a budget and its double buy the same two panels
+        # below 32 nodes every budget buys the same two panels
         if self.nodes < 32 or self.nodes % 2:
             raise DimensionMismatch("node count must be even and at least 32")
 
@@ -163,23 +168,32 @@ def _panel_nodes(x, measure, count):
     return nodes.ravel(), (half[:, None] * _GAUSS_W).ravel()
 
 
-def _contour_nodes(contour: Contour, budget: int, seg_profile, arc_profile):
+def _panel_split(budget: int, seg_profile, arc_profile) -> tuple[int, int]:
+    """Segment and arc panel counts of a node budget.
+
+    The budget buys ``max(2, budget // GAUSS_PANEL_ORDER)`` Gauss panels,
+    split between segment and arc in proportion to their measures of
+    1/clearance, with at least one panel on each.
+    """
+    seg_measure, arc_measure = seg_profile[1][-1], arc_profile[1][-1]
+    panels = max(2, budget // GAUSS_PANEL_ORDER)
+    share = seg_measure / (seg_measure + arc_measure)
+    n_seg = min(max(int(round(panels * share)), 1), panels - 1)
+    return n_seg, panels - n_seg
+
+
+def _contour_nodes(contour: Contour, split, seg_profile, arc_profile):
     """All contour nodes with complex weights including the orientation factor.
 
     The profiles pair the probe points with the running measure of
-    1/clearance.  The budget buys ``max(2, budget // GAUSS_PANEL_ORDER)``
-    Gauss panels, split between segment and arc in proportion to their
-    measures with at least one panel on each; every sum therefore evaluates
-    exactly ``GAUSS_PANEL_ORDER`` times that many nodes.
+    1/clearance.  ``split`` holds the equal-measure Gauss panel counts of
+    the segment and of the arc, so a sum evaluates exactly
+    ``GAUSS_PANEL_ORDER * sum(split)`` nodes.
     """
     r = contour.radius
-    seg_x, seg_measure = seg_profile
-    arc_t, arc_measure = arc_profile
-    panels = max(2, budget // GAUSS_PANEL_ORDER)
-    share = seg_measure[-1] / (seg_measure[-1] + arc_measure[-1])
-    n_seg = min(max(int(round(panels * share)), 1), panels - 1)
-    ts, tw = _panel_nodes(seg_x, seg_measure, n_seg)
-    thetas, th_w = _panel_nodes(arc_t, arc_measure, panels - n_seg)
+    n_seg, n_arc = split
+    ts, tw = _panel_nodes(*seg_profile, n_seg)
+    thetas, th_w = _panel_nodes(*arc_profile, n_arc)
     lam_arc = r * np.exp(1j * thetas)
     lams = np.concatenate([ts, lam_arc])
     weights = np.concatenate([tw, th_w * 1j * lam_arc]) / (2j * np.pi)
@@ -211,22 +225,36 @@ def _quadrature_sum(a: np.ndarray, lams: np.ndarray, weights: np.ndarray, gap: f
 def riesz_projector_quadrature(a, contour: Contour) -> ProjectorReport:
     """Quadrature realization of the upper Riesz projector.
 
-    The contour is probed once; the graded Gauss rule is then summed at the
-    contour's node budget and at its doublings up to
-    ``2**LADDER_DOUBLINGS`` times that budget.  The first sum that moves less
-    than ``REFINE_TOL`` (1e-8) from the sum before it and whose trace lies
-    within 1e-6 of an integer is returned; if the top sum fails either check,
+    The contour is probed once and the graded Gauss rule climbs a ladder of
+    node counts.  The first rung is the contour's node budget, split into
+    segment and arc panels by their measures; each further rung gives the
+    segment and the arc ``max(1, n // 2)`` more equal-measure panels each,
+    up to the first rung with at least ``LADDER_REACH`` (16) times the
+    budget's nodes.  The first sum that moves less than ``REFINE_TOL``
+    (1e-8) from the sum of the rung before it and whose trace lies within
+    1e-6 of an integer is returned; if the top sum fails either check,
     :class:`QuadratureNotConverged` is raised.  An eigenvalue within
     ``GAP_FACTOR * R`` (1e-6 R) of the contour raises
     :class:`ContourTooClose`.  A budget ``b`` places exactly
-    ``GAUSS_PANEL_ORDER * max(2, b // GAUSS_PANEL_ORDER)`` nodes, and the
-    report's ``nodes_used`` counts the resolvent nodes of every sum
-    evaluated.  The caller is responsible for a radius that encloses the
-    whole upper spectrum.
+    ``GAUSS_PANEL_ORDER * max(2, b // GAUSS_PANEL_ORDER)`` nodes on the
+    first rung, and the report's ``nodes_used`` counts the resolvent nodes
+    of every sum evaluated.  The caller is responsible for a radius that
+    encloses the whole upper spectrum.
     """
     mat = validate_matrix(a)
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch("expected a square matrix")
+    q, nodes = _quadrature_projector(mat, contour)
+    return _finish_report(mat, q, method=QUADRATURE_RULE, nodes=nodes)
+
+
+def _quadrature_projector(mat: np.ndarray, contour: Contour) -> tuple[np.ndarray, int]:
+    """The accepted quadrature sum of a square matrix and the nodes the ladder used.
+
+    This is :func:`riesz_projector_quadrature` without the report's
+    defects, SVD and enclosed eigenvalues, for a caller that reads only the
+    projector.
+    """
     r = contour.radius
     gap = GAP_FACTOR * r
     seg_x = np.linspace(-r, r, _SEGMENT_PROBES)
@@ -249,23 +277,27 @@ def riesz_projector_quadrature(a, contour: Contour) -> ProjectorReport:
         (seg_x, _running_measure(seg_x, np.maximum(seg_c, gap))),
         (arc_t, _running_measure(arc_t, np.maximum(arc_c, gap) / r)),
     )
+    split = _panel_split(contour.nodes, *profiles)
+    top = LADDER_REACH * contour.nodes
     evaluated = 0
     prev = None
-    for doubling in range(LADDER_DOUBLINGS + 1):
-        budget = contour.nodes * 2**doubling
-        lams, weights = _contour_nodes(contour, budget, *profiles)
+    while True:
+        lams, weights = _contour_nodes(contour, split, *profiles)
         q = _quadrature_sum(mat, lams, weights, gap)
         evaluated += lams.size
         if prev is not None:
             drift = operator_norm(q - prev)
             tr = float(np.trace(q).real)
             if drift <= REFINE_TOL and abs(tr - round(tr)) <= 1e-6:
-                return _finish_report(mat, q, method=QUADRATURE_RULE, nodes=evaluated)
+                return q, evaluated
+        if lams.size >= top:
+            raise QuadratureNotConverged(
+                f"refining the contour to {lams.size} nodes moved the projector "
+                f"by {drift:.3e} (trace {tr:.8f})"
+            )
         prev = q
-    raise QuadratureNotConverged(
-        f"doubling the node budget to {budget} moved the projector by "
-        f"{drift:.3e} (trace {tr:.8f})"
-    )
+        # the next rung gives each piece about half more panels
+        split = tuple(n + max(1, n // 2) for n in split)
 
 
 def _finish_report(mat, q, method, nodes=0, enclosed=None) -> ProjectorReport:
@@ -344,23 +376,27 @@ def riesz_projector_exact(a, region: str = "upper_open", tol: float = 1e-9) -> P
     mat = validate_matrix(a)
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch("expected a square matrix")
+    q, enclosed = _schur_projector(mat, region, tol)
+    return _finish_report(mat, q, method="schur", enclosed=enclosed)
+
+
+def _schur_projector(mat: np.ndarray, region: str, tol: float):
+    """The projector of :func:`riesz_projector_exact` and its enclosed eigenvalues.
+
+    For a caller that reads only the projector: no defects are computed.
+    """
     t, z, k = _upper_schur(mat, region, tol)
     d = mat.shape[0]
     if k == 0:
-        q = np.zeros_like(mat)
-        enclosed = np.empty(0, dtype=np.complex128)
-    elif k == d:
-        q = np.eye(d, dtype=np.complex128)
-        enclosed = np.diag(t)
-    else:
-        t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
-        x = scipy.linalg.solve_sylvester(t11, -t22, t12)
-        core = np.zeros((d, d), dtype=np.complex128)
-        core[:k, :k] = np.eye(k)
-        core[:k, k:] = x
-        q = z @ core @ z.conj().T
-        enclosed = np.diag(t11)
-    return _finish_report(mat, q, method="schur", enclosed=enclosed)
+        return np.zeros_like(mat), np.empty(0, dtype=np.complex128)
+    if k == d:
+        return np.eye(d, dtype=np.complex128), np.diag(t)
+    t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
+    x = scipy.linalg.solve_sylvester(t11, -t22, t12)
+    core = np.zeros((d, d), dtype=np.complex128)
+    core[:k, :k] = np.eye(k)
+    core[:k, k:] = x
+    return z @ core @ z.conj().T, np.diag(t11)
 
 
 def upper_invariant_subspace(a, structure: KreinStructure, tol: float) -> Subspace | None:

@@ -360,7 +360,7 @@ def solve_uniformly_dissipative(
     ``mu`` is the transfer-function shift of the report (None: the smallest
     i*t with |G(i t)| < 1/2).  ``projector`` is "quadrature" (the contour
     integral on the default 64-node :class:`Contour`, whose node ladder
-    :func:`riesz_projector_quadrature` doubles on demand; a quadrature
+    :func:`riesz_projector_quadrature` refines on demand; a quadrature
     failure is raised) or "exact" (the sorted Schur basis that
     :func:`solve_theorem` uses for every cell); any other value raises
     :class:`DimensionMismatch`.  The report certifies the graph of the

@@ -26,6 +26,7 @@ from kreinspace.errors import (
 )
 from kreinspace.geometry import KreinStructure
 from kreinspace.harness import InstanceSpec, random_dissipative
+from kreinspace.numerics import solve_shifted
 
 
 def scalar_block():
@@ -382,6 +383,47 @@ def test_stacked_schur_data_matches_scalar_calls(spec):
         for name in ("s", "f", "g"):
             x, y = getattr(stack, name)[k], getattr(one, name)
             assert np.linalg.norm(x - y, 2) <= 1e-14 * np.linalg.norm(y, 2)
+
+
+@pytest.mark.parametrize("spec", STACK_SPECS)
+def test_stacked_schur_data_matches_separate_solves_bitwise(spec):
+    # one floor check serves F and G; the two solves keep their bits
+    a = random_dissipative(spec)
+    rng = np.random.Generator(np.random.Philox(spec.seed))
+    mus = rng.uniform(-3, 3, 9) + 1j * rng.uniform(0.1, 3, 9)
+    stack = schur_data(a, mus)
+    np.testing.assert_array_equal(stack.f, solve_shifted(a.a22, mus, a.a21))
+    np.testing.assert_array_equal(
+        stack.g, np.swapaxes(solve_shifted(a.a22.T, mus, a.a12.T), -1, -2)
+    )
+
+
+def test_stacked_schur_data_names_the_first_singular_shift():
+    a = assemble([[0.0]], [[1.0, 1.0]], [[1.0], [1.0]], np.diag([-1j, -2j]))
+    with pytest.raises(SingularShift, match=r"mu = \(-?0-2j\)"):
+        schur_data(a, np.array([1j, -2j, -1j]))
+
+
+@pytest.mark.parametrize("spec", STACK_SPECS)
+def test_stacked_identity_helpers_match_scalar_calls_bitwise(spec):
+    a = random_dissipative(spec)
+    rng = np.random.Generator(np.random.Philox(spec.seed))
+    mus = rng.uniform(-2, 2, 4) + 1j * rng.uniform(0.5, 3, 4)
+    lams = rng.uniform(-2, 2, 4) + 1j * rng.uniform(0.5, 3, 4)
+    epss = rng.uniform(1e-6, 1.0, 4)
+    fact = factorization_residual(a, mus)
+    ident = g_resolvent_identity_residual(a, lams, mus)
+    g_res, s_res = schur_perturbation_residuals(a, mus, epss)
+    for k in range(mus.size):
+        one_fact = factorization_residual(a, complex(mus[k]))
+        one_ident = g_resolvent_identity_residual(a, complex(lams[k]), complex(mus[k]))
+        one_pert = schur_perturbation_residuals(a, complex(mus[k]), float(epss[k]))
+        assert type(one_fact) is float and type(one_ident) is float
+        assert all(type(x) is float for x in one_pert)
+        assert fact[k] == one_fact and ident[k] == one_ident
+        assert (g_res[k], s_res[k]) == one_pert
+    with pytest.raises(DimensionMismatch):
+        g_resolvent_identity_residual(a, lams, mus[:3])
 
 
 @pytest.mark.parametrize("spec", STACK_SPECS)

@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 
 from kreinspace import projectors
-from kreinspace.blocks import dissipativity_margin
-from kreinspace.harness import InstanceSpec, random_dissipative, run_property_suite
+from kreinspace.blocks import (
+    dissipativity_margin,
+    factorization_residual,
+    g_resolvent_identity_residual,
+    schur_perturbation_residuals,
+)
+from kreinspace.harness import (
+    InstanceSpec,
+    check_instance,
+    random_dissipative,
+    run_property_suite,
+)
 from kreinspace.solver import SolverConfig, solve_theorem, solve_uniformly_dissipative
 
 FAST = SolverConfig(eps_schedule=(0.5, 0.25, 0.125, 1e-4))
@@ -80,6 +90,26 @@ def test_suite_cross_checks_quadrature_against_schur(monkeypatch):
     assert row.checks["quadrature"] is False and row.quadrature_gap == np.inf
     assert not row.passed and not suite.passed
     assert suite.failure_artifacts[0]["checks"]["quadrature"] is False
+
+
+def test_check_instance_identities_equal_the_scalar_helpers():
+    # margin 0 skips the G bound, so the identity samples are the first
+    # draws of the instance's generator
+    spec = InstanceSpec(p=4, m=3, margin=0.0, seed=9)
+    a = random_dissipative(spec)
+    res = check_instance(a, solve_theorem(a), SolverConfig(), seed=spec.seed)
+    rng = np.random.Generator(np.random.Philox(key=spec.seed, counter=1))
+    worst_fact = worst_id = 0.0
+    for _ in range(3):
+        mu = rng.uniform(-2, 2) + 1j * rng.uniform(0.5, 3.0)
+        lam = rng.uniform(-2, 2) + 1j * rng.uniform(0.5, 3.0)
+        eps = rng.uniform(1e-6, 1.0)
+        worst_fact = max(worst_fact, factorization_residual(a, mu))
+        worst_id = max(worst_id, g_resolvent_identity_residual(a, lam, mu))
+        worst_id = max(worst_id, *schur_perturbation_residuals(a, mu, eps))
+    assert res.factorization_worst == worst_fact
+    assert res.identity_worst == worst_id
+    assert res.checks["factorization"] and res.checks["identities"]
 
 
 def test_suite_negative_control():

@@ -103,36 +103,56 @@ def test_quadrature_contour_too_close():
 LADDER_CASE = InstanceSpec(4, 3, 0.5, seed=1)
 
 
-def record_budgets(monkeypatch):
-    budgets = []
+def record_rungs(monkeypatch):
+    """The (segment, arc) panel counts of every rung the ladder sums."""
+    rungs = []
     original = projectors._contour_nodes
 
-    def recording(contour, budget, *profiles):
-        budgets.append(budget)
-        return original(contour, budget, *profiles)
+    def recording(contour, split, *profiles):
+        rungs.append(split)
+        return original(contour, split, *profiles)
 
     monkeypatch.setattr(projectors, "_contour_nodes", recording)
-    return budgets
+    return rungs
 
 
 def test_quadrature_not_converged_reports(monkeypatch):
     # a negative drift tolerance fails every rung: the ladder climbs to the top
-    budgets = record_budgets(monkeypatch)
+    rungs = record_rungs(monkeypatch)
+    monkeypatch.setattr(projectors, "REFINE_TOL", -1.0)
+    a = random_dissipative(LADDER_CASE).to_matrix()
+    contour = Contour(default_contour_radius(a))
+    with pytest.raises(QuadratureNotConverged, match="refining the contour to 1456"):
+        riesz_projector_quadrature(a, contour)
+    assert rungs == [
+        (3, 1), (4, 2), (6, 3), (9, 4), (13, 6), (19, 9), (28, 13), (42, 19), (63, 28)
+    ]
+
+
+@pytest.mark.parametrize("budget", [32, 40, 64, 128, 200])
+def test_ladder_top_rung_holds_sixteen_times_the_budget(monkeypatch, budget):
+    rungs = record_rungs(monkeypatch)
     monkeypatch.setattr(projectors, "REFINE_TOL", -1.0)
     a = random_dissipative(LADDER_CASE).to_matrix()
     with pytest.raises(QuadratureNotConverged):
-        riesz_projector_quadrature(a, Contour(default_contour_radius(a)))
-    assert budgets == [64, 128, 256, 512, 1024]
+        riesz_projector_quadrature(a, Contour(default_contour_radius(a), budget))
+    nodes = [projectors.GAUSS_PANEL_ORDER * sum(split) for split in rungs]
+    assert nodes[0] == projectors.GAUSS_PANEL_ORDER * max(2, budget // 16)
+    # the ladder stops at the first rung that reaches 16 times the budget
+    assert nodes[-2] < projectors.LADDER_REACH * budget <= nodes[-1]
+    # every rung gives both pieces max(1, n // 2) more panels
+    for (seg, arc), nxt in zip(rungs, rungs[1:]):
+        assert nxt == (seg + max(1, seg // 2), arc + max(1, arc // 2))
 
 
 def test_quadrature_ladder_escalates_on_real_instance(monkeypatch):
-    # the two-panel sum at 32 nodes has trace 4.03; 64 nodes move it by
-    # ~4e-2, and the ladder climbs until a doubling moves it by less than
-    # REFINE_TOL
-    budgets = record_budgets(monkeypatch)
+    # the two-panel sum at 32 nodes has trace 4.03; the ladder refines both
+    # pieces until a rung moves the sum by less than REFINE_TOL
+    rungs = record_rungs(monkeypatch)
     a = random_dissipative(LADDER_CASE).to_matrix()
     rep = riesz_projector_quadrature(a, Contour(default_contour_radius(a), 32))
-    assert budgets == [32, 64, 128]
+    assert rungs == [(1, 1), (2, 2), (3, 3), (4, 4)]
+    assert rep.nodes_used == 16 * (2 + 4 + 6 + 8)
     assert rep.method == "gauss_segments"
     ref = riesz_projector_exact(a, "upper_open", tol=0.25)
     assert np.linalg.norm(rep.q_plus - ref.q_plus, 2) <= 1e-13
@@ -143,9 +163,9 @@ def probe_profiles(a, radius):
     seen = []
     original = projectors._contour_nodes
 
-    def recording(contour, budget, *profiles):
+    def recording(contour, split, *profiles):
         seen.append(profiles)
-        return original(contour, budget, *profiles)
+        return original(contour, split, *profiles)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(projectors, "_contour_nodes", recording)
@@ -164,7 +184,9 @@ def test_contour_nodes_keep_the_budget(case):
     profiles = probe_profiles(a, radius)
     order = projectors.GAUSS_PANEL_ORDER
     for budget in (16, 32, 64, 96, 128, 1000):
-        lams, weights = projectors._contour_nodes(Contour(radius), budget, *profiles)
+        split = projectors._panel_split(budget, *profiles)
+        assert min(split) >= 1
+        lams, weights = projectors._contour_nodes(Contour(radius), split, *profiles)
         assert lams.size == weights.size == order * max(2, budget // order)
 
 
@@ -188,9 +210,9 @@ def test_nodes_used_counts_evaluated_resolvents(monkeypatch):
     rng = np.random.Generator(np.random.Philox(0))
     a, w = random_gapped(rng, 6)
     rep = riesz_projector_quadrature(a, Contour(2 * (np.max(np.abs(w)) + 1), 128))
-    # each budget buys exactly its nodes; this spectrum needs a third sum
-    assert counted == [128, 256, 512]
-    assert rep.nodes_used == sum(counted) == 896
+    # each rung buys exactly its panels' nodes; this spectrum needs a third sum
+    assert counted == [128, 192, 288]
+    assert rep.nodes_used == sum(counted) == 608
     assert riesz_projector_exact(a, "upper_open", tol=1e-3).nodes_used == 0
 
 
