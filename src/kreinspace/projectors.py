@@ -9,8 +9,9 @@ Two independent routes to the upper spectral projector:
   Sylvester solve.
 
 The sorted Schur form also gives the projector's range directly:
-:func:`upper_invariant_subspace` returns its leading Schur vectors, which is
-how the solver computes every cell.  The quadrature is the paper's own
+:func:`upper_invariant_subspace` returns its leading Schur vectors, and
+:func:`upper_schur_form` the whole form, which is how the solver computes
+the first cell of each Galerkin row.  The quadrature is the paper's own
 construction and stays independent of the Schur route; it serves as the
 cross-check of the Schur projector (``harness.check_instance``, acceptance
 criterion 2) and as the ``"quadrature"`` route of
@@ -399,18 +400,29 @@ def _schur_projector(mat: np.ndarray, region: str, tol: float):
     return z @ core @ z.conj().T, np.diag(t11)
 
 
-def upper_invariant_subspace(a, structure: KreinStructure, tol: float) -> Subspace | None:
-    """The invariant subspace of the eigenvalues with Im > 0, or None if none.
+def upper_schur_form(a, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sorted complex Schur form ``(T, Z, sdim)``, eigenvalues with Im > 0 first.
 
-    Its orthonormal basis is the leading Schur vectors of the sorted complex
-    Schur form (Laub's Schur method), so no projector is formed.  An
+    A = Z T Z* with T upper triangular; the leading sdim columns of Z span
+    the invariant subspace of the sdim eigenvalues with Im > 0.  An
     eigenvalue within ``tol`` of the real axis raises
     :class:`BoundaryEigenvalue`.
     """
     mat = validate_matrix(a)
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch("expected a square matrix")
-    _, z, sdim = _upper_schur(mat, "upper_open", tol)
+    return _upper_schur(mat, "upper_open", tol)
+
+
+def upper_invariant_subspace(a, structure: KreinStructure, tol: float) -> Subspace | None:
+    """The invariant subspace of the eigenvalues with Im > 0, or None if none.
+
+    Its orthonormal basis is the leading Schur vectors of the sorted complex
+    Schur form (Laub's Schur method, :func:`upper_schur_form`), so no
+    projector is formed.  An eigenvalue within ``tol`` of the real axis
+    raises :class:`BoundaryEigenvalue`.
+    """
+    _, z, sdim = upper_schur_form(a, tol)
     return Subspace(structure, z[:, :sdim]) if sdim else None
 
 

@@ -4,9 +4,9 @@ The computational route follows the constructive double limit: compress the
 positive component to growing Galerkin subspaces, add the regularization
 i*eps*J which raises the dissipativity margin by exactly eps, take each
 regularized cell's invariant subspace for the eigenvalues with Im > 0 (the
-range of its upper Riesz projector) from a sorted complex Schur form, read
-off the angle operator K = Z21 Z11^{-1} of the leading Schur vectors, and
-drive eps down a geometric schedule.  A cell computes only what its trace
+range of its upper Riesz projector) in a sorted complex Schur basis, read
+off the angle operator K of that subspace, and drive eps down a geometric
+schedule.  A cell computes only what its trace
 records: |K|, |L| with L = A21 + (A22 - mu) K, and min Im of the spectrum of
 A11 + A12 K.  Every cell result is recorded in a convergence trace; the
 accepted K is the small-eps limit, finished off by a Newton step on the
@@ -31,8 +31,17 @@ The contour quadrature of the paper is not on this path; it remains the
 ``"quadrature"`` route of :func:`solve_uniformly_dissipative` and the
 harness's independent cross-check of the Schur projector.
 
-Pipeline cells are independent; the trace is assembled in schedule order so
-reports are deterministic.
+Each Galerkin row computes a sorted Schur form (T, Z) for its first cell
+and keeps it.  The later cells of the row differ from it by i (eps - eps') J, so
+each is continued in the kept basis: simplified Newton on the graph Riccati
+equation of Z* cell Z, one triangular Sylvester solve with the diagonal
+blocks of T per step, gives the cell's subspace as Z [I; X].  A continuation
+whose residual does not shrink on every step, or whose subspace fails a
+check, is recomputed from the cell's own Schur form, which then becomes the
+kept one; this is what happens where the separation of the two spectral
+halves closes in as eps -> 0.  A cell's result therefore depends on the
+earlier cells of its row, and the schedule order fixes it, so reports are
+deterministic.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .blocks import (
     DISSIPATIVITY_TOL,
@@ -79,7 +89,7 @@ from .projectors import (
     default_contour_radius,
     invariant_subspace_from_projector,
     riesz_projector_quadrature,
-    upper_invariant_subspace,
+    upper_schur_form,
 )
 
 # the full eps row of the double limit; the default solve runs only its tail,
@@ -91,6 +101,9 @@ _MU_COUPLING_BOUND = 0.5
 # Newton polish: cap on the total correction, and on the number of steps
 _NEWTON_MAX_STEP = 0.1
 _NEWTON_MAX_ITER = 30
+# continuation of a later cell in its row's kept Schur basis: at most this
+# many simplified Newton steps
+_CONTINUATION_MAX_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -104,10 +117,12 @@ class SolverConfig:
     ``galerkin_dims`` lists the Galerkin dimensions (None: p alone) and
     ``polish`` turns the final Newton polish on.  The full double-limit
     trace is ``SolverConfig(eps_schedule=DOUBLE_LIMIT_EPS_SCHEDULE,
-    galerkin_dims=(ceil(p/4), ceil(p/2), p))``; it yields the same K.  Every
-    cell takes K from the sorted Schur basis of its upper spectral subspace
-    (:func:`projectors.upper_invariant_subspace`); no setting selects
-    another route.
+    galerkin_dims=(ceil(p/4), ceil(p/2), p))``; it yields the same K to
+    rounding level.  Every cell takes K from a sorted Schur basis of its
+    upper spectral subspace: the first cell of a Galerkin row from its own
+    form (:func:`projectors.upper_schur_form`), the later ones by
+    continuation in the kept form, with the own form as the fallback; no
+    setting selects another route.
 
     The certificate thresholds are class constants: readable as
     ``cfg.invariance_tol`` and so on, never set per instance.
@@ -318,23 +333,30 @@ _CELL_ERRORS = (
 _PROJECTOR_METHODS = {"exact": "schur", "quadrature": QUADRATURE_RULE}
 
 
-def _upper_projector(a: BlockOperator, projector: str) -> AngleOperator:
+def _upper_projector(
+    a: BlockOperator, projector: str, margin: float, norm_bound: float
+) -> tuple[AngleOperator, tuple[np.ndarray, np.ndarray] | None]:
     """Angle operator of the upper spectral subspace of a strictly dissipative A.
 
-    "exact" takes the leading vectors of the sorted Schur form, "quadrature"
-    the range of the contour-quadrature projector.  A subspace of dimension
-    other than p raises :class:`NotMaximal`.
+    ``margin`` is the dissipativity margin of A and ``norm_bound`` an upper
+    bound on |A|; a margin at or below 1e-14 max(norm_bound, 1) raises
+    :class:`NotUniformlyDissipative`.  "exact" takes the leading vectors of
+    the sorted Schur form and returns that form ``(T, Z)`` alongside,
+    "quadrature" the range of the contour-quadrature projector (and None).
+    A subspace of dimension other than p raises :class:`NotMaximal`.
     """
     if projector not in _PROJECTOR_METHODS:
         raise DimensionMismatch(
             f"unknown projector {projector!r}; use 'exact' or 'quadrature'"
         )
-    margin = dissipativity_margin(a)
     full = a.to_matrix()
-    if margin <= 1e-14 * max(operator_norm(full), 1.0):
+    if margin <= 1e-14 * max(norm_bound, 1.0):
         raise NotUniformlyDissipative(f"margin {margin:.3e} is not positive")
+    form = None
     if projector == "exact":
-        subspace = upper_invariant_subspace(full, a.structure, tol=margin / 2.0)
+        t, z, sdim = upper_schur_form(full, tol=margin / 2.0)
+        subspace = Subspace(a.structure, z[:, :sdim]) if sdim else None
+        form = (t, z)
     else:
         rep = riesz_projector_quadrature(full, Contour(default_contour_radius(full)))
         subspace = invariant_subspace_from_projector(full, rep, a.structure)
@@ -343,7 +365,90 @@ def _upper_projector(a: BlockOperator, projector: str) -> AngleOperator:
         raise NotMaximal(
             f"upper spectral subspace has dimension {got}, expected {a.structure.p}"
         )
-    return angle_operator_from_subspace(subspace)
+    return angle_operator_from_subspace(subspace), form
+
+
+def _continued_angle_operator(
+    cell: BlockOperator, form: tuple[np.ndarray, np.ndarray], norm_bound: float
+) -> np.ndarray | None:
+    """K of the cell's invariant subspace continued in a kept Schur basis.
+
+    ``form`` = (T, Z) is the sorted Schur form of a nearby matrix.  In the
+    basis Z the cell reads M = Z* cell Z, and the graph Z [I; X] is
+    invariant under the cell iff
+
+        M21 + M22 X - X M11 - X M12 X = 0.
+
+    Simplified Newton solves this from X = 0, each step one triangular
+    Sylvester solve T22 dX - dX T11 = -residual with the kept diagonal
+    blocks of T (Demmel, Computing 38, 1987).  The subspace is checked by
+    :class:`Subspace` and :func:`angle_operator_from_subspace` (orthonormal,
+    nonnegative, maximal).  Returns None, after the first step that shows
+    it, when the residual does not contract fast enough to reach rounding
+    level within ``_CONTINUATION_MAX_STEPS`` steps, or when a check fails.
+    """
+    t, z = form
+    p, d = cell.structure.p, cell.structure.dim
+    mat = z.conj().T @ cell.to_matrix() @ z
+    m11, m12, m21, m22 = mat[:p, :p], mat[:p, p:], mat[p:, :p], mat[p:, p:]
+    t11, t22 = t[:p, :p], t[p:, p:]
+    tol = d * np.finfo(float).eps * norm_bound
+    x = np.zeros_like(m21)
+    defect = m21
+    res = float(np.linalg.norm(defect))
+    steps = 0
+    while res > tol:
+        delta, scale, info = scipy.linalg.lapack.ztrsyl(t22, t11, -defect, isgn=-1)
+        if info != 0:
+            return None
+        x = x + delta / scale
+        defect = m21 + m22 @ x - x @ (m11 + m12 @ x)
+        res_next = float(np.linalg.norm(defect))
+        steps += 1
+        # go on only while the observed contraction, kept up over the steps
+        # left, reaches rounding level; a residual that grows never does
+        rate = res_next / res
+        if not res_next * rate ** (_CONTINUATION_MAX_STEPS - steps) <= tol:
+            return None
+        res = res_next
+    basis, _ = np.linalg.qr(np.vstack([np.eye(p, dtype=np.complex128), x]))
+    try:
+        return angle_operator_from_subspace(Subspace(cell.structure, z @ basis)).matrix
+    except (DimensionMismatch, NotMaximal, NotNonnegative):
+        return None
+
+
+def _solve_cell(
+    cell: BlockOperator,
+    margin: float,
+    norm_bound: float,
+    form: tuple[np.ndarray, np.ndarray] | None,
+) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray] | None]:
+    """K of one regularized cell and min Im of the spectrum of A11 + A12 K.
+
+    With ``form``, the sorted Schur form of an earlier cell of the Galerkin
+    row, the cell is continued in that basis.  A continued K is accepted
+    when the cell's margin is positive and min Im clears margin/2, the
+    threshold of :class:`BoundaryEigenvalue`.  Then every eigenpair
+    (lambda, x) has Im(lambda) [x, x] >= margin |x|^2, so a p-dimensional
+    nonnegative invariant subspace is exactly the upper spectral one.  Any
+    other cell gets its own Schur form from :func:`_upper_projector`, which
+    raises what a cell can raise.  Returns (K, min Im, the cell's own Schur
+    form, or None for a continued cell).
+    """
+    if form is not None and margin > 1e-14 * max(norm_bound, 1.0):
+        k_cell = _continued_angle_operator(cell, form, norm_bound)
+        if k_cell is not None:
+            min_im = _restriction_min_im(cell, k_cell)
+            if min_im > margin / 2.0:
+                return k_cell, min_im, None
+    k, form = _upper_projector(cell, "exact", margin, norm_bound)
+    return k.matrix, _restriction_min_im(cell, k.matrix), form
+
+
+def _restriction_min_im(a: BlockOperator, k_mat: np.ndarray) -> float:
+    """min Im of the spectrum of A11 + A12 K, the restriction to the graph of K."""
+    return float(np.min(np.linalg.eigvals(a.a11 + a.a12 @ k_mat).imag))
 
 
 def solve_uniformly_dissipative(
@@ -362,18 +467,20 @@ def solve_uniformly_dissipative(
     integral on the default 64-node :class:`Contour`, whose node ladder
     :func:`riesz_projector_quadrature` refines on demand; a quadrature
     failure is raised) or "exact" (the sorted Schur basis that
-    :func:`solve_theorem` uses for every cell); any other value raises
-    :class:`DimensionMismatch`.  The report certifies the graph of the
-    returned K.
+    :func:`solve_theorem` computes for a Galerkin row's first cell); any
+    other value raises :class:`DimensionMismatch`.  The report certifies
+    the graph of the returned K.
     """
-    k = _upper_projector(a, projector)
+    margin = dissipativity_margin(a)
+    k, _ = _upper_projector(a, projector, margin, a.norm())
     if mu is None:
         mu = _select_mu(a, (0.0,))
     return _assemble_report(
         a,
         k,
         mu,
-        dissipativity_margin(a),
+        margin,
+        schur_data(a, mu),
         projector_method=_PROJECTOR_METHODS[projector],
     )
 
@@ -383,12 +490,13 @@ def _assemble_report(
     k: AngleOperator,
     mu: complex,
     margin: float,
+    sd: SchurData,
     projector_method: str = "",
     trace: list[CellTrace] | None = None,
     polish_method: str = "none",
 ) -> SolveReport:
+    """The report of K with its certificates; ``sd`` is the transfer data at mu."""
     s = a.structure
-    sd = schur_data(a, mu)
     res, l_op = _riccati_from_schur(a, k.matrix, sd)
     restriction = sd.s + sd.g @ l_op
     spectrum = np.linalg.eigvals(restriction)
@@ -433,15 +541,17 @@ def _assemble_report(
 # ---------------------------------------------------------------------------
 
 
-def _newton_polish(a: BlockOperator, k0: np.ndarray) -> tuple[np.ndarray, float, bool]:
+def _newton_polish(
+    a: BlockOperator, k0: np.ndarray, a_norm: float
+) -> tuple[np.ndarray, float, bool]:
     """Refine K by Newton steps on the graph Riccati equation.
 
-    Each step is one Sylvester solve.  The total correction is capped so the
-    polish can only sharpen the branch the regularization already selected,
-    never jump to another one.  Returns (best iterate, its defect norm,
-    whether the entry point was improved).
+    Each step is one Sylvester solve; ``a_norm`` is |A|.  The total
+    correction is capped so the polish can only sharpen the branch the
+    regularization already selected, never jump to another one.  Returns
+    (best iterate, its defect norm, whether the entry point was improved).
     """
-    scale = max(a.norm(), 1e-300)
+    scale = max(a_norm, 1e-300)
     best = np.array(k0, dtype=np.complex128)
     res0 = operator_norm(graph_defect(a, best))
     best_res = res0
@@ -495,7 +605,8 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
     s = a.structure
     p = s.p
     margin0 = dissipativity_margin(a)
-    scale = max(a.norm(), 1.0)
+    a_norm = a.norm()
+    scale = max(a_norm, 1.0)
     if margin0 < -cfg.dissipativity_tol * scale:
         raise NotDissipative(f"margin {margin0:.3e} below tolerance")
     if condition_i_margin(a) < -cfg.dissipativity_tol * scale:
@@ -527,20 +638,25 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
         a_n = galerkin_truncate(a, n)
         embed = np.eye(p, dtype=np.complex128)[:, :n]
         prev = None
+        form = None  # the sorted Schur form the row continues from
         for eps in cfg.eps_schedule:
             cell = regularize(a_n, eps)
+            # regularization raises the margin by exactly eps, and |cell| by
+            # at most eps (a compression has no larger norm than A)
+            margin = margin0 + eps if n == p else dissipativity_margin(cell)
             try:
-                k_cell = _upper_projector(cell, "exact").matrix
+                k_cell, min_im, fresh = _solve_cell(cell, margin, a_norm + eps, form)
             except _CELL_ERRORS as exc:
                 trace.append(
                     CellTrace(n, eps, ok=False, error=f"{type(exc).__name__}: {exc}")
                 )
                 break
+            if fresh is not None:
+                form = fresh
             k_tilde = k_cell @ embed.conj().T
             dist = None if prev is None else operator_norm(k_tilde - prev)
             # L = A21 + (A22 - mu) K; S + G L equals A11 + A12 K
             l_norm = operator_norm(cell.a21 + (cell.a22 - shift_m) @ k_cell)
-            min_im = np.min(np.linalg.eigvals(cell.a11 + cell.a12 @ k_cell).imag)
             trace.append(
                 CellTrace(
                     n,
@@ -549,7 +665,7 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
                     k_norm=operator_norm(k_cell),
                     l_norm=l_norm,
                     k_dist_prev=dist,
-                    restriction_min_im=float(min_im),
+                    restriction_min_im=min_im,
                     projector_method=_PROJECTOR_METHODS["exact"],
                     l_bound_ok=l_norm <= l_cap * (1.0 + 1e-6),
                 )
@@ -561,7 +677,8 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
 
     if not final_ks:
         raise NoCauchyConvergence("no full-dimension cell could be solved", report=None)
-    diffs = [operator_norm(k2 - k1) for k1, k2 in zip(final_ks, final_ks[1:])]
+    # the full-dimension cells' distances to their predecessors
+    diffs = [t.k_dist_prev for t in trace if t.n == p and t.k_dist_prev is not None]
     tail_converged = bool(diffs) and diffs[-1] <= cfg.cauchy_tol
 
     candidates = [final_ks[-1]]
@@ -574,23 +691,25 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
         "richardson" if len(candidates) > 1 and k_best is candidates[1] else "none"
     )
     if cfg.polish:
-        k_polished, _, improved = _newton_polish(a, k_best)
+        k_polished, _, improved = _newton_polish(a, k_best, a_norm)
         if improved:
             k_best, polish_method = k_polished, "newton"
 
+    # the eps = 0 slice of the schedule's stack is the transfer data at mu
+    sd_mu = SchurData(mu, sd_all.s[-1], sd_all.f[-1], sd_all.g[-1])
     report = _assemble_report(
         a,
         AngleOperator(s, k_best),
         mu,
         margin0,
+        sd_mu,
         trace=trace,
         polish_method=polish_method,
     )
     # a limit is accepted when the tail met the Cauchy tolerance or the
     # assembled K passes the a-posteriori Riccati certificate
-    # (the eps = 0 slice of the schedule's stack is S(mu))
     certified = report.riccati_residual <= cfg.riccati_tol * (
-        operator_norm(sd_all.s[-1]) + abs(mu)
+        report.estimate11.s_norm + abs(mu)
     )
     if len(diffs) >= 2 and not tail_converged and not certified:
         raise NoCauchyConvergence(

@@ -14,6 +14,7 @@ from kreinspace.errors import DimensionMismatch, NonFinite, SingularShift
 from kreinspace.numerics import (
     eigendecomposition,
     operator_norm,
+    operator_norms,
     solve_shifted,
     validate_matrix,
 )
@@ -30,6 +31,17 @@ def test_operator_norm_identity():
 
 def test_operator_norm_diagonal():
     assert operator_norm([[3, 0], [0, 4]]) == pytest.approx(4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1), (3, 4, 4), (5, 2, 7), (2, 7, 3), (4, 24, 24)]
+)
+def test_operator_norms_equal_numpy_spectral_norms(shape):
+    rng = np.random.Generator(np.random.Philox(sum(shape)))
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    np.testing.assert_array_equal(
+        operator_norms(stack), np.linalg.norm(stack, 2, axis=(-2, -1))
+    )
 
 
 def test_validate_rejects_nonfinite():

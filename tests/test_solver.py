@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kreinspace import solver
 from kreinspace.blocks import assemble, decompose, dissipativity_margin, schur_data
@@ -279,22 +280,219 @@ def test_default_schedule_is_the_double_limit_tail(spec):
     cfg = SolverConfig()
     rep = solve_theorem(a, cfg)
     full = solve_theorem(a, full_cfg)
-    np.testing.assert_array_equal(rep.k.matrix, full.k.matrix)
+    # the two schedules continue their tail cells from Schur forms taken at
+    # different eps, so they agree at rounding level
+    np.testing.assert_allclose(rep.k.matrix, full.k.matrix, rtol=0, atol=1e-14)
     assert (rep.mu, rep.polish_method) == (full.mu, full.polish_method)
     doc, full_doc = (report_to_dict(r, a.norm(), cfg) for r in (rep, full))
     del doc["convergence_trace"], full_doc["convergence_trace"]
-    assert doc == full_doc
+    assert_docs_close(doc, full_doc, 1e-12)
     # the default cells are the last three full-dimension cells of the grid
     assert len(rep.convergence_trace) == 3
     assert all(t.n == p for t in rep.convergence_trace)
     tail = [t for t in full.convergence_trace if t.n == p][-3:]
     for got, want in zip(rep.convergence_trace, tail):
-        assert got.eps == want.eps
-        assert (got.k_norm, got.l_norm, got.restriction_min_im) == (
-            want.k_norm,
-            want.l_norm,
-            want.restriction_min_im,
+        assert (got.eps, got.ok, got.l_bound_ok) == (want.eps, want.ok, want.l_bound_ok)
+        np.testing.assert_allclose(
+            [got.k_norm, got.l_norm, got.restriction_min_im],
+            [want.k_norm, want.l_norm, want.restriction_min_im],
+            rtol=1e-12,
+            atol=1e-12,
         )
+
+
+def assert_docs_close(got, want, tol, path="report"):
+    """Equal JSON documents, but numbers may differ by tol (relative above 1)."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            assert_docs_close(got[key], want[key], tol, f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_docs_close(g, w, tol, f"{path}[{i}]")
+    elif isinstance(want, float) and math.isfinite(want):
+        assert abs(got - want) <= tol * max(1.0, abs(want)), (path, got, want)
+    else:
+        assert got == want, path
+
+
+def _fresh_cells(monkeypatch):
+    """Make every cell take its own sorted Schur form, as before continuation."""
+    monkeypatch.setattr(solver, "_continued_angle_operator", lambda *args: None)
+
+
+def _record_continuations(monkeypatch):
+    """Record (cell, continued K or None) for every continuation attempt."""
+    attempts = []
+    continued = solver._continued_angle_operator
+
+    def recorder(cell, form, norm_bound):
+        k = continued(cell, form, norm_bound)
+        attempts.append((cell, k))
+        return k
+
+    monkeypatch.setattr(solver, "_continued_angle_operator", recorder)
+    return attempts
+
+
+def _fresh_cell(cell):
+    return solver._upper_projector(
+        cell, "exact", dissipativity_margin(cell), cell.norm()
+    )[0].matrix
+
+
+CONTINUATION_SPECS = [
+    InstanceSpec(p=4, m=4, margin=0.0, seed=20),
+    InstanceSpec(p=5, m=3, margin=1e-6, seed=21),
+    InstanceSpec(p=4, m=5, margin=0.1, seed=22),
+    InstanceSpec(p=3, m=3, margin=1.0, seed=23),
+    InstanceSpec(p=4, m=4, margin=0.0, coupling_scale=30.0, seed=24),
+    InstanceSpec(p=1, m=3, margin=1e-6, seed=25),
+    InstanceSpec(p=3, m=1, margin=0.1, coupling_scale=30.0, seed=26),
+]
+
+
+@pytest.mark.parametrize("spec", CONTINUATION_SPECS)
+def test_continued_cells_match_fresh_schur_cells(spec, monkeypatch):
+    a = random_dissipative(spec)
+    p = spec.p
+    grid = SolverConfig(
+        eps_schedule=DOUBLE_LIMIT_EPS_SCHEDULE,
+        galerkin_dims=sorted({math.ceil(p / 4), math.ceil(p / 2), p}),
+    )
+    for cfg in (SolverConfig(), grid):
+        attempts = _record_continuations(monkeypatch)
+        rep = solve_theorem(a, cfg)
+        continued = [(cell, k) for cell, k in attempts if k is not None]
+        # the default tail continues both later cells; the grid continues
+        # cells in every Galerkin row
+        if cfg.galerkin_dims is None:
+            assert len(continued) == 2
+        else:
+            rows = {cell.structure.p for cell, _ in continued}
+            assert rows == set(grid.galerkin_dims)
+        for cell, k in continued:
+            np.testing.assert_allclose(k, _fresh_cell(cell), rtol=0, atol=1e-13)
+        # every trace number is the one of the cell's own Schur form
+        prev = {}
+        for t in rep.convergence_trace:
+            assert t.ok and t.projector_method == "schur"
+            cell = regularize(galerkin_truncate(a, t.n), t.eps)
+            k = _fresh_cell(cell)
+            k_tilde = np.zeros((spec.m, p), dtype=complex)
+            k_tilde[:, : t.n] = k
+            l_op = cell.a21 + (cell.a22 - rep.mu * np.eye(spec.m)) @ k
+            restriction = cell.a11 + cell.a12 @ k
+            want = [
+                np.linalg.norm(k, 2),
+                np.linalg.norm(l_op, 2),
+                np.min(np.linalg.eigvals(restriction).imag),
+            ]
+            got = [t.k_norm, t.l_norm, t.restriction_min_im]
+            if t.n in prev:
+                want.append(np.linalg.norm(k_tilde - prev[t.n], 2))
+                got.append(t.k_dist_prev)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            prev[t.n] = k_tilde
+
+
+def test_boundary_block_falls_back_to_fresh_schur_forms(monkeypatch):
+    # the Riccati continuation contracts too slowly where the two
+    # eigenvalues of the nilpotent block close in on 0 as sqrt(eps)
+    attempts = _record_continuations(monkeypatch)
+    rep = solve_theorem(BOUNDARY)
+    assert [k for _, k in attempts] == [None, None]
+    _fresh_cells(monkeypatch)
+    fresh = solve_theorem(BOUNDARY)
+    np.testing.assert_array_equal(rep.k.matrix, fresh.k.matrix)
+    assert report_to_dict(rep, 2.0, SolverConfig()) == report_to_dict(
+        fresh, 2.0, SolverConfig()
+    )
+
+
+def _solve_docs(a, cfgs):
+    return [report_to_dict(solve_theorem(a, cfg), a.norm(), cfg) for cfg in cfgs]
+
+
+def test_non_contracting_continuation_is_the_fresh_route(monkeypatch):
+    a = random_dissipative(InstanceSpec(p=5, m=4, margin=0.1, seed=27))
+    cfgs = (
+        SolverConfig(),
+        SolverConfig(eps_schedule=DOUBLE_LIMIT_EPS_SCHEDULE, galerkin_dims=(2, 3, 5)),
+    )
+    attempts = _record_continuations(monkeypatch)
+    steps = []
+
+    def zero_step(t22, t11, rhs, isgn):
+        # a zero step leaves the residual where it was
+        steps.append(isgn)
+        return np.zeros_like(rhs), 1.0, 0
+
+    monkeypatch.setattr(solver.scipy.linalg.lapack, "ztrsyl", zero_step)
+    stalled = _solve_docs(a, cfgs)
+    # each attempt gives up at its first step that does not shrink the residual
+    assert attempts and all(k is None for _, k in attempts)
+    assert len(steps) == len(attempts)
+    monkeypatch.undo()
+    _fresh_cells(monkeypatch)
+    assert stalled == _solve_docs(a, cfgs)
+
+
+def _shifted_below_zero(a, delta):
+    """A - i delta J: the margin drops by delta."""
+    p, m = a.structure.p, a.structure.m
+    return assemble(
+        a.a11 - 1j * delta * np.eye(p), a.a12, a.a21, a.a22 + 1j * delta * np.eye(m)
+    )
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        _shifted_below_zero(BOUNDARY, 3e-11),
+        _shifted_below_zero(
+            random_dissipative(InstanceSpec(p=3, m=3, margin=0.0, seed=28)), 3e-11
+        ),
+    ],
+    ids=["boundary", "random"],
+)
+def test_failed_guard_is_recomputed_fresh_with_its_error(a, monkeypatch):
+    # margin about -3e-11: the last cell's margin is 0 to rounding, so the
+    # cell is not continued and the fresh route records the error; the
+    # replacement continuation returns the K of a lower spectral subspace,
+    # whose restriction fails the min Im > margin/2 guard
+    p = a.structure.p
+    cfg = SolverConfig(eps_schedule=(2.0**-12, 2.0**-13, 2.0**-14, 3e-11))
+
+    def lower_subspace(cell, form, norm_bound):
+        _, z, _ = scipy.linalg.schur(
+            cell.to_matrix(), output="complex", sort=lambda w: w.imag < 0
+        )
+        return np.linalg.solve(z[:p, :p].T, z[p:, :p].T).T
+
+    continued = solver._continued_angle_operator
+    _fresh_cells(monkeypatch)
+    fresh = report_to_dict(solve_theorem(a, cfg), a.norm(), cfg)
+    error = fresh["convergence_trace"][-1]["error"]
+    assert error.startswith("NotUniformlyDissipative: margin ")
+    assert error.endswith(" is not positive")
+    monkeypatch.setattr(solver, "_continued_angle_operator", lower_subspace)
+    assert report_to_dict(solve_theorem(a, cfg), a.norm(), cfg) == fresh
+    # the real continuation: the same error text, numbers to rounding level
+    monkeypatch.setattr(solver, "_continued_angle_operator", continued)
+    doc = report_to_dict(solve_theorem(a, cfg), a.norm(), cfg)
+    assert_docs_close(doc, fresh, 1e-12)
+
+
+@pytest.mark.parametrize("spec", CONTINUATION_SPECS)
+def test_regularized_margin_is_the_margin_plus_eps(spec):
+    # solve_theorem takes a full-dimension cell's margin as margin0 + eps
+    a = random_dissipative(spec)
+    margin0 = dissipativity_margin(a)
+    for eps in DOUBLE_LIMIT_EPS_SCHEDULE:
+        got = dissipativity_margin(regularize(a, eps))
+        assert abs(got - (margin0 + eps)) <= 1e-14 * max(1.0, a.norm())
 
 
 def test_solve_theorem_boundary_neutral_limit():
