@@ -420,8 +420,8 @@ def resolvent_asymptotics_check(
     4 random unit z in H+ (drawn from ``seed``) is checked alongside to 1e-8
     (it is exact, so the defect stays at rounding level).  The 16 shifts of
     every radius are one stack: one :func:`schur_data` call, one solve of
-    S - lambda, and one solve of lambda - A for the p columns whose top-left
-    block the identity reads.
+    S - lambda, and one solve of lambda - A for the 4 vectors (z, 0), since
+    the identity reads only z* [(lambda - A)^{-1}]_11 z.
     """
     rs = sorted(float(r) for r in radii)
     if len(rs) < 2:
@@ -433,8 +433,11 @@ def resolvent_asymptotics_check(
     zs = rng.standard_normal((4, p)) + 1j * rng.standard_normal((4, p))
     zs /= np.linalg.norm(zs, axis=1, keepdims=True)
     full = a.to_matrix()
+    d = a.structure.dim
     eye_p = np.eye(p, dtype=np.complex128)
-    eye_full = np.eye(a.structure.dim, dtype=np.complex128)
+    # the columns (z, 0) of the 4 test vectors
+    z_full = np.zeros((d, len(zs)), dtype=np.complex128)
+    z_full[:p] = zs.T
     thetas = np.linspace(0.0, np.pi, 16)
     lams = (np.array(rs)[:, np.newaxis] * np.exp(1j * thetas)).ravel()
     lam_eye = lams[:, np.newaxis, np.newaxis]
@@ -443,11 +446,10 @@ def resolvent_asymptotics_check(
     inv = np.linalg.solve(sd.s - lam_eye * eye_p, np.broadcast_to(eye_p, sd.s.shape))
     c_fit = np.abs(lams) ** 2 * operator_norms(inv + eye_p / lam_eye)
     constants = [float(c) for c in np.max(c_fit.reshape(len(rs), -1), axis=1)]
-    top_left = np.linalg.solve(
-        lam_eye * eye_full - full,
-        np.broadcast_to(eye_full[:, :p], (lams.size, a.structure.dim, p)),
-    )[:, :p, :]
-    lhs = np.einsum("zi,kij,zj->kz", zs.conj(), top_left, zs)
+    applied = np.linalg.solve(
+        lam_eye * np.eye(d) - full, np.broadcast_to(z_full, (lams.size, *z_full.shape))
+    )
+    lhs = np.einsum("zi,kiz->kz", zs.conj(), applied[:, :p, :])
     rhs = np.einsum("zi,kij,zj->kz", zs.conj(), -inv, zs)
     worst_identity = float(np.max(np.abs(lhs - rhs)))
     c_hi, c_lo = max(constants[-2:]), min(constants[-2:])

@@ -17,25 +17,31 @@ cross-check of the Schur projector (``harness.check_instance``, acceptance
 criterion 2) and as the ``"quadrature"`` route of
 ``solver.solve_uniformly_dissipative``.
 
-The quadrature has one rule: 16-point Gauss panels graded by the local
-spectral clearance sigma_min(lambda - A) probed along the contour.  Each
-panel carries an equal share of the integral of 1/clearance, so panel
-lengths shrink in proportion to the clearance, which keeps the node count
-logarithmic in R/clearance instead of linear, and a node budget buys exactly
-its whole panels.  Each call probes the contour once and climbs a ladder of
-panel counts.  The first rung is the contour's budget, split between the
-segment and the arc by their measures; each further rung gives both
-pieces about half more panels, ``max(1, n // 2)``, up to the first rung
-with at least ``LADDER_REACH`` (16) times the budget's nodes.  By default
-that is 64, 96, 128, ... nodes for a 2 + 2 split.  The call returns the
-first sum that moves less than 1e-8 from the sum before it and has an
-integer trace.  An eigenvalue within 1e-6 R of the contour fails the call.
-The harness's cross-check reads only the projector, so it calls the
-ladder without the report's defects, SVD and eigenvalues.
+The quadrature has one rule: 21-point Gauss panels embedded in their
+43-point Kronrod extension (G21 inside K43), graded by the local spectral
+clearance sigma_min(lambda - A) probed along the contour.  Each panel
+carries an equal share of the integral of 1/clearance, so panel lengths
+shrink in proportion to the clearance, which keeps the node count
+logarithmic in R/clearance instead of linear.  A node budget counts Gauss
+points and buys ``max(2, budget // 21)`` whole panels.  Each call probes the
+contour once (9 segment and 5 arc probes, bisected where the clearance is
+tight) and climbs a ladder of panel counts.  A rung evaluates the 43 Kronrod
+nodes of every panel and forms two sums from them: the K43 sum and the G21
+sum on the same panels, the coarser comparator.  The call returns the K43
+sum of the first rung whose two sums differ by at most 1e-8 and whose trace
+is an integer.  The first rung is the contour's budget, split between the
+segment and the arc by their measures; each further rung gives both pieces
+about half more panels, ``max(1, n // 2)``, up to the first rung with at
+least ``LADDER_REACH`` (16) times the budget's Gauss points.  By default
+that is 3 panels, 129 resolvents.  An eigenvalue within 1e-6 R of the
+contour fails the call.  The harness's cross-check reads only the
+projector, so it calls the ladder without the report's defects, SVD and
+eigenvalues.
 
-Resolvent evaluations at the nodes are independent; they are evaluated as one
-batched solve and reduced in a fixed order, so results are reproducible
-bit-for-bit for a given node budget.
+Resolvent evaluations at the nodes are independent; each panel's 43 nodes
+are evaluated as one batched inverse and both sums are accumulated panel by
+panel in a fixed order, so results are reproducible bit-for-bit for a given
+node budget and the working set stays at one panel's inverses.
 """
 
 from __future__ import annotations
@@ -58,16 +64,77 @@ from .numerics import operator_norm, validate_matrix
 
 #: ``ProjectorReport.method`` of the quadrature route
 QUADRATURE_RULE = "gauss_segments"
-GAUSS_PANEL_ORDER = 16
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_PANEL_ORDER)
+#: Gauss points per panel; a node budget counts these
+GAUSS_PANEL_ORDER = 21
+#: resolvent nodes per panel: the Kronrod extension of the Gauss points
+KRONROD_PANEL_ORDER = 2 * GAUSS_PANEL_ORDER + 1
 # an eigenvalue closer than GAP_FACTOR * R to the contour is too close
 GAP_FACTOR = 1e-6
-# largest projector change allowed from one rung of the node ladder to the next
+# largest gap allowed between a rung's Kronrod sum and its Gauss sum
 REFINE_TOL = 1e-8
-# the ladder's top rung has at least LADDER_REACH times the contour's budget
+# the ladder's top rung has at least LADDER_REACH times the budget's Gauss points
 LADDER_REACH = 16
-_SEGMENT_PROBES = 33
-_ARC_PROBES = 17
+_SEGMENT_PROBES = 9
+_ARC_PROBES = 5
+
+
+def _kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2n+1)-point Gauss-Kronrod rule on [-1, 1] and its embedded Gauss rule.
+
+    Laurie's algorithm ("Calculation of Gauss-Kronrod quadrature rules",
+    Math. Comp. 66, 1997; after Gautschi's ``r_kronrod``) extends the
+    Legendre recurrence to the Jacobi-Kronrod matrix.  Its eigenvalues are
+    the nodes, and 2 times the squared first eigenvector components are the
+    weights.  The rule is exact to degree 3n + 1 and holds the n Gauss
+    nodes as its odd-indexed nodes.  Returns the nodes and a ``(2, 2n+1)``
+    weight array: the Kronrod weights, then the Gauss weights on the
+    embedded nodes and zero on the others.
+    """
+    size = (3 * n) // 2 + 2
+    # the Legendre recurrence: a_i = 0, b_0 = 2, b_i = i^2 / (4 i^2 - 1)
+    i = np.arange(1, size, dtype=float)
+    a = np.zeros(2 * n + 1)
+    b = np.zeros(2 * n + 1)
+    b[0] = 2.0
+    b[1:size] = i**2 / (4.0 * i**2 - 1.0)
+    s = np.zeros(n // 2 + 2)
+    t = np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        lo = m - k
+        s[k + 1] = np.cumsum(
+            (a[k + n + 1] - a[lo]) * t[k + 1] + b[k + n + 1] * s[k] - b[lo] * s[k + 1]
+        )
+        s, t = t, s
+    j = np.arange(n // 2 + 1)
+    s[j + 1] = s[j]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        lo = m - k
+        j = n - 1 - lo
+        s[j + 1] = np.cumsum(
+            -(a[k + n + 1] - a[lo]) * t[j + 1] - b[k + n + 1] * s[j + 1] + b[lo] * s[j + 2]
+        )
+        j = j[-1]
+        k = (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    x, v = scipy.linalg.eigh_tridiagonal(a, np.sqrt(b[1:]))
+    w = b[0] * v[0] ** 2
+    weights = np.zeros((2, 2 * n + 1))
+    # the rule is symmetric about 0; averaging the mirror images keeps it so
+    x = 0.5 * (x - x[::-1])
+    weights[0] = 0.5 * (w + w[::-1])
+    weights[1, 1::2] = np.polynomial.legendre.leggauss(n)[1]
+    return x, weights
+
+
+_KRONROD_X, _KRONROD_W = _kronrod_rule(GAUSS_PANEL_ORDER)
 
 
 @dataclass(frozen=True)
@@ -80,7 +147,8 @@ class Contour:
     def __post_init__(self):
         if not self.radius > 0:
             raise DimensionMismatch("contour radius must be positive")
-        # below 32 nodes every budget buys the same two panels
+        # a budget buys max(2, nodes // GAUSS_PANEL_ORDER) panels, so small
+        # budgets all buy the same two
         if self.nodes < 32 or self.nodes % 2:
             raise DimensionMismatch("node count must be even and at least 32")
 
@@ -93,7 +161,7 @@ class ProjectorReport:
     enclosed_eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0, complex))
     trace: float = 0.0
     method: str = "exact"
-    # resolvent nodes of every quadrature sum of the ladder; 0 for the Schur oracle
+    # resolvent nodes of every rung of the quadrature ladder; 0 for the Schur oracle
     nodes_used: int = 0
     # cached SVD of q_plus, shared with the subspace extraction
     svd_u: np.ndarray | None = field(default=None, repr=False)
@@ -156,23 +224,26 @@ def _running_measure(x, c):
 
 
 def _panel_nodes(x, measure, count):
-    """Gauss nodes and weights of ``count`` panels of equal measure.
+    """Kronrod nodes and the two weight rows of ``count`` panels of equal measure.
 
     The panel edges invert the running measure by interpolation, so panel
     lengths track the local clearance and a clearance dip inside a panel
-    shortens it.
+    shortens it.  Each panel's 43 nodes are contiguous; the weights are a
+    ``(2, 43 count)`` array, the Kronrod row and then the Gauss row.
     """
     edges = np.interp(np.linspace(0.0, measure[-1], count + 1), measure, x)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * _GAUSS_X
-    return nodes.ravel(), (half[:, None] * _GAUSS_W).ravel()
+    nodes = mid[:, None] + half[:, None] * _KRONROD_X
+    weights = half[None, :, None] * _KRONROD_W[:, None, :]
+    return nodes.ravel(), weights.reshape(2, -1)
 
 
 def _panel_split(budget: int, seg_profile, arc_profile) -> tuple[int, int]:
     """Segment and arc panel counts of a node budget.
 
-    The budget buys ``max(2, budget // GAUSS_PANEL_ORDER)`` Gauss panels,
+    The budget counts Gauss points and buys
+    ``max(2, budget // GAUSS_PANEL_ORDER)`` panels,
     split between segment and arc in proportion to their measures of
     1/clearance, with at least one panel on each.
     """
@@ -187,9 +258,10 @@ def _contour_nodes(contour: Contour, split, seg_profile, arc_profile):
     """All contour nodes with complex weights including the orientation factor.
 
     The profiles pair the probe points with the running measure of
-    1/clearance.  ``split`` holds the equal-measure Gauss panel counts of
-    the segment and of the arc, so a sum evaluates exactly
-    ``GAUSS_PANEL_ORDER * sum(split)`` nodes.
+    1/clearance.  ``split`` holds the equal-measure panel counts of the
+    segment and of the arc, so a rung evaluates exactly
+    ``KRONROD_PANEL_ORDER * sum(split)`` nodes.  The weights are a
+    ``(2, nodes)`` array: the Kronrod sum's row and the Gauss sum's row.
     """
     r = contour.radius
     n_seg, n_arc = split
@@ -197,50 +269,63 @@ def _contour_nodes(contour: Contour, split, seg_profile, arc_profile):
     thetas, th_w = _panel_nodes(*arc_profile, n_arc)
     lam_arc = r * np.exp(1j * thetas)
     lams = np.concatenate([ts, lam_arc])
-    weights = np.concatenate([tw, th_w * 1j * lam_arc]) / (2j * np.pi)
+    weights = np.concatenate([tw, th_w * 1j * lam_arc], axis=1) / (2j * np.pi)
     return lams, weights
 
 
 def _quadrature_sum(a: np.ndarray, lams: np.ndarray, weights: np.ndarray, gap: float):
-    try:
-        inverses = np.linalg.inv(_shifted_stack(lams, a))
-    except np.linalg.LinAlgError as exc:
-        raise ContourTooClose(f"resolvent singular on the contour: {exc}") from exc
-    # sigma_min >= 1/frobenius(inverse); only ambiguous nodes get the exact check
-    frob = np.sqrt(
-        np.einsum("kij,kij->k", inverses.real, inverses.real)
-        + np.einsum("kij,kij->k", inverses.imag, inverses.imag)
-    )
-    suspect = np.where(1.0 / frob < gap)[0]
-    if suspect.size:
-        exact = _batch_sigma_min(lams[suspect], a)
-        if exact.min() < gap:
-            k = suspect[int(np.argmin(exact))]
-            raise ContourTooClose(
-                f"sigma_min(lambda - A) = {exact.min():.3e} < {gap:.3e} "
-                f"at contour node {lams[k]:.6g}"
-            )
-    return np.einsum("k,kij->ij", weights, inverses)
+    """The weighted resolvent sums of one rung, one ``(d, d)`` sum per weight row.
+
+    The nodes are inverted one panel (``KRONROD_PANEL_ORDER`` nodes) at a
+    time, and each panel's inverses enter every sum through one product, so
+    at most one panel's inverses are held at once.
+    """
+    d = a.shape[0]
+    sums = np.zeros((weights.shape[0], d * d), dtype=np.complex128)
+    for start in range(0, lams.size, KRONROD_PANEL_ORDER):
+        panel = slice(start, start + KRONROD_PANEL_ORDER)
+        try:
+            inverses = np.linalg.inv(_shifted_stack(lams[panel], a))
+        except np.linalg.LinAlgError as exc:
+            raise ContourTooClose(f"resolvent singular on the contour: {exc}") from exc
+        # sigma_min >= 1/frobenius(inverse); only ambiguous nodes get the exact check
+        frob = np.sqrt(
+            np.einsum("kij,kij->k", inverses.real, inverses.real)
+            + np.einsum("kij,kij->k", inverses.imag, inverses.imag)
+        )
+        suspect = start + np.where(1.0 / frob < gap)[0]
+        if suspect.size:
+            exact = _batch_sigma_min(lams[suspect], a)
+            if exact.min() < gap:
+                k = suspect[int(np.argmin(exact))]
+                raise ContourTooClose(
+                    f"sigma_min(lambda - A) = {exact.min():.3e} < {gap:.3e} "
+                    f"at contour node {lams[k]:.6g}"
+                )
+        sums += weights[:, panel] @ inverses.reshape(-1, d * d)
+    return sums.reshape(-1, d, d)
 
 
 def riesz_projector_quadrature(a, contour: Contour) -> ProjectorReport:
     """Quadrature realization of the upper Riesz projector.
 
-    The contour is probed once and the graded Gauss rule climbs a ladder of
-    node counts.  The first rung is the contour's node budget, split into
-    segment and arc panels by their measures; each further rung gives the
-    segment and the arc ``max(1, n // 2)`` more equal-measure panels each,
-    up to the first rung with at least ``LADDER_REACH`` (16) times the
-    budget's nodes.  The first sum that moves less than ``REFINE_TOL``
-    (1e-8) from the sum of the rung before it and whose trace lies within
-    1e-6 of an integer is returned; if the top sum fails either check,
+    The contour is probed once and the graded Gauss-Kronrod rule (G21
+    inside K43) climbs a ladder of panel counts.  The first rung is the
+    contour's node budget, which counts Gauss points and buys
+    ``max(2, b // GAUSS_PANEL_ORDER)`` panels, split into segment and arc
+    panels by their measures; each further rung gives the segment and the
+    arc ``max(1, n // 2)`` more equal-measure panels each, up to the first
+    rung with at least ``LADDER_REACH`` (16) times the budget's Gauss
+    points.  A rung evaluates the 43 Kronrod nodes of each panel.  Its K43
+    sum is returned when it differs from the G21 sum on the same panels by
+    at most ``REFINE_TOL`` (1e-8) and its trace lies within 1e-6 of an
+    integer; if the top rung fails either check,
     :class:`QuadratureNotConverged` is raised.  An eigenvalue within
     ``GAP_FACTOR * R`` (1e-6 R) of the contour raises
-    :class:`ContourTooClose`.  A budget ``b`` places exactly
-    ``GAUSS_PANEL_ORDER * max(2, b // GAUSS_PANEL_ORDER)`` nodes on the
-    first rung, and the report's ``nodes_used`` counts the resolvent nodes
-    of every sum evaluated.  The caller is responsible for a radius that
-    encloses the whole upper spectrum.
+    :class:`ContourTooClose`.  The report's ``nodes_used`` counts the
+    resolvent nodes of every rung evaluated, ``KRONROD_PANEL_ORDER`` per
+    panel.  The caller is responsible for a radius that encloses the whole
+    upper spectrum.
     """
     mat = validate_matrix(a)
     if mat.shape[0] != mat.shape[1]:
@@ -250,11 +335,12 @@ def riesz_projector_quadrature(a, contour: Contour) -> ProjectorReport:
 
 
 def _quadrature_projector(mat: np.ndarray, contour: Contour) -> tuple[np.ndarray, int]:
-    """The accepted quadrature sum of a square matrix and the nodes the ladder used.
+    """The accepted Kronrod sum of a square matrix and the nodes the ladder used.
 
     This is :func:`riesz_projector_quadrature` without the report's
     defects, SVD and enclosed eigenvalues, for a caller that reads only the
-    projector.
+    projector.  The node count covers every rung evaluated, 43 resolvents
+    per panel; at the default budget one rung of 3 panels is 129.
     """
     r = contour.radius
     gap = GAP_FACTOR * r
@@ -281,22 +367,19 @@ def _quadrature_projector(mat: np.ndarray, contour: Contour) -> tuple[np.ndarray
     split = _panel_split(contour.nodes, *profiles)
     top = LADDER_REACH * contour.nodes
     evaluated = 0
-    prev = None
     while True:
         lams, weights = _contour_nodes(contour, split, *profiles)
-        q = _quadrature_sum(mat, lams, weights, gap)
+        kronrod, gauss = _quadrature_sum(mat, lams, weights, gap)
         evaluated += lams.size
-        if prev is not None:
-            drift = operator_norm(q - prev)
-            tr = float(np.trace(q).real)
-            if drift <= REFINE_TOL and abs(tr - round(tr)) <= 1e-6:
-                return q, evaluated
-        if lams.size >= top:
+        drift = operator_norm(kronrod - gauss)
+        tr = float(np.trace(kronrod).real)
+        if drift <= REFINE_TOL and abs(tr - round(tr)) <= 1e-6:
+            return kronrod, evaluated
+        if GAUSS_PANEL_ORDER * sum(split) >= top:
             raise QuadratureNotConverged(
-                f"refining the contour to {lams.size} nodes moved the projector "
+                f"the {lams.size}-node Kronrod sum differs from its Gauss sum "
                 f"by {drift:.3e} (trace {tr:.8f})"
             )
-        prev = q
         # the next rung gives each piece about half more panels
         split = tuple(n + max(1, n // 2) for n in split)
 
@@ -393,7 +476,9 @@ def _schur_projector(mat: np.ndarray, region: str, tol: float):
     if k == d:
         return np.eye(d, dtype=np.complex128), np.diag(t)
     t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
-    x = scipy.linalg.solve_sylvester(t11, -t22, t12)
+    # T11 X - X T22 = T12 on blocks that are already triangular
+    x, scale, _ = scipy.linalg.lapack.ztrsyl(t11, t22, t12, isgn=-1)
+    x /= scale
     core = np.zeros((d, d), dtype=np.complex128)
     core[:k, :k] = np.eye(k)
     core[:k, k:] = x

@@ -542,18 +542,18 @@ def _assemble_report(
 
 
 def _newton_polish(
-    a: BlockOperator, k0: np.ndarray, a_norm: float
+    a: BlockOperator, k0: np.ndarray, a_norm: float, res0: float
 ) -> tuple[np.ndarray, float, bool]:
     """Refine K by Newton steps on the graph Riccati equation.
 
-    Each step is one Sylvester solve; ``a_norm`` is |A|.  The total
+    Each step is one Sylvester solve; ``a_norm`` is |A| and ``res0`` the
+    defect norm of ``k0``, which the caller has already computed.  The total
     correction is capped so the polish can only sharpen the branch the
     regularization already selected, never jump to another one.  Returns
     (best iterate, its defect norm, whether the entry point was improved).
     """
     scale = max(a_norm, 1e-300)
     best = np.array(k0, dtype=np.complex128)
-    res0 = operator_norm(graph_defect(a, best))
     best_res = res0
     k = best.copy()
     res = res0
@@ -686,12 +686,12 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
         r = final_eps[-1] / final_eps[-2]
         if r < 1.0:
             candidates.append((final_ks[-1] - r * final_ks[-2]) / (1.0 - r))
-    k_best = min(candidates, key=lambda k: operator_norm(graph_defect(a, k)))
-    polish_method = (
-        "richardson" if len(candidates) > 1 and k_best is candidates[1] else "none"
-    )
+    defects = [operator_norm(graph_defect(a, k)) for k in candidates]
+    best = min(range(len(candidates)), key=defects.__getitem__)
+    k_best = candidates[best]
+    polish_method = "richardson" if best == 1 else "none"
     if cfg.polish:
-        k_polished, _, improved = _newton_polish(a, k_best, a_norm)
+        k_polished, _, improved = _newton_polish(a, k_best, a_norm, defects[best])
         if improved:
             k_best, polish_method = k_polished, "newton"
 

@@ -1,9 +1,11 @@
 """Instance generator and batch suite behavior."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from kreinspace import projectors
+from kreinspace import harness, projectors
 from kreinspace.blocks import (
     dissipativity_margin,
     factorization_residual,
@@ -90,6 +92,45 @@ def test_suite_cross_checks_quadrature_against_schur(monkeypatch):
     assert row.checks["quadrature"] is False and row.quadrature_gap == np.inf
     assert not row.passed and not suite.passed
     assert suite.failure_artifacts[0]["checks"]["quadrature"] is False
+
+
+@pytest.fixture(scope="module")
+def solved_24():
+    a = random_dissipative(InstanceSpec(p=24, m=24, margin=0.1, seed=0))
+    return a, solve_theorem(a)
+
+
+def test_check_instance_runs_no_floor_svd(monkeypatch, solved_24):
+    # every shifted stack of a 24+24 check clears the screen of shifted_stack
+    floor_svds = []
+    original = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "shifted_stack":
+            floor_svds.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    a, rep = solved_24
+    assert check_instance(a, rep, SolverConfig(), seed=0).passed
+    assert floor_svds == []
+
+
+def test_default_cross_check_uses_one_rung(monkeypatch, solved_24):
+    # the default budget of 64 Gauss points buys 3 panels of 43 Kronrod nodes
+    used = []
+    original = harness._quadrature_projector
+
+    def recording(mat, contour):
+        q, nodes = original(mat, contour)
+        used.append(nodes)
+        return q, nodes
+
+    monkeypatch.setattr(harness, "_quadrature_projector", recording)
+    a, rep = solved_24
+    res = check_instance(a, rep, SolverConfig(), seed=0)
+    assert res.checks["quadrature"] and res.quadrature_gap <= 1e-13
+    assert used == [129]
 
 
 def test_check_instance_identities_equal_the_scalar_helpers():

@@ -12,9 +12,11 @@ from hypothesis.extra.numpy import arrays
 
 from kreinspace.errors import DimensionMismatch, NonFinite, SingularShift
 from kreinspace.numerics import (
+    SINGULAR_FLOOR,
     eigendecomposition,
     operator_norm,
     operator_norms,
+    shifted_stack,
     solve_shifted,
     validate_matrix,
 )
@@ -125,6 +127,65 @@ def test_solve_shifted_stack_names_the_singular_shift():
     m = np.diag([2.0, 3.0, 5.0]).astype(complex)
     with pytest.raises(SingularShift, match=r"mu = \(3\+0j\)"):
         solve_shifted(m, np.array([1j, 3.0, 5.0, 2j]), np.eye(3))
+
+
+def floor_checked_by_svd(m, mu):
+    """The stack of M - mu_k I with the floor check run by an SVD of every shift."""
+    a = np.asarray(m, dtype=np.complex128)
+    mus = np.asarray(mu, dtype=np.complex128).reshape(-1)
+    shifted = np.repeat(a[np.newaxis], mus.size, axis=0)
+    diag = np.arange(a.shape[0])
+    shifted[:, diag, diag] -= mus[:, np.newaxis]
+    sings = np.linalg.svd(shifted, compute_uv=False)
+    below = sings[:, -1] < SINGULAR_FLOOR * np.maximum(sings[:, 0], 1.0)
+    if below.any():
+        k = int(np.argmax(below))
+        raise SingularShift(
+            f"sigma_min(M - mu I) = {sings[k, -1]:.3e} below floor; "
+            f"mu = {complex(mus[k])} is numerically in the spectrum"
+        )
+    return shifted
+
+
+def _outcome(fn, m, mus):
+    try:
+        return fn(m, mus), None
+    except SingularShift as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(["far", "inside", "near", "at"]), min_size=1, max_size=6),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_shifted_stack_screen_matches_an_svd_of_every_shift(n, seed, kinds, scale):
+    # far shifts are cleared by the screen; shifts inside the numerical range,
+    # near an eigenvalue or at one go through the SVD and may raise
+    rng = np.random.Generator(np.random.Philox(seed))
+    m = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    eigs = np.linalg.eigvals(m)
+    norm = np.linalg.norm(m, 2)
+    mus = []
+    for kind in kinds:
+        eig = eigs[rng.integers(n)]
+        phase = np.exp(2j * np.pi * rng.random())
+        if kind == "far":
+            mus.append((2.0 + 10.0 * rng.random()) * norm * phase)
+        elif kind == "inside":
+            mus.append(eig + 1e-3 * norm * phase)
+        elif kind == "near":
+            mus.append(eig + 10.0 ** rng.uniform(-14, -10) * max(norm, 1.0) * phase)
+        else:
+            mus.append(eig)
+    mus = np.array(mus)
+    got, got_err = _outcome(shifted_stack, m, mus)
+    want, want_err = _outcome(floor_checked_by_svd, m, mus)
+    assert got_err == want_err
+    if want_err is None:
+        np.testing.assert_array_equal(got, want)
 
 
 def test_solve_shifted_scalar_shift_returns_2d():

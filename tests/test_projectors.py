@@ -117,15 +117,15 @@ def record_rungs(monkeypatch):
 
 
 def test_quadrature_not_converged_reports(monkeypatch):
-    # a negative drift tolerance fails every rung: the ladder climbs to the top
+    # a negative tolerance fails every rung: the ladder climbs to the top
     rungs = record_rungs(monkeypatch)
     monkeypatch.setattr(projectors, "REFINE_TOL", -1.0)
     a = random_dissipative(LADDER_CASE).to_matrix()
     contour = Contour(default_contour_radius(a))
-    with pytest.raises(QuadratureNotConverged, match="refining the contour to 1456"):
+    with pytest.raises(QuadratureNotConverged, match="the 3010-node Kronrod sum"):
         riesz_projector_quadrature(a, contour)
     assert rungs == [
-        (3, 1), (4, 2), (6, 3), (9, 4), (13, 6), (19, 9), (28, 13), (42, 19), (63, 28)
+        (2, 1), (3, 2), (4, 3), (6, 4), (9, 6), (13, 9), (19, 13), (28, 19), (42, 28)
     ]
 
 
@@ -136,23 +136,24 @@ def test_ladder_top_rung_holds_sixteen_times_the_budget(monkeypatch, budget):
     a = random_dissipative(LADDER_CASE).to_matrix()
     with pytest.raises(QuadratureNotConverged):
         riesz_projector_quadrature(a, Contour(default_contour_radius(a), budget))
-    nodes = [projectors.GAUSS_PANEL_ORDER * sum(split) for split in rungs]
-    assert nodes[0] == projectors.GAUSS_PANEL_ORDER * max(2, budget // 16)
+    order = projectors.GAUSS_PANEL_ORDER
+    gauss_points = [order * sum(split) for split in rungs]
+    assert gauss_points[0] == order * max(2, budget // order)
     # the ladder stops at the first rung that reaches 16 times the budget
-    assert nodes[-2] < projectors.LADDER_REACH * budget <= nodes[-1]
+    assert gauss_points[-2] < projectors.LADDER_REACH * budget <= gauss_points[-1]
     # every rung gives both pieces max(1, n // 2) more panels
     for (seg, arc), nxt in zip(rungs, rungs[1:]):
         assert nxt == (seg + max(1, seg // 2), arc + max(1, arc // 2))
 
 
 def test_quadrature_ladder_escalates_on_real_instance(monkeypatch):
-    # the two-panel sum at 32 nodes has trace 4.03; the ladder refines both
-    # pieces until a rung moves the sum by less than REFINE_TOL
+    # on the two panels a 32-point budget buys, the Kronrod and Gauss sums
+    # differ by 1.6e-2; the next rung's sums agree to 4e-9 < REFINE_TOL
     rungs = record_rungs(monkeypatch)
     a = random_dissipative(LADDER_CASE).to_matrix()
     rep = riesz_projector_quadrature(a, Contour(default_contour_radius(a), 32))
-    assert rungs == [(1, 1), (2, 2), (3, 3), (4, 4)]
-    assert rep.nodes_used == 16 * (2 + 4 + 6 + 8)
+    assert rungs == [(1, 1), (2, 2)]
+    assert rep.nodes_used == projectors.KRONROD_PANEL_ORDER * (2 + 4)
     assert rep.method == "gauss_segments"
     ref = riesz_projector_exact(a, "upper_open", tol=0.25)
     assert np.linalg.norm(rep.q_plus - ref.q_plus, 2) <= 1e-13
@@ -182,12 +183,14 @@ def test_contour_nodes_keep_the_budget(case):
         a = random_dissipative(LADDER_CASE).to_matrix()
         radius = default_contour_radius(a)
     profiles = probe_profiles(a, radius)
-    order = projectors.GAUSS_PANEL_ORDER
     for budget in (16, 32, 64, 96, 128, 1000):
         split = projectors._panel_split(budget, *profiles)
         assert min(split) >= 1
+        panels = max(2, budget // projectors.GAUSS_PANEL_ORDER)
+        assert sum(split) == panels
         lams, weights = projectors._contour_nodes(Contour(radius), split, *profiles)
-        assert lams.size == weights.size == order * max(2, budget // order)
+        assert lams.size == projectors.KRONROD_PANEL_ORDER * panels
+        assert weights.shape == (2, lams.size)
 
 
 def test_shifted_stack_matches_broadcast():
@@ -210,10 +213,57 @@ def test_nodes_used_counts_evaluated_resolvents(monkeypatch):
     rng = np.random.Generator(np.random.Philox(0))
     a, w = random_gapped(rng, 6)
     rep = riesz_projector_quadrature(a, Contour(2 * (np.max(np.abs(w)) + 1), 128))
-    # each rung buys exactly its panels' nodes; this spectrum needs a third sum
-    assert counted == [128, 192, 288]
-    assert rep.nodes_used == sum(counted) == 608
+    # each rung evaluates 43 nodes per panel; this spectrum needs a second rung
+    assert counted == [43 * 6, 43 * 9]
+    assert rep.nodes_used == sum(counted) == 645
     assert riesz_projector_exact(a, "upper_open", tol=1e-3).nodes_used == 0
+
+
+def test_each_rung_inverts_one_panel_at_a_time(monkeypatch):
+    batches = []
+    original = np.linalg.inv
+
+    def recording(stack):
+        batches.append(len(stack))
+        return original(stack)
+
+    rng = np.random.Generator(np.random.Philox(0))
+    a, w = random_gapped(rng, 6)
+    monkeypatch.setattr(np.linalg, "inv", recording)
+    rep = riesz_projector_quadrature(a, Contour(2 * (np.max(np.abs(w)) + 1), 128))
+    assert max(batches) == projectors.KRONROD_PANEL_ORDER
+    assert sum(batches) == rep.nodes_used
+
+
+def test_kronrod_rule_extends_the_gauss_rule():
+    x, (kronrod, gauss) = projectors._KRONROD_X, projectors._KRONROD_W
+    assert x.size == projectors.KRONROD_PANEL_ORDER
+    for degree in range(65):
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert abs(kronrod @ x**degree - exact) <= 1e-14
+    # the 21 Gauss nodes are the odd-indexed Kronrod nodes
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(projectors.GAUSS_PANEL_ORDER)
+    np.testing.assert_allclose(x[1::2], gauss_x, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(gauss[1::2], gauss_w)
+    assert np.all(gauss[::2] == 0.0)
+    assert np.all(kronrod > 0.0)
+    assert np.all(np.diff(x) > 0.0)
+
+
+@pytest.mark.parametrize("normal", [True, False])
+def test_eigenvalue_between_coarse_probes_is_caught(normal):
+    # the 9 segment probes of [-R, R] sit R / 4 apart; an eigenvalue 0.5 gap
+    # above the segment, midway between the probes at 0 and R / 4
+    radius = 10.0
+    lam = radius / 8 + 0.5j * projectors.GAP_FACTOR * radius
+    d = np.diag([lam, 2j, -1j + 0.5, 1j - 1.0])
+    if normal:
+        a = d
+    else:
+        v = np.eye(4) + np.triu(np.full((4, 4), 0.8), 1)
+        a = v @ d @ np.linalg.inv(v)
+    with pytest.raises(ContourTooClose):
+        riesz_projector_quadrature(a, Contour(radius))
 
 
 def test_invariance_of_range():
