@@ -80,7 +80,6 @@ from .projectors import (  # noqa: E402
     riesz_projector_exact,
     riesz_projector_quadrature,
     spectral_stability_check,
-    upper_invariant_subspace,
 )
 from .solver import (  # noqa: E402
     SolverConfig,
@@ -159,5 +158,4 @@ __all__ = [
     "solve_uniformly_dissipative",
     "spectral_stability_check",
     "subspace_from_angle_operator",
-    "upper_invariant_subspace",
 ]

@@ -183,37 +183,29 @@ def _cmd_verify(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         suite = harness.run_property_suite(specs)
-        results = suite.results
-        doc = {
-            "passed": bool(suite.passed),
-            "no_cauchy_count": suite.no_cauchy_count,
-            "rows": [serialize.row_to_dict(r) for r in results],
-            "failure_artifacts": suite.failure_artifacts,
-        }
-        exit_code = 0 if suite.passed else 1
     elif args.problem:
         solved = _solve_file(args.problem, args.out)
         if isinstance(solved, int):
             return solved
         a, cfg, rep = solved
         result = harness.check_instance(a, rep, cfg, seed=-1)
-        results = [result]
-        doc = {
-            "passed": bool(result.passed),
-            "no_cauchy_count": 0,
-            "rows": [serialize.row_to_dict(result)],
-            "failure_artifacts": [],
-        }
-        exit_code = 0 if result.passed else 1
+        suite = harness.SuiteReport([result], result.passed)
     else:
         print("error: supply a problem file or --suite", file=sys.stderr)
         return 2
+    results = suite.results
+    doc = {
+        "passed": bool(suite.passed),
+        "no_cauchy_count": suite.no_cauchy_count,
+        "rows": [serialize.row_to_dict(r) for r in results],
+        "failure_artifacts": suite.failure_artifacts,
+    }
     if args.csv:
         _write_csv(args.csv, results)
     _emit(serialize.dump_json(doc), args.out)
     n_pass = sum(1 for r in results if r.passed)
     print(f"verify: {n_pass}/{len(results)} instances passed", file=sys.stderr)
-    return exit_code
+    return 0 if suite.passed else 1
 
 
 def _cmd_spectrum(args) -> int:

@@ -8,14 +8,13 @@ Two independent routes to the upper spectral projector:
 * :func:`riesz_projector_exact` splits a sorted complex Schur form with a
   Sylvester solve.
 
-The sorted Schur form also gives the projector's range directly:
-:func:`upper_invariant_subspace` returns its leading Schur vectors, and
-:func:`upper_schur_form` the whole form, which is how the solver computes
-the first cell of each Galerkin row.  The quadrature is the paper's own
-construction and stays independent of the Schur route; it serves as the
-cross-check of the Schur projector (``harness.check_instance``, acceptance
-criterion 2) and as the ``"quadrature"`` route of
-``solver.solve_uniformly_dissipative``.
+The sorted Schur form also gives the projector's range directly, as its
+leading Schur vectors: :func:`upper_schur_form` returns the whole form,
+which is how the solver computes the first cell of each Galerkin row.  The
+quadrature is the paper's own construction and stays independent of the
+Schur route; it serves as the cross-check of the Schur projector
+(``harness.check_instance``, acceptance criterion 2) and as the
+``"quadrature"`` route of ``solver.solve_uniformly_dissipative``.
 
 The quadrature has one rule: 21-point Gauss panels embedded in their
 43-point Kronrod extension (G21 inside K43), graded by the local spectral
@@ -145,8 +144,8 @@ class Contour:
     nodes: int = 64
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise DimensionMismatch("contour radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise DimensionMismatch("contour radius must be positive and finite")
         # a budget buys max(2, nodes // GAUSS_PANEL_ORDER) panels, so small
         # budgets all buy the same two
         if self.nodes < 32 or self.nodes % 2:
@@ -163,9 +162,6 @@ class ProjectorReport:
     method: str = "exact"
     # resolvent nodes of every rung of the quadrature ladder; 0 for the Schur oracle
     nodes_used: int = 0
-    # cached SVD of q_plus, shared with the subspace extraction
-    svd_u: np.ndarray | None = field(default=None, repr=False)
-    svd_s: np.ndarray | None = field(default=None, repr=False)
 
 
 def default_contour_radius(a) -> float:
@@ -388,14 +384,12 @@ def _finish_report(mat, q, method, nodes=0, enclosed=None) -> ProjectorReport:
     idem = operator_norm(q @ q - q)
     comm = operator_norm(mat @ q - q @ mat)
     tr = float(np.trace(q).real)
-    svd_u = svd_s = None
     if enclosed is None:
         k = int(round(tr))
-        svd_u, svd_s, _ = np.linalg.svd(q)
         if k <= 0:
             enclosed = np.empty(0, dtype=np.complex128)
         else:
-            basis = svd_u[:, :k]
+            basis = np.linalg.svd(q)[0][:, :k]
             enclosed = np.linalg.eigvals(basis.conj().T @ mat @ basis)
     return ProjectorReport(
         q_plus=q,
@@ -405,8 +399,6 @@ def _finish_report(mat, q, method, nodes=0, enclosed=None) -> ProjectorReport:
         trace=tr,
         method=method,
         nodes_used=nodes,
-        svd_u=svd_u,
-        svd_s=svd_s,
     )
 
 
@@ -489,26 +481,14 @@ def upper_schur_form(a, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Sorted complex Schur form ``(T, Z, sdim)``, eigenvalues with Im > 0 first.
 
     A = Z T Z* with T upper triangular; the leading sdim columns of Z span
-    the invariant subspace of the sdim eigenvalues with Im > 0.  An
-    eigenvalue within ``tol`` of the real axis raises
-    :class:`BoundaryEigenvalue`.
+    the invariant subspace of the sdim eigenvalues with Im > 0 (Laub's Schur
+    method: no projector is formed).  An eigenvalue within ``tol`` of the
+    real axis raises :class:`BoundaryEigenvalue`.
     """
     mat = validate_matrix(a)
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch("expected a square matrix")
     return _upper_schur(mat, "upper_open", tol)
-
-
-def upper_invariant_subspace(a, structure: KreinStructure, tol: float) -> Subspace | None:
-    """The invariant subspace of the eigenvalues with Im > 0, or None if none.
-
-    Its orthonormal basis is the leading Schur vectors of the sorted complex
-    Schur form (Laub's Schur method, :func:`upper_schur_form`), so no
-    projector is formed.  An eigenvalue within ``tol`` of the real axis
-    raises :class:`BoundaryEigenvalue`.
-    """
-    _, z, sdim = upper_schur_form(a, tol)
-    return Subspace(structure, z[:, :sdim]) if sdim else None
 
 
 def invariant_subspace_from_projector(
@@ -527,10 +507,7 @@ def invariant_subspace_from_projector(
         raise RankAmbiguous(f"projector trace {tr:.8f} is far from an integer")
     if k == 0:
         return None
-    if report.svd_u is not None:
-        u, sings = report.svd_u, report.svd_s
-    else:
-        u, sings, _ = np.linalg.svd(q)
+    u, sings, _ = np.linalg.svd(q)
     if sings[k - 1] < 0.1 or (k < q.shape[0] and sings[k] > 0.5 * sings[k - 1]):
         raise RankAmbiguous(
             f"no singular-value gap at rank {k}: "

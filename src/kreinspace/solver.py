@@ -84,7 +84,6 @@ from .geometry import (
 )
 from .numerics import operator_norm, operator_norms
 from .projectors import (
-    QUADRATURE_RULE,
     Contour,
     default_contour_radius,
     invariant_subspace_from_projector,
@@ -217,7 +216,6 @@ class SolveReport:
     mu: complex = 0j
     margin: float = math.nan
     witness: np.ndarray | None = None
-    projector_method: str = ""
     polish_method: str = "none"
 
     @property
@@ -257,13 +255,8 @@ def galerkin_truncate(a: BlockOperator, n: int) -> BlockOperator:
     p = a.structure.p
     if not 1 <= n <= p:
         raise DimensionMismatch(f"need 1 <= n <= {p}, got {n}")
-    q = np.eye(p, dtype=np.complex128)[:, :n]
     return BlockOperator(
-        KreinStructure(n, a.structure.m),
-        q.conj().T @ a.a11 @ q,
-        q.conj().T @ a.a12,
-        a.a21 @ q,
-        a.a22,
+        KreinStructure(n, a.structure.m), a.a11[:n, :n], a.a12[:n], a.a21[:, :n], a.a22
     )
 
 
@@ -329,8 +322,6 @@ _CELL_ERRORS = (
     NotNonnegative,
     NotUniformlyDissipative,
 )
-# projector route of _upper_projector -> the projector_method it reports
-_PROJECTOR_METHODS = {"exact": "schur", "quadrature": QUADRATURE_RULE}
 
 
 def _upper_projector(
@@ -345,7 +336,7 @@ def _upper_projector(
     "quadrature" the range of the contour-quadrature projector (and None).
     A subspace of dimension other than p raises :class:`NotMaximal`.
     """
-    if projector not in _PROJECTOR_METHODS:
+    if projector not in ("exact", "quadrature"):
         raise DimensionMismatch(
             f"unknown projector {projector!r}; use 'exact' or 'quadrature'"
         )
@@ -423,7 +414,7 @@ def _solve_cell(
     margin: float,
     norm_bound: float,
     form: tuple[np.ndarray, np.ndarray] | None,
-) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray] | None]:
+) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray]]:
     """K of one regularized cell and min Im of the spectrum of A11 + A12 K.
 
     With ``form``, the sorted Schur form of an earlier cell of the Galerkin
@@ -433,15 +424,16 @@ def _solve_cell(
     (lambda, x) has Im(lambda) [x, x] >= margin |x|^2, so a p-dimensional
     nonnegative invariant subspace is exactly the upper spectral one.  Any
     other cell gets its own Schur form from :func:`_upper_projector`, which
-    raises what a cell can raise.  Returns (K, min Im, the cell's own Schur
-    form, or None for a continued cell).
+    raises what a cell can raise.  Returns (K, min Im, the Schur form the
+    row keeps: ``form`` for a continued cell, the cell's own after a
+    fallback).
     """
     if form is not None and margin > 1e-14 * max(norm_bound, 1.0):
         k_cell = _continued_angle_operator(cell, form, norm_bound)
         if k_cell is not None:
             min_im = _restriction_min_im(cell, k_cell)
             if min_im > margin / 2.0:
-                return k_cell, min_im, None
+                return k_cell, min_im, form
     k, form = _upper_projector(cell, "exact", margin, norm_bound)
     return k.matrix, _restriction_min_im(cell, k.matrix), form
 
@@ -475,14 +467,7 @@ def solve_uniformly_dissipative(
     k, _ = _upper_projector(a, projector, margin, a.norm())
     if mu is None:
         mu = _select_mu(a, (0.0,))
-    return _assemble_report(
-        a,
-        k,
-        mu,
-        margin,
-        schur_data(a, mu),
-        projector_method=_PROJECTOR_METHODS[projector],
-    )
+    return _assemble_report(a, k, mu, margin, schur_data(a, mu))
 
 
 def _assemble_report(
@@ -491,7 +476,6 @@ def _assemble_report(
     mu: complex,
     margin: float,
     sd: SchurData,
-    projector_method: str = "",
     trace: list[CellTrace] | None = None,
     polish_method: str = "none",
 ) -> SolveReport:
@@ -531,7 +515,6 @@ def _assemble_report(
         mu=complex(mu),
         margin=margin,
         witness=maximality_witness(subspace),
-        projector_method=projector_method,
         polish_method=polish_method,
     )
 
@@ -549,13 +532,13 @@ def _newton_polish(
     Each step is one Sylvester solve; ``a_norm`` is |A| and ``res0`` the
     defect norm of ``k0``, which the caller has already computed.  The total
     correction is capped so the polish can only sharpen the branch the
-    regularization already selected, never jump to another one.  Returns
-    (best iterate, its defect norm, whether the entry point was improved).
+    regularization already selected, never jump to another one.  A step is
+    accepted only when it lowers the defect norm, so the last iterate is the
+    best one.  Returns (last iterate, its defect norm, whether the entry
+    point was improved).
     """
     scale = max(a_norm, 1e-300)
-    best = np.array(k0, dtype=np.complex128)
-    best_res = res0
-    k = best.copy()
+    k = np.array(k0, dtype=np.complex128)
     res = res0
     moved = 0.0
     for _ in range(_NEWTON_MAX_ITER):
@@ -576,9 +559,7 @@ def _newton_polish(
             break
         k, res = k_next, res_next
         moved += step
-        if res < best_res:
-            best, best_res = k.copy(), res
-    return best, best_res, best_res < 0.999 * res0
+    return k, res, res < 0.999 * res0
 
 
 # ---------------------------------------------------------------------------
@@ -591,14 +572,13 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
 
     Requirements: dissipativity margin >= -tol and -A22 dissipative on H-.
     Iterates Galerkin dimension x epsilon cells, zero-extends each cell angle
-    operator back to m x p through the fixed coordinate embedding, checks the
-    epsilon tail for stabilization, and polishes the limit on the shift-free
-    Riccati equation.  The default ``cfg`` runs three cells, the
-    full-dimension tail of the double limit; see :class:`SolverConfig` for
-    the whole grid.  The convergence trace records every cell; when the
-    tail misses the Cauchy tolerance and the assembled K also fails the
-    a-posteriori Riccati certificate, :class:`NoCauchyConvergence` is raised
-    with the partial report attached.
+    operator back to m x p, checks the epsilon tail for stabilization, and
+    polishes the limit on the shift-free Riccati equation.  The default
+    ``cfg`` runs three cells, the full-dimension tail of the double limit;
+    see :class:`SolverConfig` for the whole grid.  The convergence trace
+    records every cell; when the tail misses the Cauchy tolerance and the
+    assembled K also fails the a-posteriori Riccati certificate,
+    :class:`NoCauchyConvergence` is raised with the partial report attached.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -636,7 +616,6 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
     shift_m = mu * np.eye(s.m)
     for n in dims:
         a_n = galerkin_truncate(a, n)
-        embed = np.eye(p, dtype=np.complex128)[:, :n]
         prev = None
         form = None  # the sorted Schur form the row continues from
         for eps in cfg.eps_schedule:
@@ -645,15 +624,14 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
             # at most eps (a compression has no larger norm than A)
             margin = margin0 + eps if n == p else dissipativity_margin(cell)
             try:
-                k_cell, min_im, fresh = _solve_cell(cell, margin, a_norm + eps, form)
+                k_cell, min_im, form = _solve_cell(cell, margin, a_norm + eps, form)
             except _CELL_ERRORS as exc:
                 trace.append(
                     CellTrace(n, eps, ok=False, error=f"{type(exc).__name__}: {exc}")
                 )
                 break
-            if fresh is not None:
-                form = fresh
-            k_tilde = k_cell @ embed.conj().T
+            k_tilde = np.zeros((s.m, p), dtype=np.complex128)
+            k_tilde[:, :n] = k_cell
             dist = None if prev is None else operator_norm(k_tilde - prev)
             # L = A21 + (A22 - mu) K; S + G L equals A11 + A12 K
             l_norm = operator_norm(cell.a21 + (cell.a22 - shift_m) @ k_cell)
@@ -666,7 +644,7 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
                     l_norm=l_norm,
                     k_dist_prev=dist,
                     restriction_min_im=min_im,
-                    projector_method=_PROJECTOR_METHODS["exact"],
+                    projector_method="schur",
                     l_bound_ok=l_norm <= l_cap * (1.0 + 1e-6),
                 )
             )
@@ -683,9 +661,9 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
 
     candidates = [final_ks[-1]]
     if len(final_ks) >= 2:
+        # the schedule decreases strictly, so r < 1
         r = final_eps[-1] / final_eps[-2]
-        if r < 1.0:
-            candidates.append((final_ks[-1] - r * final_ks[-2]) / (1.0 - r))
+        candidates.append((final_ks[-1] - r * final_ks[-2]) / (1.0 - r))
     defects = [operator_norm(graph_defect(a, k)) for k in candidates]
     best = min(range(len(candidates)), key=defects.__getitem__)
     k_best = candidates[best]
@@ -748,9 +726,7 @@ def maximal_dissipativity_check(a: BlockOperator) -> MaxDissReport:
     rng = np.random.Generator(np.random.Philox(7))
     radius = 2.0 * (1.0 + operator_norm(ja))
     mus = rng.uniform(-radius, radius, 24) + 1j * rng.uniform(1e-3, radius, 24)
-    defects = [
-        float(np.linalg.svd(ja - mu * np.eye(ja.shape[0]), compute_uv=False)[-1])
-        for mu in mus
-    ]
+    shifted = ja - mus[:, np.newaxis, np.newaxis] * np.eye(ja.shape[0])
+    defects = np.linalg.svd(shifted, compute_uv=False)[:, -1]
     passed = margin >= -DISSIPATIVITY_TOL
-    return MaxDissReport(margin, min(defects), max(defects), passed)
+    return MaxDissReport(margin, float(defects.min()), float(defects.max()), passed)

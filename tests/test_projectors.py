@@ -11,7 +11,7 @@ from kreinspace.errors import (
     HypothesisViolated,
     QuadratureNotConverged,
 )
-from kreinspace.geometry import KreinStructure, angle_operator_from_subspace
+from kreinspace.geometry import KreinStructure, Subspace, angle_operator_from_subspace
 from kreinspace.harness import InstanceSpec, random_dissipative
 from kreinspace.numerics import operator_norm
 from kreinspace.projectors import (
@@ -22,7 +22,7 @@ from kreinspace.projectors import (
     riesz_projector_exact,
     riesz_projector_quadrature,
     spectral_stability_check,
-    upper_invariant_subspace,
+    upper_schur_form,
 )
 
 TRIANGULAR = np.array([[1j, 1.0], [0.0, -1j]])
@@ -297,11 +297,12 @@ def test_exact_boundary_eigenvalue():
         riesz_projector_exact(np.diag([1.0 + 0j, 2j]), "upper_open", tol=1e-6)
 
 
-def test_upper_invariant_subspace_matches_projector_route():
+def test_upper_schur_form_matches_projector_route():
     for seed in (10, 11, 12):
         op = random_dissipative(InstanceSpec(p=4, m=3, margin=0.5, seed=seed))
         a = op.to_matrix()
-        direct = upper_invariant_subspace(a, op.structure, tol=0.25)
+        _, z, sdim = upper_schur_form(a, tol=0.25)
+        direct = Subspace(op.structure, z[:, :sdim])
         rep = riesz_projector_exact(a, "upper_open", tol=0.25)
         via_projector = invariant_subspace_from_projector(a, rep, op.structure)
         k1 = angle_operator_from_subspace(direct).matrix
@@ -309,13 +310,11 @@ def test_upper_invariant_subspace_matches_projector_route():
         assert np.linalg.norm(k1 - k2, 2) <= 1e-12
 
 
-def test_upper_invariant_subspace_boundary_and_empty():
+def test_upper_schur_form_boundary_and_empty():
     with pytest.raises(BoundaryEigenvalue):
-        upper_invariant_subspace(
-            np.diag([1j, 1e-12j, -1j]), KreinStructure(2, 1), tol=1e-9
-        )
+        upper_schur_form(np.diag([1j, 1e-12j, -1j]), tol=1e-9)
     a = np.diag([-1j, -2j + 0.5, -0.1j])
-    assert upper_invariant_subspace(a, KreinStructure(2, 1), tol=1e-9) is None
+    assert upper_schur_form(a, tol=1e-9)[2] == 0
 
 
 def test_exact_closed_region_includes_boundary():
@@ -397,6 +396,10 @@ def test_stability_requires_decreasing_errors():
 def test_contour_validation():
     with pytest.raises(DimensionMismatch):
         Contour(-1.0)
+    with pytest.raises(DimensionMismatch):
+        Contour(float("inf"))
+    with pytest.raises(DimensionMismatch):
+        Contour(float("nan"))
     with pytest.raises(DimensionMismatch):
         Contour(1.0, nodes=15)
     with pytest.raises(DimensionMismatch):

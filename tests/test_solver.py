@@ -18,6 +18,7 @@ from kreinspace.errors import (
 )
 from kreinspace.geometry import AngleOperator, KreinStructure
 from kreinspace.harness import InstanceSpec, random_dissipative
+from kreinspace.numerics import operator_norm
 from kreinspace.serialize import report_to_dict
 from kreinspace.solver import (
     DOUBLE_LIMIT_EPS_SCHEDULE,
@@ -558,3 +559,51 @@ def test_maximal_dissipativity_check():
     assert not rep.passed and rep.margin == pytest.approx(-1.0)
     rnd = random_dissipative(InstanceSpec(p=3, m=3, margin=0.0, seed=16))
     assert maximal_dissipativity_check(rnd).passed
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        I_J,
+        assemble([[-1j]], [[0.0]], [[0.0]], [[1j]]),
+        random_dissipative(InstanceSpec(p=3, m=4, margin=0.0, seed=16)),
+    ],
+    ids=["ij", "anti", "random"],
+)
+def test_maximal_dissipativity_diagnostics_match_per_shift_svds(a):
+    # the same 24 sampled upper shifts, one SVD each
+    ja = a.structure.signature() @ a.to_matrix()
+    rng = np.random.Generator(np.random.Philox(7))
+    radius = 2.0 * (1.0 + operator_norm(ja))
+    mus = rng.uniform(-radius, radius, 24) + 1j * rng.uniform(1e-3, radius, 24)
+    eye = np.eye(ja.shape[0])
+    want = [np.linalg.svd(ja - mu * eye, compute_uv=False)[-1] for mu in mus]
+    rep = maximal_dissipativity_check(a)
+    assert rep.sampled_defect_min == min(want)
+    assert rep.sampled_defect_max == max(want)
+
+
+@pytest.mark.parametrize(
+    "spec, offset",
+    [
+        (InstanceSpec(p=3, m=3, margin=0.0, seed=30), 1e-3),
+        (InstanceSpec(p=4, m=2, margin=0.1, seed=31), 1e-2),
+        (InstanceSpec(p=2, m=5, margin=1.0, coupling_scale=30.0, seed=32), 1e-4),
+        (InstanceSpec(p=3, m=3, margin=0.1, seed=33), 0.0),
+        (InstanceSpec(p=3, m=3, margin=0.1, seed=34), 0.5),
+    ],
+)
+def test_newton_polish_contract(spec, offset):
+    a = random_dissipative(spec)
+    k_limit = solve_theorem(a, SolverConfig(polish=False)).k.matrix
+    rng = np.random.Generator(np.random.Philox(spec.seed))
+    shape = k_limit.shape
+    k0 = k_limit + offset * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    res0 = operator_norm(graph_defect(a, k0))
+    k, res, improved = solver._newton_polish(a, k0, a.norm(), res0)
+    assert res == operator_norm(graph_defect(a, k))
+    assert res <= res0
+    assert improved == (res < 0.999 * res0)
+    assert np.linalg.norm(k - k0, 2) <= solver._NEWTON_MAX_STEP
+    if 0.0 < offset < 0.1:
+        assert improved

@@ -1,0 +1,136 @@
+"""Static checks on the package source: no unused imports, no dead definitions.
+
+Both checks parse ``src/kreinspace`` with the standard-library ``ast``
+module, so they need no linter.  ``__init__.py`` re-exports the public API
+and is exempt from the unused-import check.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import kreinspace
+
+PACKAGE = Path(kreinspace.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+
+
+def _dotted(node):
+    """``a.b.c`` for an attribute chain rooted at a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _uses(scope):
+    """Every name and dotted attribute chain read inside ``scope``."""
+    used = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            chain = _dotted(node)
+            if chain is not None:
+                used.add(chain)
+    return used
+
+
+def _unused_imports(tree):
+    """``(line, name)`` of each import that nothing in its scope reads.
+
+    A module-level import may be read anywhere in the module, one inside a
+    function only in that function.  ``import a.b`` binds ``a`` but must be
+    read as ``a.b...``, so the submodule it loads is the one in use.
+    """
+    scopes = [(tree, tree.body)]
+    scopes += [
+        (node, node.body)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    unused = []
+    for scope, body in scopes:
+        used = _uses(scope)
+        imports = [
+            node
+            for stmt in body
+            for node in ast.walk(stmt)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+        for node in imports:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                needed = alias.asname or alias.name
+                read = needed in used or any(u.startswith(needed + ".") for u in used)
+                if not read:
+                    unused.append((node.lineno, needed))
+    return unused
+
+
+@pytest.mark.parametrize(
+    "name", [path.name for path in MODULES if path.name != "__init__.py"]
+)
+def test_no_unused_imports(name):
+    assert _unused_imports(TREES[name]) == []
+
+
+def _definitions(tree):
+    """``(name, first line, last line)`` of each module-level def, class and constant."""
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            names = [
+                node.id
+                for target in stmt.targets
+                for node in ast.walk(target)
+                if isinstance(node, ast.Name)
+            ]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names = [stmt.target.id]
+        else:
+            continue
+        found += [
+            (n, stmt.lineno, stmt.end_lineno) for n in names if not n.startswith("__")
+        ]
+    return found
+
+
+def _references(tree):
+    """``(name, line)`` of every read of a name, attribute or imported name."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            refs += [(alias.name, node.lineno) for alias in node.names]
+    return refs
+
+
+def test_every_module_level_definition_is_referenced():
+    refs = {}
+    for module, tree in TREES.items():
+        for ref, line in _references(tree):
+            refs.setdefault(ref, []).append((module, line))
+    dead = []
+    for module, tree in TREES.items():
+        for name, first, last in _definitions(tree):
+            elsewhere = any(
+                other != module or not first <= line <= last
+                for other, line in refs.get(name, ())
+            )
+            if not elsewhere:
+                dead.append(f"{module}:{first} {name}")
+    assert dead == []
