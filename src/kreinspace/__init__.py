@@ -18,10 +18,8 @@ if "KREIN_THREADS" in _os.environ and "numpy" not in _sys.modules:
 
 from .blocks import (  # noqa: E402
     BlockOperator,
-    ConditionCaps,
     SchurData,
     assemble,
-    check_theorem_conditions,
     decompose,
     dissipativity_margin,
     factorization_residual,
@@ -37,10 +35,8 @@ from .errors import (  # noqa: E402
     ConditionIFailed,
     ContourTooClose,
     DimensionMismatch,
-    HypothesisViolated,
     KreinError,
     NoCauchyConvergence,
-    NoConvergence,
     NonFinite,
     NormExceeded,
     NotDissipative,
@@ -67,27 +63,22 @@ from .harness import (  # noqa: E402
     run_property_suite,
 )
 from .numerics import (  # noqa: E402
-    eigendecomposition,
     operator_norm,
     solve_shifted,
 )
 from .projectors import (  # noqa: E402
     Contour,
     ProjectorReport,
-    Rectangle,
     default_contour_radius,
     invariant_subspace_from_projector,
     riesz_projector_exact,
     riesz_projector_quadrature,
-    spectral_stability_check,
 )
 from .solver import (  # noqa: E402
     SolverConfig,
     SolveReport,
     galerkin_truncate,
-    maximal_dissipativity_check,
     regularize,
-    restriction_matrix,
     riccati_residual,
     solve_theorem,
     solve_uniformly_dissipative,
@@ -99,17 +90,14 @@ __all__ = [
     "AngleOperator",
     "BlockOperator",
     "BoundaryEigenvalue",
-    "ConditionCaps",
     "ConditionIFailed",
     "Contour",
     "ContourTooClose",
     "DimensionMismatch",
-    "HypothesisViolated",
     "InstanceSpec",
     "KreinError",
     "KreinStructure",
     "NoCauchyConvergence",
-    "NoConvergence",
     "NonFinite",
     "NormExceeded",
     "NotDissipative",
@@ -119,7 +107,6 @@ __all__ = [
     "ProjectorReport",
     "QuadratureNotConverged",
     "RankAmbiguous",
-    "Rectangle",
     "SchurData",
     "SingularShift",
     "SolveReport",
@@ -127,12 +114,10 @@ __all__ = [
     "Subspace",
     "angle_operator_from_subspace",
     "assemble",
-    "check_theorem_conditions",
     "classify_subspace",
     "decompose",
     "default_contour_radius",
     "dissipativity_margin",
-    "eigendecomposition",
     "factorization_residual",
     "g_decay_profile",
     "g_resolvent_identity_residual",
@@ -140,13 +125,11 @@ __all__ = [
     "galerkin_truncate",
     "indefinite_inner_product",
     "invariant_subspace_from_projector",
-    "maximal_dissipativity_check",
     "maximality_witness",
     "operator_norm",
     "random_dissipative",
     "regularize",
     "resolvent_asymptotics_check",
-    "restriction_matrix",
     "riccati_residual",
     "riesz_projector_exact",
     "riesz_projector_quadrature",
@@ -156,6 +139,5 @@ __all__ = [
     "solve_shifted",
     "solve_theorem",
     "solve_uniformly_dissipative",
-    "spectral_stability_check",
     "subspace_from_angle_operator",
 ]

@@ -17,8 +17,8 @@ factor the whole operator as an exact block LDU identity,
     A = mu + [[1, G], [0, 1]] diag(S - mu, A22 - mu) [[1, 0], [F, 1]],
 
 which underlies every resolvent formula used downstream.  This module also
-houses the dissipativity margin, the finite checks of the four structural
-conditions (dominant A22, bounded F/S, effectively-low-rank G), and the
+houses the dissipativity margin, condition (i)'s margin of -A22 (the
+dissipativity of -A22 on H-, which the solver requires), and the
 quantitative resolvent estimates that the verification harness asserts on
 random ensembles.
 
@@ -216,92 +216,8 @@ def factorization_residual(a: BlockOperator, mu):
 
 
 # ---------------------------------------------------------------------------
-# structural condition checks
+# condition (i): -A22 dissipative on H-
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConditionCaps:
-    """Optional caps for the structural condition report.
-
-    ``f_cap``/``s_cap`` model families whose transfer data should stay
-    bounded.  Condition (i) allows a margin down to ``-DISSIPATIVITY_TOL``;
-    condition (iii) is report-only: all finite matrices are compact, so the
-    fraction of singular values of G(mu) above 1e-2 times the largest is
-    reported and never capped.
-    """
-
-    f_cap: float | None = None
-    s_cap: float | None = None
-
-
-@dataclass(frozen=True)
-class ConditionItem:
-    value: float
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class ConditionsReport:
-    cond_i: ConditionItem
-    cond_ii: ConditionItem
-    cond_iii: ConditionItem
-    cond_iv: ConditionItem
-    g_singular_values: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(
-            item.passed
-            for item in (self.cond_i, self.cond_ii, self.cond_iii, self.cond_iv)
-        )
-
-
-def check_theorem_conditions(
-    a: BlockOperator, mu: complex, caps: ConditionCaps | None = None
-) -> ConditionsReport:
-    """Finite-dimensional report of the four structural conditions.
-
-    (i)   -A22 dissipative on H- (Euclidean sense), i.e. Im A22 <= tol;
-    (ii)  |F(mu)| reported, optionally capped;
-    (iii) singular-value concentration of G(mu) (report-only);
-    (iv)  |S(mu)| reported, optionally capped.
-    """
-    if caps is None:
-        caps = ConditionCaps()
-    if mu.imag <= 0:
-        raise DimensionMismatch("mu must lie in the open upper half-plane")
-    im_a22_max = -condition_i_margin(a)
-    cond_i = ConditionItem(
-        value=-im_a22_max,
-        passed=im_a22_max <= DISSIPATIVITY_TOL,
-        detail="margin of -A22 in H-",
-    )
-    sd = schur_data(a, mu)
-    f_norm = operator_norm(sd.f)
-    cond_ii = ConditionItem(
-        value=f_norm,
-        passed=caps.f_cap is None or f_norm <= caps.f_cap,
-        detail="|F(mu)|",
-    )
-    g_sv = np.linalg.svd(sd.g, compute_uv=False)
-    if g_sv[0] > 0:
-        effective = float(np.mean(g_sv / g_sv[0] > 1e-2))
-    else:
-        effective = 0.0
-    cond_iii = ConditionItem(
-        value=effective,
-        passed=True,
-        detail="fraction of singular values of G above the decay threshold",
-    )
-    s_norm = operator_norm(sd.s)
-    cond_iv = ConditionItem(
-        value=s_norm,
-        passed=caps.s_cap is None or s_norm <= caps.s_cap,
-        detail="|S(mu)|",
-    )
-    return ConditionsReport(cond_i, cond_ii, cond_iii, cond_iv, g_singular_values=g_sv)
 
 
 def condition_i_margin(a: BlockOperator) -> float:
@@ -333,12 +249,15 @@ class DecayProfile:
 
 
 def g_decay_profile(a: BlockOperator, heights) -> DecayProfile:
-    """Evaluate |G(i h)| for increasing heights h > 0."""
+    """Evaluate |G(i h)| for finite, strictly increasing heights h > 0."""
     hs = [float(h) for h in heights]
-    if not hs or any(h <= 0 for h in hs) or any(
+    # a comparison with NaN is false, so NaN fails the range test
+    if not hs or not all(0 < h < np.inf for h in hs) or any(
         h2 <= h1 for h1, h2 in zip(hs, hs[1:])
     ):
-        raise DimensionMismatch("heights must be strictly increasing and positive")
+        raise DimensionMismatch(
+            "heights must be finite, positive and strictly increasing"
+        )
     if condition_i_margin(a) < -DISSIPATIVITY_TOL:
         raise ConditionIFailed("-A22 is not dissipative; the profile is undefined")
     decay_tol = 2.0 * operator_norm(a.a12) / DECAY_HORIZON

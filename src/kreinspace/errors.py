@@ -24,10 +24,6 @@ class SingularShift(KreinError):
     """
 
 
-class NoConvergence(KreinError):
-    """An iterative eigenvalue scheme exceeded its iteration cap."""
-
-
 class NotNonnegative(KreinError):
     """The subspace fails the nonnegativity classification."""
 
@@ -54,15 +50,6 @@ class BoundaryEigenvalue(KreinError):
 
 class RankAmbiguous(KreinError):
     """Singular values of a projector show no gap at the expected rank."""
-
-
-class HypothesisViolated(KreinError):
-    """A member of the approximating sequence violates the check hypothesis.
-
-    Raised by the spectral stability check when some approximant already has
-    spectrum inside the probed region; this is a harness signal, not a
-    failure of the limit statement.
-    """
 
 
 class NotDissipative(KreinError):

@@ -30,6 +30,7 @@ import numpy as np
 from . import serialize
 from .blocks import (
     BlockOperator,
+    decompose,
     factorization_residual,
     g_resolvent_identity_residual,
     g_uniform_bound_check,
@@ -98,14 +99,10 @@ def random_dissipative(spec: InstanceSpec) -> BlockOperator:
     shift = spec.margin - float(np.linalg.eigvalsh(h_part)[0])
     h_part += shift * np.eye(d)
     a_mat = s.signature() @ (r_part + 1j * h_part)
-    a11 = a_mat[: s.p, : s.p]
-    a12 = a_mat[: s.p, s.p:]
-    a21 = a_mat[s.p:, : s.p]
-    a22 = a_mat[s.p:, s.p:]
     if spec.a22_decay > 0:
         profile = spec.a22_decay * (1.0 + np.arange(s.m)) / s.m
-        a22 = a22 - 1j * np.diag(profile)
-    return BlockOperator(s, a11, a12, a21, a22)
+        a_mat[s.p:, s.p:] -= 1j * np.diag(profile)
+    return decompose(a_mat, s)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NoConvergence, NonFinite, SingularShift
+from .errors import DimensionMismatch, NonFinite, SingularShift
 
 #: Relative floor below which a shifted matrix counts as singular.
 SINGULAR_FLOOR = 1e-12
@@ -174,18 +174,3 @@ def solve_shifted(m, mu, b) -> np.ndarray:
     # vectors, so B is broadcast to (k, d, n) explicitly
     x = np.linalg.solve(shifted, np.broadcast_to(rhs, (shifted.shape[0], *rhs.shape)))
     return x if np.ndim(mu) else x[0]
-
-
-def eigendecomposition(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (with multiplicity) and unit eigenvectors of a square matrix.
-
-    Each returned pair satisfies |M v_k - w_k v_k| <= 1e-8 |M|.
-    """
-    a = validate_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got {a.shape}")
-    try:
-        w, v = scipy.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK cap
-        raise NoConvergence(str(exc)) from exc
-    return w, v

@@ -54,7 +54,6 @@ from .errors import (
     BoundaryEigenvalue,
     ContourTooClose,
     DimensionMismatch,
-    HypothesisViolated,
     QuadratureNotConverged,
     RankAmbiguous,
 )
@@ -148,6 +147,8 @@ class Contour:
             raise DimensionMismatch("contour radius must be positive and finite")
         # a budget buys max(2, nodes // GAUSS_PANEL_ORDER) panels, so small
         # budgets all buy the same two
+        if not isinstance(self.nodes, (int, np.integer)):
+            raise DimensionMismatch(f"node count must be an integer, got {self.nodes!r}")
         if self.nodes < 32 or self.nodes % 2:
             raise DimensionMismatch("node count must be even and at least 32")
 
@@ -514,71 +515,3 @@ def invariant_subspace_from_projector(
             f"s[k-1]={sings[k - 1]:.3e}, s[k]={sings[k] if k < q.shape[0] else 0.0:.3e}"
         )
     return Subspace(structure, u[:, :k])
-
-
-# ---------------------------------------------------------------------------
-# norm-limit spectral stability
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Rectangle:
-    """Axis-aligned closed rectangle in the complex plane."""
-
-    re_lo: float
-    re_hi: float
-    im_lo: float
-    im_hi: float
-
-    def __post_init__(self):
-        if self.re_lo >= self.re_hi or self.im_lo >= self.im_hi:
-            raise DimensionMismatch("rectangle must have positive extent")
-
-    def signed_distance(self, z: complex) -> float:
-        """Positive outside the rectangle, negative inside."""
-        dx = max(self.re_lo - z.real, 0.0, z.real - self.re_hi)
-        dy = max(self.im_lo - z.imag, 0.0, z.imag - self.im_hi)
-        if dx > 0.0 or dy > 0.0:
-            return float(np.hypot(dx, dy))
-        return -min(
-            z.real - self.re_lo,
-            self.re_hi - z.real,
-            z.imag - self.im_lo,
-            self.im_hi - z.imag,
-        )
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    sequence_min_distance: tuple[float, ...]
-    limit_min_distance: float
-    passed: bool
-
-
-def spectral_stability_check(t_sequence, t_limit, omega: Rectangle) -> StabilityReport:
-    """Norm convergence keeps a spectrum-free region spectrum free.
-
-    Every approximant must avoid ``omega`` (otherwise
-    :class:`HypothesisViolated` fires, a harness signal); the limit is then
-    asserted to avoid it as well, with at least 1e-9 clearance from the
-    boundary.
-    """
-    limit = validate_matrix(t_limit, "T_limit")
-    mats = [validate_matrix(t, f"T_{i}") for i, t in enumerate(t_sequence)]
-    if not mats:
-        raise DimensionMismatch("empty approximating sequence")
-    gaps = [operator_norm(t - limit) for t in mats]
-    for g_prev, g_next in zip(gaps, gaps[1:]):
-        if g_next > g_prev + 1e-12:
-            raise DimensionMismatch("approximation errors must be non-increasing")
-    seq_dists = []
-    for i, t in enumerate(mats):
-        dists = [omega.signed_distance(z) for z in np.linalg.eigvals(t)]
-        worst = min(dists)
-        if worst <= 0.0:
-            raise HypothesisViolated(
-                f"approximant {i} has an eigenvalue inside the probed region"
-            )
-        seq_dists.append(worst)
-    limit_dist = min(omega.signed_distance(z) for z in np.linalg.eigvals(limit))
-    return StabilityReport(tuple(seq_dists), float(limit_dist), limit_dist >= 1e-9)

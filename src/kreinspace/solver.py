@@ -285,13 +285,6 @@ def riccati_residual(
     return _riccati_from_schur(a, k.matrix, sd)
 
 
-def restriction_matrix(a: BlockOperator, k: AngleOperator, mu: complex) -> np.ndarray:
-    """S + G L, similar to the restriction of A to the graph of K."""
-    sd = schur_data(a, mu)
-    _, l_op = _riccati_from_schur(a, k.matrix, sd)
-    return sd.s + sd.g @ l_op
-
-
 def _select_mu(a: BlockOperator, eps_values) -> complex:
     """Smallest i*t (doubling t) with |G(i t + i eps)| < 1/2 for all eps.
 
@@ -697,36 +690,3 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
             report=report,
         )
     return report
-
-
-# ---------------------------------------------------------------------------
-# maximal dissipativity surrogate
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MaxDissReport:
-    margin: float
-    sampled_defect_min: float
-    sampled_defect_max: float
-    passed: bool
-
-
-def maximal_dissipativity_check(a: BlockOperator) -> MaxDissReport:
-    """Finite-dimensional maximality surrogate.
-
-    In finite dimension a dissipative operator is automatically maximal, so
-    the verdict is the margin criterion; sigma_min(JA - mu) at 24 sampled
-    upper shifts is reported as a diagnostic (the spectrum of a dissipative
-    JA lies in the closed upper half-plane, so small defects there are
-    expected, not failures).
-    """
-    ja = a.structure.signature() @ a.to_matrix()
-    margin = dissipativity_margin(a)
-    rng = np.random.Generator(np.random.Philox(7))
-    radius = 2.0 * (1.0 + operator_norm(ja))
-    mus = rng.uniform(-radius, radius, 24) + 1j * rng.uniform(1e-3, radius, 24)
-    shifted = ja - mus[:, np.newaxis, np.newaxis] * np.eye(ja.shape[0])
-    defects = np.linalg.svd(shifted, compute_uv=False)[:, -1]
-    passed = margin >= -DISSIPATIVITY_TOL
-    return MaxDissReport(margin, float(defects.min()), float(defects.max()), passed)

@@ -20,6 +20,7 @@ from kreinspace.blocks import (
     g_resolvent_identity_residual,
     g_uniform_bound_check,
     resolvent_asymptotics_check,
+    schur_data,
     schur_perturbation_residuals,
 )
 from kreinspace.errors import NotDissipative, SingularShift
@@ -39,7 +40,6 @@ from kreinspace.solver import (
     SolverConfig,
     graph_defect,
     regularize,
-    restriction_matrix,
     riccati_residual,
     solve_theorem,
     solve_uniformly_dissipative,
@@ -387,9 +387,10 @@ def test_criterion_11_golden_cases():
         solve_theorem(bnd)
     k_one = AngleOperator(s11, [[1.0]])
     case3 &= abs(k_one.norm - 1.0) <= 1e-12
-    res, _ = riccati_residual(bnd, k_one, 2j)
+    res, l_one = riccati_residual(bnd, k_one, 2j)
     case3 &= res <= 1e-12
-    restr = restriction_matrix(bnd, k_one, 2j)
+    sd3 = schur_data(bnd, 2j)
+    restr = sd3.s + sd3.g @ l_one
     spec3 = np.linalg.eigvals(restr)
     case3 &= np.allclose(spec3, [1.0], atol=1e-12)
     case3 &= float(np.abs(spec3.imag).max()) <= 1e-6

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from kreinspace.blocks import (
-    ConditionCaps,
     assemble,
-    check_theorem_conditions,
     decompose,
     dissipativity_margin,
     factorization_residual,
@@ -141,35 +139,6 @@ def test_factorization_many_shifts():
             assert factorization_residual(a, mu) <= 1e-9
 
 
-def test_conditions_ij():
-    rep = check_theorem_conditions(i_j_operator(), 1j)
-    assert rep.cond_i.passed
-    assert rep.cond_ii.value == pytest.approx(0.0, abs=1e-14)
-    assert rep.cond_iii.value == pytest.approx(0.0, abs=1e-14)
-    assert rep.cond_iv.value == pytest.approx(1.0, abs=1e-12)
-    assert rep.all_passed
-
-
-def test_conditions_wrong_sign_a22():
-    a = assemble([[1j]], [[0.0]], [[0.0]], [[1j]])
-    rep = check_theorem_conditions(a, 2j)
-    assert not rep.cond_i.passed
-
-
-def test_conditions_scalar_block_norms():
-    rep = check_theorem_conditions(scalar_block(), 1j)
-    assert rep.cond_ii.value == pytest.approx(0.5, abs=1e-12)
-    assert rep.cond_iv.value == pytest.approx(0.5, abs=1e-12)
-
-
-def test_conditions_caps():
-    rep = check_theorem_conditions(
-        scalar_block(), 1j, ConditionCaps(f_cap=0.1, s_cap=10.0)
-    )
-    assert not rep.cond_ii.passed
-    assert rep.cond_iv.passed
-
-
 def test_g_decay_zero_coupling():
     prof = g_decay_profile(i_j_operator(), [1.0, 10.0, 100.0])
     assert all(v == 0.0 for _, v in prof.points)
@@ -201,6 +170,12 @@ def test_g_decay_requires_dominant_a22():
     a = assemble([[0.0]], [[1.0]], [[1.0]], [[1j]])
     with pytest.raises(ConditionIFailed):
         g_decay_profile(a, [1.0, 10.0])
+
+
+@pytest.mark.parametrize("height", [np.nan, np.inf])
+def test_g_decay_rejects_non_finite_heights(height):
+    with pytest.raises(DimensionMismatch, match="heights"):
+        g_decay_profile(scalar_block(), [1.0, height])
 
 
 def test_g_bound_decoupled():

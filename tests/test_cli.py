@@ -241,6 +241,15 @@ def test_spectrum_bad_profile(capsys, scalar_block_problem):
     assert code == 2
 
 
+@pytest.mark.parametrize("profile", ["1,nan", "1,inf"])
+def test_spectrum_non_finite_profile(capsys, recwarn, scalar_block_problem, profile):
+    code, _, err = run(capsys, "spectrum", scalar_block_problem, "--profile", profile)
+    assert code == 2
+    assert "heights" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_unknown_flag_exit_2(capsys):
     code, _, _ = run(capsys, "generate", "--p", "2", "--m", "2", "--bogus")
     assert code == 2

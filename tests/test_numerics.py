@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 from kreinspace.errors import DimensionMismatch, NonFinite, SingularShift
 from kreinspace.numerics import (
     SINGULAR_FLOOR,
-    eigendecomposition,
     operator_norm,
     operator_norms,
     shifted_stack,
@@ -204,34 +203,6 @@ def test_solve_shifted_rejects_bad_shifts():
         solve_shifted(m, np.array([], dtype=complex), b)
     with pytest.raises(DimensionMismatch):
         solve_shifted(m, np.ones((2, 2)) * 1j, b)
-
-
-def test_eigendecomposition_diagonal():
-    w, _ = eigendecomposition(np.diag([1j, -1j]))
-    np.testing.assert_allclose(sorted(w, key=lambda z: z.imag), [-1j, 1j], atol=1e-14)
-
-
-def test_eigendecomposition_triangular():
-    w, _ = eigendecomposition(np.array([[1j, 1.0], [0.0, -1j]]))
-    np.testing.assert_allclose(sorted(w, key=lambda z: z.imag), [-1j, 1j], atol=1e-12)
-
-
-def test_eigendecomposition_residual_is_the_oracle():
-    rng = np.random.Generator(np.random.Philox(1))
-    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    w, v = eigendecomposition(m)
-    for k in range(5):
-        resid = np.linalg.norm(m @ v[:, k] - w[k] * v[:, k])
-        assert resid <= 1e-8 * operator_norm(m)
-
-
-def test_eigenvalue_sum_equals_trace():
-    rng = np.random.Generator(np.random.Philox(2))
-    for _ in range(20):
-        n = int(rng.integers(2, 10))
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        w, _ = eigendecomposition(m)
-        assert abs(w.sum() - np.trace(m)) <= 1e-8 * operator_norm(m) * n
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,4 +1,4 @@
-"""Riesz projectors: quadrature vs the Schur-split oracle, and stability."""
+"""Riesz projectors: quadrature vs the Schur-split oracle."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from kreinspace.errors import (
     BoundaryEigenvalue,
     ContourTooClose,
     DimensionMismatch,
-    HypothesisViolated,
     QuadratureNotConverged,
 )
 from kreinspace.geometry import KreinStructure, Subspace, angle_operator_from_subspace
@@ -16,12 +15,10 @@ from kreinspace.harness import InstanceSpec, random_dissipative
 from kreinspace.numerics import operator_norm
 from kreinspace.projectors import (
     Contour,
-    Rectangle,
     default_contour_radius,
     invariant_subspace_from_projector,
     riesz_projector_exact,
     riesz_projector_quadrature,
-    spectral_stability_check,
     upper_schur_form,
 )
 
@@ -360,39 +357,6 @@ def test_default_radius_covers_spectrum():
     assert r >= 1.5 * np.max(np.abs(np.linalg.eigvals(a)))
 
 
-def test_stability_pass():
-    ts = [(1.0 + 1.0 / n) * 1j * np.eye(2) for n in range(1, 6)]
-    limit = 1j * np.eye(2)
-    omega = Rectangle(-0.5, 0.5, -0.75, -0.25)
-    rep = spectral_stability_check(ts, limit, omega)
-    assert rep.passed
-
-
-def test_stability_constant_sequence():
-    # a constant sequence reduces to a direct spectrum check
-    t = np.diag([1j, -3j])
-    rep = spectral_stability_check([t, t, t], t, Rectangle(-1.0, 1.0, -1.5, -0.5))
-    assert rep.passed
-    with pytest.raises(HypothesisViolated):
-        spectral_stability_check([t, t, t], t, Rectangle(-1.0, 1.0, -3.5, -2.5))
-
-
-def test_stability_hypothesis_violated():
-    # an eigenvalue drifts into the probed region along the sequence
-    ts = [np.diag([1j, -1j + 1j / n]) for n in range(1, 41)]
-    limit = np.diag([1j, -1j])
-    omega = Rectangle(-0.1, 0.1, -1.05, -0.95)
-    with pytest.raises(HypothesisViolated):
-        spectral_stability_check(ts, limit, omega)
-
-
-def test_stability_requires_decreasing_errors():
-    limit = 1j * np.eye(2)
-    ts = [1.1j * np.eye(2), 1.5j * np.eye(2)]
-    with pytest.raises(DimensionMismatch):
-        spectral_stability_check(ts, limit, Rectangle(-1, 1, -2, -1))
-
-
 def test_contour_validation():
     with pytest.raises(DimensionMismatch):
         Contour(-1.0)
@@ -406,3 +370,8 @@ def test_contour_validation():
         Contour(1.0, nodes=16)
     with pytest.raises(DimensionMismatch):
         Contour(1.0, nodes=33)
+    with pytest.raises(DimensionMismatch, match="integer"):
+        Contour(5.0, nodes=64.0)
+    # a numpy integer is an integer node count: 3 panels of 43 Kronrod nodes
+    rep = riesz_projector_quadrature(TRIANGULAR, Contour(5.0, nodes=np.int64(64)))
+    assert rep.nodes_used == 129

@@ -25,9 +25,7 @@ from kreinspace.solver import (
     SolverConfig,
     galerkin_truncate,
     graph_defect,
-    maximal_dissipativity_check,
     regularize,
-    restriction_matrix,
     riccati_residual,
     solve_theorem,
     solve_uniformly_dissipative,
@@ -143,7 +141,9 @@ def test_riccati_invariance_equivalence():
 
 def test_restriction_matrix_trivial():
     a = decompose(np.diag([1j, -1j]), KreinStructure(1, 1))
-    r = restriction_matrix(a, AngleOperator(KreinStructure(1, 1), [[0.0]]), 2j)
+    sd = schur_data(a, 2j)
+    _, l_op = riccati_residual(a, AngleOperator(KreinStructure(1, 1), [[0.0]]), 2j)
+    r = sd.s + sd.g @ l_op
     np.testing.assert_allclose(r, [[1j]], atol=1e-14)
 
 
@@ -151,7 +151,9 @@ def test_restriction_matrix_manufactured():
     a, k_mat = manufactured_invariant_pair(seed=8)
     s = KreinStructure(3, 3)
     mu = 1j * (1.0 + np.linalg.norm(a.a22, 2))
-    r = restriction_matrix(a, AngleOperator(s, k_mat), mu)
+    sd = schur_data(a, mu)
+    _, l_op = riccati_residual(a, AngleOperator(s, k_mat), mu)
+    r = sd.s + sd.g @ l_op
     np.testing.assert_allclose(r, a.a11 + a.a12 @ k_mat, atol=1e-9)
     # compression oracle on the orthonormalized graph
     stacked = np.vstack([np.eye(3), k_mat])
@@ -549,38 +551,6 @@ def test_solve_theorem_fixed_mu_gate():
     bad = SolverConfig(mu=0.01j, eps_schedule=(0.5, 1e-4))
     with pytest.raises(DimensionMismatch):
         solve_theorem(a, bad)
-
-
-def test_maximal_dissipativity_check():
-    assert maximal_dissipativity_check(I_J).passed
-    assert maximal_dissipativity_check(I_J).margin == pytest.approx(1.0)
-    anti = assemble([[-1j]], [[0.0]], [[0.0]], [[1j]])
-    rep = maximal_dissipativity_check(anti)
-    assert not rep.passed and rep.margin == pytest.approx(-1.0)
-    rnd = random_dissipative(InstanceSpec(p=3, m=3, margin=0.0, seed=16))
-    assert maximal_dissipativity_check(rnd).passed
-
-
-@pytest.mark.parametrize(
-    "a",
-    [
-        I_J,
-        assemble([[-1j]], [[0.0]], [[0.0]], [[1j]]),
-        random_dissipative(InstanceSpec(p=3, m=4, margin=0.0, seed=16)),
-    ],
-    ids=["ij", "anti", "random"],
-)
-def test_maximal_dissipativity_diagnostics_match_per_shift_svds(a):
-    # the same 24 sampled upper shifts, one SVD each
-    ja = a.structure.signature() @ a.to_matrix()
-    rng = np.random.Generator(np.random.Philox(7))
-    radius = 2.0 * (1.0 + operator_norm(ja))
-    mus = rng.uniform(-radius, radius, 24) + 1j * rng.uniform(1e-3, radius, 24)
-    eye = np.eye(ja.shape[0])
-    want = [np.linalg.svd(ja - mu * eye, compute_uv=False)[-1] for mu in mus]
-    rep = maximal_dissipativity_check(a)
-    assert rep.sampled_defect_min == min(want)
-    assert rep.sampled_defect_max == max(want)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """Static checks on the package source: no unused imports, no dead definitions.
 
-Both checks parse ``src/kreinspace`` with the standard-library ``ast``
+The checks parse ``src/kreinspace`` with the standard-library ``ast``
 module, so they need no linter.  ``__init__.py`` re-exports the public API
-and is exempt from the unused-import check.
+and is exempt from the unused-import check; its exports must each be read
+by another module of the package, apart from the few listed with a reason
+in ``CALLER_LESS_EXPORTS``.
 """
 
 import ast
@@ -119,18 +121,55 @@ def _references(tree):
     return refs
 
 
-def test_every_module_level_definition_is_referenced():
+def _reference_index():
+    """``name -> [(module, line), ...]`` of every read in the package."""
     refs = {}
     for module, tree in TREES.items():
         for ref, line in _references(tree):
             refs.setdefault(ref, []).append((module, line))
+    return refs
+
+
+def _read_outside(reads, module, first, last):
+    """Whether one of ``reads`` lies outside lines first..last of ``module``."""
+    return any(other != module or not first <= line <= last for other, line in reads)
+
+
+def test_every_module_level_definition_is_referenced():
+    refs = _reference_index()
     dead = []
     for module, tree in TREES.items():
         for name, first, last in _definitions(tree):
-            elsewhere = any(
-                other != module or not first <= line <= last
-                for other, line in refs.get(name, ())
-            )
-            if not elsewhere:
+            if not _read_outside(refs.get(name, ()), module, first, last):
                 dead.append(f"{module}:{first} {name}")
     assert dead == []
+
+
+#: Exported names that no module of the package reads, each with why it stays.
+CALLER_LESS_EXPORTS = {
+    "assemble": "the public constructor of a block operator from its four "
+    "blocks; the tests and tests/contract.py build operators with it",
+    "indefinite_inner_product": "the form [x, y] itself; acceptance "
+    "criterion 11 checks a neutral vector with it",
+    "subspace_from_angle_operator": "the inverse of angle_operator_from_subspace",
+    "solve_shifted": "a target of bench/worker.py TARGETS",
+    "solve_uniformly_dissipative": "a target of bench/worker.py TARGETS; "
+    "acceptance criterion 4 calls it",
+}
+
+
+def test_every_export_has_a_library_caller():
+    refs = _reference_index()
+    homes = {
+        name: (module, first, last)
+        for module, tree in TREES.items()
+        if module != "__init__.py"
+        for name, first, last in _definitions(tree)
+    }
+    uncalled = []
+    for name in kreinspace.__all__:
+        reads = [(m, line) for m, line in refs.get(name, ()) if m != "__init__.py"]
+        if not _read_outside(reads, *homes[name]) and name not in CALLER_LESS_EXPORTS:
+            uncalled.append(name)
+    assert uncalled == []
+    assert sorted(set(CALLER_LESS_EXPORTS) - set(kreinspace.__all__)) == []
