@@ -9,7 +9,7 @@ decay data).  Machine-readable output goes to stdout; the human summary of
 Exit codes are part of the stable interface:
     0  success / all checks passed
     1  a check or suite row failed
-    2  bad flags or unreadable input
+    2  bad flags, unreadable input or an unwritable output path
     3  the operator is not dissipative (or its negative block is not dominant)
     4  the regularization tail did not converge (report still emitted)
 
@@ -67,19 +67,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _UnwritableOutput(Exception):
+    """An output path that could not be written (exit 2)."""
+
+
 def _emit(text: str, path: str | None) -> None:
-    sys.stdout.write(text)
     if path:
         _atomic_write(path, text)
+    sys.stdout.write(text)
 
 
 def _atomic_write(path: str, text: str) -> None:
+    import contextlib
     import os
 
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise _UnwritableOutput(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_generate(args) -> int:
@@ -264,7 +274,11 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "spectrum": _cmd_spectrum,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _UnwritableOutput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

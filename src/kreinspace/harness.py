@@ -62,7 +62,7 @@ class InstanceSpec:
     targets intentionally produce non-dissipative instances for negative
     controls).  ``a22_decay`` adds -i times a positive diagonal profile to
     A22, making the negative block dominant; ``coupling_scale`` scales the
-    off-diagonal blocks.
+    off-diagonal blocks.  All three must be finite.
     """
 
     p: int
@@ -75,6 +75,9 @@ class InstanceSpec:
     def __post_init__(self):
         if self.p < 1 or self.m < 1:
             raise KreinError(f"need p, m >= 1, got p={self.p}, m={self.m}")
+        for name in ("margin", "a22_decay", "coupling_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise KreinError(f"{name} must be finite, got {getattr(self, name)}")
         if self.coupling_scale < 0 or self.a22_decay < 0:
             raise KreinError("coupling_scale and a22_decay must be nonnegative")
         if self.seed < 0:

@@ -13,8 +13,8 @@ leading Schur vectors: :func:`upper_schur_form` returns the whole form,
 which is how the solver computes the first cell of each Galerkin row.  The
 quadrature is the paper's own construction and stays independent of the
 Schur route; it serves as the cross-check of the Schur projector
-(``harness.check_instance``, acceptance criterion 2) and as the
-``"quadrature"`` route of ``solver.solve_uniformly_dissipative``.
+(``harness.check_instance``, acceptance criterion 2).  Its range, through
+:func:`invariant_subspace_from_projector`, gives the quadrature's own K.
 
 The quadrature has one rule: 21-point Gauss panels embedded in their
 43-point Kronrod extension (G21 inside K43), graded by the local spectral

@@ -28,7 +28,6 @@ double limit, Galerkin dimensions ceil(p/4), ceil(p/2), p against
 
 The full report, with its certificates, is assembled once, for the limit.
 The contour quadrature of the paper is not on this path; it remains the
-``"quadrature"`` route of :func:`solve_uniformly_dissipative` and the
 harness's independent cross-check of the Schur projector.
 
 Each Galerkin row computes a sorted Schur form (T, Z) for its first cell
@@ -83,13 +82,7 @@ from .geometry import (
     maximality_witness,
 )
 from .numerics import operator_norm, operator_norms
-from .projectors import (
-    Contour,
-    default_contour_radius,
-    invariant_subspace_from_projector,
-    riesz_projector_quadrature,
-    upper_schur_form,
-)
+from .projectors import upper_schur_form
 
 # the full eps row of the double limit; the default solve runs only its tail,
 # whose last two cells are all that Richardson extrapolation and Newton read
@@ -318,38 +311,24 @@ _CELL_ERRORS = (
 
 
 def _upper_projector(
-    a: BlockOperator, projector: str, margin: float, norm_bound: float
-) -> tuple[AngleOperator, tuple[np.ndarray, np.ndarray] | None]:
+    a: BlockOperator, margin: float, norm_bound: float
+) -> tuple[AngleOperator, tuple[np.ndarray, np.ndarray]]:
     """Angle operator of the upper spectral subspace of a strictly dissipative A.
 
     ``margin`` is the dissipativity margin of A and ``norm_bound`` an upper
     bound on |A|; a margin at or below 1e-14 max(norm_bound, 1) raises
-    :class:`NotUniformlyDissipative`.  "exact" takes the leading vectors of
-    the sorted Schur form and returns that form ``(T, Z)`` alongside,
-    "quadrature" the range of the contour-quadrature projector (and None).
-    A subspace of dimension other than p raises :class:`NotMaximal`.
+    :class:`NotUniformlyDissipative`.  K is read from the leading vectors of
+    the sorted Schur form, which is returned alongside as ``(T, Z)``.  A
+    subspace of dimension other than p raises :class:`NotMaximal`.
     """
-    if projector not in ("exact", "quadrature"):
-        raise DimensionMismatch(
-            f"unknown projector {projector!r}; use 'exact' or 'quadrature'"
-        )
-    full = a.to_matrix()
     if margin <= 1e-14 * max(norm_bound, 1.0):
         raise NotUniformlyDissipative(f"margin {margin:.3e} is not positive")
-    form = None
-    if projector == "exact":
-        t, z, sdim = upper_schur_form(full, tol=margin / 2.0)
-        subspace = Subspace(a.structure, z[:, :sdim]) if sdim else None
-        form = (t, z)
-    else:
-        rep = riesz_projector_quadrature(full, Contour(default_contour_radius(full)))
-        subspace = invariant_subspace_from_projector(full, rep, a.structure)
-    got = 0 if subspace is None else subspace.dim
-    if got != a.structure.p:
+    t, z, sdim = upper_schur_form(a.to_matrix(), tol=margin / 2.0)
+    if sdim != a.structure.p:
         raise NotMaximal(
-            f"upper spectral subspace has dimension {got}, expected {a.structure.p}"
+            f"upper spectral subspace has dimension {sdim}, expected {a.structure.p}"
         )
-    return angle_operator_from_subspace(subspace), form
+    return angle_operator_from_subspace(Subspace(a.structure, z[:, :sdim])), (t, z)
 
 
 def _continued_angle_operator(
@@ -427,7 +406,7 @@ def _solve_cell(
             min_im = _restriction_min_im(cell, k_cell)
             if min_im > margin / 2.0:
                 return k_cell, min_im, form
-    k, form = _upper_projector(cell, "exact", margin, norm_bound)
+    k, form = _upper_projector(cell, margin, norm_bound)
     return k.matrix, _restriction_min_im(cell, k.matrix), form
 
 
@@ -436,28 +415,19 @@ def _restriction_min_im(a: BlockOperator, k_mat: np.ndarray) -> float:
     return float(np.min(np.linalg.eigvals(a.a11 + a.a12 @ k_mat).imag))
 
 
-def solve_uniformly_dissipative(
-    a: BlockOperator,
-    mu: complex | None = None,
-    projector: str = "quadrature",
-) -> SolveReport:
-    """Solve one strictly dissipative instance through its Riesz projector.
+def solve_uniformly_dissipative(a: BlockOperator, mu: complex | None = None) -> SolveReport:
+    """Solve one strictly dissipative instance through its upper spectral subspace.
 
-    With a positive margin the real axis belongs to the resolvent set and the
-    upper spectrum is bounded, so the semicircular contour applies; the
-    projector range is the maximal uniformly positive invariant subspace and
-    its angle operator solves the Riccati equation up to projector accuracy.
-    ``mu`` is the transfer-function shift of the report (None: the smallest
-    i*t with |G(i t)| < 1/2).  ``projector`` is "quadrature" (the contour
-    integral on the default 64-node :class:`Contour`, whose node ladder
-    :func:`riesz_projector_quadrature` refines on demand; a quadrature
-    failure is raised) or "exact" (the sorted Schur basis that
-    :func:`solve_theorem` computes for a Galerkin row's first cell); any
-    other value raises :class:`DimensionMismatch`.  The report certifies
-    the graph of the returned K.
+    With a positive margin the real axis belongs to the resolvent set, so
+    the eigenvalues with Im > 0 span the maximal uniformly positive
+    invariant subspace; its angle operator is read from the sorted Schur
+    basis that :func:`solve_theorem` computes for a Galerkin row's first
+    cell.  ``mu`` is the transfer-function shift of the report (None: the
+    smallest i*t with |G(i t)| < 1/2).  The report certifies the graph of
+    the returned K.
     """
     margin = dissipativity_margin(a)
-    k, _ = _upper_projector(a, projector, margin, a.norm())
+    k, _ = _upper_projector(a, margin, a.norm())
     if mu is None:
         mu = _select_mu(a, (0.0,))
     return _assemble_report(a, k, mu, margin, schur_data(a, mu))

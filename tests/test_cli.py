@@ -202,6 +202,41 @@ def test_verify_suite_negative_control(capsys):
     assert doc["failure_artifacts"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--p", "2", "--m", "2", "--decay", "nan"],
+        ["generate", "--p", "2", "--m", "2", "--margin", "inf"],
+        ["verify", "--suite", "--seeds", "1", "--decay", "nan"],
+        ["verify", "--suite", "--seeds", "1", "--margin", "nan"],
+        ["verify", "--suite", "--seeds", "1", "--coupling", "nan"],
+    ],
+)
+def test_non_finite_instance_parameters_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be finite" in err
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "verify"])
+@pytest.mark.parametrize("target", ["missing/out.json", "existing_dir"])
+def test_unwritable_output_path_exit_2(capsys, tmp_path, ij_problem, command, target):
+    (tmp_path / "existing_dir").mkdir()
+    path = str(tmp_path / target)
+    argv = {
+        "generate": ["generate", "--p", "2", "--m", "2", "--out", path],
+        "solve": ["solve", ij_problem, "--out", path],
+        "verify": ["verify", ij_problem, "--csv", path],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot write {path}:")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_verify_needs_input(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2

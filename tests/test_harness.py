@@ -1,5 +1,6 @@
 """Instance generator and batch suite behavior."""
 
+import math
 import sys
 
 import numpy as np
@@ -12,6 +13,7 @@ from kreinspace.blocks import (
     g_resolvent_identity_residual,
     schur_perturbation_residuals,
 )
+from kreinspace.errors import KreinError
 from kreinspace.harness import (
     InstanceSpec,
     check_instance,
@@ -195,8 +197,8 @@ def test_unitary_covariance():
     np.testing.assert_allclose(
         rotated.to_matrix(), u @ a.to_matrix() @ u.conj().T, atol=1e-12
     )
-    r1 = solve_uniformly_dissipative(a, projector="exact")
-    r2 = solve_uniformly_dissipative(rotated, projector="exact")
+    r1 = solve_uniformly_dissipative(a)
+    r2 = solve_uniformly_dissipative(rotated)
     np.testing.assert_allclose(r2.k.matrix, um @ r1.k.matrix @ up.conj().T, atol=1e-8)
 
 
@@ -205,3 +207,15 @@ def test_spec_validation():
         InstanceSpec(p=0, m=2)
     with pytest.raises(Exception):
         InstanceSpec(p=2, m=2, coupling_scale=-1.0)
+    for field, value in [
+        ("margin", math.nan),
+        ("margin", -math.inf),
+        ("a22_decay", math.nan),
+        ("a22_decay", math.inf),
+        ("coupling_scale", math.nan),
+        ("coupling_scale", math.inf),
+    ]:
+        with pytest.raises(KreinError, match=f"{field} must be finite"):
+            InstanceSpec(p=2, m=2, **{field: value})
+    # a negative margin stays allowed: it makes a negative control
+    assert InstanceSpec(p=2, m=2, margin=-0.5).margin == -0.5

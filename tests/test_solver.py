@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kreinspace import solver
+from kreinspace import projectors, solver
 from kreinspace.blocks import assemble, decompose, dissipativity_margin, schur_data
 from kreinspace.errors import (
     DimensionMismatch,
@@ -16,9 +16,19 @@ from kreinspace.errors import (
     NotUniformlyDissipative,
     QuadratureNotConverged,
 )
-from kreinspace.geometry import AngleOperator, KreinStructure
+from kreinspace.geometry import (
+    AngleOperator,
+    KreinStructure,
+    angle_operator_from_subspace,
+)
 from kreinspace.harness import InstanceSpec, random_dissipative
 from kreinspace.numerics import operator_norm
+from kreinspace.projectors import (
+    Contour,
+    default_contour_radius,
+    invariant_subspace_from_projector,
+    riesz_projector_quadrature,
+)
 from kreinspace.serialize import report_to_dict
 from kreinspace.solver import (
     DOUBLE_LIMIT_EPS_SCHEDULE,
@@ -186,44 +196,41 @@ def test_solve_uniform_requires_margin():
         solve_uniformly_dissipative(BOUNDARY)
 
 
+def quadrature_k(a):
+    """K of the range of the contour-quadrature projector, built without the solver."""
+    full = a.to_matrix()
+    rep = riesz_projector_quadrature(full, Contour(default_contour_radius(full)))
+    subspace = invariant_subspace_from_projector(full, rep, a.structure)
+    return angle_operator_from_subspace(subspace).matrix
+
+
 def test_solve_uniform_quadrature_vs_exact():
     for seed in (10, 11, 12):
         a = random_dissipative(InstanceSpec(p=4, m=3, margin=0.5, seed=seed))
-        r1 = solve_uniformly_dissipative(a, projector="quadrature")
-        r2 = solve_uniformly_dissipative(a, projector="exact")
-        assert r1.k_norm < 1.0
-        np.testing.assert_allclose(r1.k.matrix, r2.k.matrix, atol=1e-7)
-        assert r1.riccati_residual <= 1e-8 * (
-            np.linalg.norm(schur_data(a, r1.mu).s, 2) + abs(r1.mu)
+        rep = solve_uniformly_dissipative(a)
+        assert rep.k_norm < 1.0
+        np.testing.assert_allclose(rep.k.matrix, quadrature_k(a), rtol=0, atol=1e-10)
+        assert rep.riccati_residual <= 1e-8 * (
+            np.linalg.norm(schur_data(a, rep.mu).s, 2) + abs(rep.mu)
         )
-        assert rep_min_im(r1) > 0
+        assert rep_min_im(rep) > 0
 
 
 def test_quadrature_ladder_budgets_and_fallback(monkeypatch):
-    # solve_theorem never calls the quadrature; the "quadrature" route of
-    # solve_uniformly_dissipative makes one call at the default 64-node
-    # budget and re-raises its failure
-    budgets = []
+    # solve_theorem reads K from Schur bases only; the quadrature is never reached
+    calls = []
 
-    def never_converges(full, contour):
-        budgets.append(contour.nodes)
+    def never_converges(*args):
+        calls.append(args)
         raise QuadratureNotConverged("forced")
 
-    monkeypatch.setattr(solver, "riesz_projector_quadrature", never_converges)
+    monkeypatch.setattr(projectors, "riesz_projector_quadrature", never_converges)
+    monkeypatch.setattr(projectors, "_quadrature_projector", never_converges)
     a = random_dissipative(InstanceSpec(4, 3, 0.5, seed=1))
     rep = solve_theorem(a, FAST)
     assert rep.convergence_trace
     assert all(t.ok and t.projector_method == "schur" for t in rep.convergence_trace)
-    assert budgets == []
-    with pytest.raises(QuadratureNotConverged):
-        solve_uniformly_dissipative(a, projector="quadrature")
-    assert budgets == [64]
-
-
-@pytest.mark.parametrize("projector", ["qudrature", "auto", "Exact", ""])
-def test_unknown_projector_is_rejected(projector):
-    with pytest.raises(DimensionMismatch):
-        solve_uniformly_dissipative(I_J, projector=projector)
+    assert calls == []
 
 
 def rep_min_im(rep):
@@ -241,9 +248,8 @@ def test_solve_theorem_ij():
 
 def test_solve_theorem_matches_direct_solve():
     a = random_dissipative(InstanceSpec(p=6, m=6, margin=0.8, seed=13))
-    rep_direct = solve_uniformly_dissipative(a)
     rep_full = solve_theorem(a)
-    np.testing.assert_allclose(rep_full.k.matrix, rep_direct.k.matrix, atol=1e-6)
+    np.testing.assert_allclose(rep_full.k.matrix, quadrature_k(a), atol=1e-6)
 
 
 def test_solve_theorem_trace_contracts():
@@ -340,9 +346,8 @@ def _record_continuations(monkeypatch):
 
 
 def _fresh_cell(cell):
-    return solver._upper_projector(
-        cell, "exact", dissipativity_margin(cell), cell.norm()
-    )[0].matrix
+    k, _ = solver._upper_projector(cell, dissipativity_margin(cell), cell.norm())
+    return k.matrix
 
 
 CONTINUATION_SPECS = [

@@ -155,6 +155,11 @@ CALLER_LESS_EXPORTS = {
     "solve_shifted": "a target of bench/worker.py TARGETS",
     "solve_uniformly_dissipative": "a target of bench/worker.py TARGETS; "
     "acceptance criterion 4 calls it",
+    "riesz_projector_quadrature": "the paper's contour-integral projector; "
+    "acceptance criterion 2 checks it against the exact projector, and it is "
+    "a target of bench/worker.py TARGETS",
+    "invariant_subspace_from_projector": "the range of a projector report; "
+    "bench/gate.py builds its reference K with it",
 }
 
 
