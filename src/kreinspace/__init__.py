@@ -24,11 +24,10 @@ from .blocks import (  # noqa: E402
     dissipativity_margin,
     factorization_residual,
     g_decay_profile,
-    g_resolvent_identity_residual,
     g_uniform_bound_check,
     resolvent_asymptotics_check,
+    resolvent_identity_residuals,
     schur_data,
-    schur_perturbation_residuals,
 )
 from .errors import (  # noqa: E402
     BoundaryEigenvalue,
@@ -120,7 +119,6 @@ __all__ = [
     "dissipativity_margin",
     "factorization_residual",
     "g_decay_profile",
-    "g_resolvent_identity_residual",
     "g_uniform_bound_check",
     "galerkin_truncate",
     "indefinite_inner_product",
@@ -130,12 +128,12 @@ __all__ = [
     "random_dissipative",
     "regularize",
     "resolvent_asymptotics_check",
+    "resolvent_identity_residuals",
     "riccati_residual",
     "riesz_projector_exact",
     "riesz_projector_quadrature",
     "run_property_suite",
     "schur_data",
-    "schur_perturbation_residuals",
     "solve_shifted",
     "solve_theorem",
     "solve_uniformly_dissipative",

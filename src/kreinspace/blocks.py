@@ -26,12 +26,14 @@ All functions here are pure.  Shift samples are stacked: :func:`schur_data`
 takes a 1-D array of shifts and returns the transfer data as stacks, so each
 check that samples many shifts (the uniform bound on G, the resolvent
 asymptotics, the decay profile) solves all of them in one batched call.
-The identity residuals (:func:`factorization_residual`,
-:func:`g_resolvent_identity_residual`,
-:func:`schur_perturbation_residuals`) take arrays of samples the same way
-and return arrays; a scalar sample still returns a float.  Each stack of
+The identity residuals (:func:`factorization_residual` and
+:func:`resolvent_identity_residuals`) take arrays of samples the same way
+and return arrays; a scalar sample still returns floats.  Each stack of
 A22 - mu_k is checked against the singular floor once, and its transpose
-solves, which have the same singular values, reuse that check.
+solves, which have the same singular values, reuse that check; the three
+resolvent identities share the transfer data at mu.  Each check takes only
+what it cannot derive: the uniform bound on G reads its eps from
+:func:`dissipativity_margin`.
 """
 
 from __future__ import annotations
@@ -230,26 +232,13 @@ def condition_i_margin(a: BlockOperator) -> float:
 # ---------------------------------------------------------------------------
 
 
-DECAY_HORIZON = 100.0
+def g_decay_profile(a: BlockOperator, heights) -> np.ndarray:
+    """The array of |G(i h)| at finite, strictly increasing heights h > 0.
 
-
-@dataclass(frozen=True)
-class DecayProfile:
-    """Norms |G(i h)| along the imaginary axis.
-
-    The resolvent bound |(A22 - i h)^{-1}| <= 1/h forces decay to zero, so
-    the envelope checks assert last <= first and, past ``DECAY_HORIZON``, a
-    drop below the decay tolerance 2 |A12| / ``DECAY_HORIZON``.
+    Condition (i) gives |(A22 - i h)^{-1}| <= 1/h, so the values decay to
+    zero like |A12| / h; an operator that fails it raises
+    :class:`ConditionIFailed`.
     """
-
-    points: tuple[tuple[float, float], ...]
-    last_le_first: bool
-    tail_below_tol: bool
-    decay_tol: float
-
-
-def g_decay_profile(a: BlockOperator, heights) -> DecayProfile:
-    """Evaluate |G(i h)| for finite, strictly increasing heights h > 0."""
     hs = [float(h) for h in heights]
     # a comparison with NaN is false, so NaN fails the range test
     if not hs or not all(0 < h < np.inf for h in hs) or any(
@@ -260,13 +249,8 @@ def g_decay_profile(a: BlockOperator, heights) -> DecayProfile:
         )
     if condition_i_margin(a) < -DISSIPATIVITY_TOL:
         raise ConditionIFailed("-A22 is not dissipative; the profile is undefined")
-    decay_tol = 2.0 * operator_norm(a.a12) / DECAY_HORIZON
     shifted = shifted_stack(a.a22, 1j * np.array(hs))
-    norms = operator_norms(_applied_left(shifted, a.a12))
-    values = [(h, float(n)) for h, n in zip(hs, norms)]
-    last_le_first = values[-1][1] <= values[0][1] + 1e-14
-    tail_below = values[-1][0] <= DECAY_HORIZON or values[-1][1] <= decay_tol
-    return DecayProfile(tuple(values), last_le_first, tail_below, decay_tol)
+    return operator_norms(_applied_left(shifted, a.a12))
 
 
 @dataclass(frozen=True)
@@ -284,21 +268,20 @@ def half_range_norm(a: BlockOperator) -> float:
     return operator_norm(np.vstack([a.a11, a.a21]))
 
 
-def g_uniform_bound_check(a: BlockOperator, eps: float, sample_lambdas) -> GBoundReport:
+def g_uniform_bound_check(a: BlockOperator, sample_lambdas) -> GBoundReport:
     """Check |G(lambda)| <= 2 + 2a/eps on the closed upper half-plane.
 
-    Requires the uniform margin ``eps`` > 0 (then A22 - lambda is invertible
-    at every sample); a = 2 |A P+| (1 + 1e-6).  All samples are solved as one
-    stack of G(lambda); ``worst_lambda`` is the first sample of largest
-    ratio, and 0 when every ratio is 0.  An empty sample set raises
+    ``eps`` is the dissipativity margin of A (a smaller one only loosens the
+    bound); a margin <= 0 raises :class:`NotUniformlyDissipative`, and a
+    positive one makes A22 - lambda invertible at every sample.
+    a = 2 |A P+| (1 + 1e-6).  All samples are solved as one stack of
+    G(lambda); ``worst_lambda`` is the first sample of largest ratio, and 0
+    when every ratio is 0.  An empty sample set raises
     :class:`DimensionMismatch`.
     """
-    eps = float(eps)
-    margin = dissipativity_margin(a)
-    if eps <= 0 or margin < eps - 1e-12:
-        raise NotUniformlyDissipative(
-            f"need margin >= eps > 0, got margin={margin:.3e}, eps={eps:.3e}"
-        )
+    eps = dissipativity_margin(a)
+    if eps <= 0:
+        raise NotUniformlyDissipative(f"need a positive margin, got {eps:.3e}")
     a_const = 2.0 * half_range_norm(a) * (1.0 + _EPS_A)
     bound = 2.0 + 2.0 * a_const / eps
     lams = np.asarray(sample_lambdas, dtype=np.complex128).reshape(-1)
@@ -343,8 +326,11 @@ def resolvent_asymptotics_check(
     the identity reads only z* [(lambda - A)^{-1}]_11 z.
     """
     rs = sorted(float(r) for r in radii)
-    if len(rs) < 2:
-        raise DimensionMismatch("need at least two radii")
+    # a comparison with NaN is false, so NaN fails the range test
+    if len(set(rs)) < 2 or not all(0 < r < np.inf for r in rs):
+        raise DimensionMismatch(
+            f"radii must be finite, positive and hold two distinct values, got {rs}"
+        )
     if dissipativity_margin(a) <= 0:
         raise NotUniformlyDissipative("asymptotics probe needs a positive margin")
     p = a.structure.p
@@ -380,51 +366,45 @@ def resolvent_asymptotics_check(
     return AsymptoticsReport(tuple(rs), tuple(constants), ratio, worst_identity, passed)
 
 
-def g_resolvent_identity_residual(a: BlockOperator, lam, mu):
-    """Relative defect of G(lambda) = G(mu) + (lambda-mu) G(mu) (A22-lambda)^{-1}.
-
-    ``lam`` and ``mu`` are one pair of shifts (the result is a float) or two
-    1-D arrays of one length (the result is the array of the defects of
-    their pairs); the stack of each shift array is checked once.
-    """
-    (lams, mus), scalar = _samples(
-        np.asarray(lam, dtype=np.complex128), np.asarray(mu, dtype=np.complex128)
-    )
-    shifted_lam = shifted_stack(a.a22, lams)
-    g_lam = _applied_left(shifted_lam, a.a12)
-    g_mu = _applied_left(shifted_stack(a.a22, mus), a.a12)
-    recon = g_mu + (lams - mus)[:, np.newaxis, np.newaxis] * _applied_left(
-        shifted_lam, g_mu
-    )
-    scale = np.maximum(operator_norms(g_lam), 1e-300)
-    res = operator_norms(g_lam - recon) / scale
-    return float(res[0]) if scalar else res
+def _relative_defects(exact: np.ndarray, recon: np.ndarray) -> np.ndarray:
+    """|exact_k - recon_k| / |exact_k| for each slice of two stacks."""
+    return operator_norms(exact - recon) / np.maximum(operator_norms(exact), 1e-300)
 
 
-def schur_perturbation_residuals(a: BlockOperator, mu, eps):
-    """Relative defects of the shift-perturbation identities
+def resolvent_identity_residuals(a: BlockOperator, lam, mu, eps):
+    """Relative defects of the three resolvent identities of the transfer data
 
+        G(lambda)     = G(mu) + (lambda - mu) G(mu) (A22 - lambda)^{-1}
         G(mu + i eps) = G(mu) + i eps G(mu) (A22 - i eps - mu)^{-1}
         S(mu + i eps) = S(mu) - i eps G(mu + i eps) F(mu)
 
-    Both are exact resolvent algebra, so the defects sit at rounding level.
-    ``mu`` and ``eps`` are one sample (the result is a pair of floats) or two
-    1-D arrays of one length (the result is a pair of arrays).
+    All three are exact resolvent algebra, so the defects sit at rounding
+    level.  One :func:`schur_data` at ``mu`` serves all three, so a call
+    checks three stacks: A22 - mu, A22 - lambda and A22 - mu - i eps.
+    ``lam``, ``mu`` and ``eps`` are one sample (the result is a triple of
+    floats: two-point, G shift, S shift) or 1-D arrays of one length (the
+    result is a triple of arrays).
     """
-    (mus, epss), scalar = _samples(
-        np.asarray(mu, dtype=np.complex128), np.asarray(eps, dtype=float)
+    (lams, mus, epss), scalar = _samples(
+        np.asarray(lam, dtype=np.complex128),
+        np.asarray(mu, dtype=np.complex128),
+        np.asarray(eps, dtype=float),
+    )
+    sd_mu = schur_data(a, mus)
+    shifted_lam = shifted_stack(a.a22, lams)
+    two_point = _relative_defects(
+        _applied_left(shifted_lam, a.a12),
+        sd_mu.g
+        + (lams - mus)[:, np.newaxis, np.newaxis] * _applied_left(shifted_lam, sd_mu.g),
     )
     i_eps = (1j * epss)[:, np.newaxis, np.newaxis]
     mu_shift = mus + 1j * epss
-    sd_mu = schur_data(a, mus)
     shifted_up = shifted_stack(a.a22, mu_shift)
     sd_up = _schur_stack(a, mu_shift, shifted_up)
-    g_recon = sd_mu.g + i_eps * _applied_left(shifted_up, sd_mu.g)
-    g_scale = np.maximum(operator_norms(sd_up.g), 1e-300)
-    g_res = operator_norms(sd_up.g - g_recon) / g_scale
-    s_recon = sd_mu.s - i_eps * (sd_up.g @ sd_mu.f)
-    s_scale = np.maximum(operator_norms(sd_up.s), 1e-300)
-    s_res = operator_norms(sd_up.s - s_recon) / s_scale
+    g_shift = _relative_defects(
+        sd_up.g, sd_mu.g + i_eps * _applied_left(shifted_up, sd_mu.g)
+    )
+    s_shift = _relative_defects(sd_up.s, sd_mu.s - i_eps * (sd_up.g @ sd_mu.f))
     if scalar:
-        return float(g_res[0]), float(s_res[0])
-    return g_res, s_res
+        return float(two_point[0]), float(g_shift[0]), float(s_shift[0])
+    return two_point, g_shift, s_shift

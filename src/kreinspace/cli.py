@@ -257,7 +257,7 @@ def _cmd_spectrum(args) -> int:
         except Exception as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        doc["g_decay_profile"] = [[h, v] for h, v in profile.points]
+        doc["g_decay_profile"] = [[h, v] for h, v in zip(heights, profile.tolist())]
     sys.stdout.write(serialize.dump_json(doc))
     return 0
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotMaximal, NotNonnegative, NormExceeded
-from .numerics import operator_norm, validate_matrix, validate_vector
+from .numerics import operator_norm, validate_int, validate_matrix, validate_vector
 
 #: Classification labels returned by :func:`classify_subspace`.
 NEGATIVE_TOUCHING = "negative_touching"
@@ -37,12 +37,14 @@ CLASSIFY_TOL = 2e-9
 
 @dataclass(frozen=True)
 class KreinStructure:
-    """Dimensions of the positive and negative components."""
+    """Dimensions of the positive and negative components (integers)."""
 
     p: int
     m: int
 
     def __post_init__(self):
+        for name in ("p", "m"):
+            object.__setattr__(self, name, validate_int(getattr(self, name), name))
         if self.p < 1 or self.m < 1:
             raise DimensionMismatch(f"need p >= 1 and m >= 1, got p={self.p}, m={self.m}")
 

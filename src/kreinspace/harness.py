@@ -32,14 +32,13 @@ from .blocks import (
     BlockOperator,
     decompose,
     factorization_residual,
-    g_resolvent_identity_residual,
     g_uniform_bound_check,
     resolvent_asymptotics_check,
-    schur_perturbation_residuals,
+    resolvent_identity_residuals,
 )
 from .errors import KreinError, NoCauchyConvergence
 from .geometry import KreinStructure
-from .numerics import operator_norm
+from .numerics import operator_norm, validate_int
 from .projectors import (
     Contour,
     _quadrature_projector,
@@ -62,7 +61,8 @@ class InstanceSpec:
     targets intentionally produce non-dissipative instances for negative
     controls).  ``a22_decay`` adds -i times a positive diagonal profile to
     A22, making the negative block dominant; ``coupling_scale`` scales the
-    off-diagonal blocks.  All three must be finite.
+    off-diagonal blocks.  All three must be finite; ``p``, ``m`` and
+    ``seed`` are integers (numpy integers are accepted, bools are not).
     """
 
     p: int
@@ -73,6 +73,8 @@ class InstanceSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("p", "m", "seed"):
+            object.__setattr__(self, name, validate_int(getattr(self, name), name))
         if self.p < 1 or self.m < 1:
             raise KreinError(f"need p, m >= 1, got p={self.p}, m={self.m}")
         for name in ("margin", "a22_decay", "coupling_scale"):
@@ -192,7 +194,7 @@ def check_instance(
                 rng.uniform(-radius, radius, 25),
             ]
         )
-        g_rep = g_uniform_bound_check(a, margin, lams)
+        g_rep = g_uniform_bound_check(a, lams)
         res.g_bound_ratio = g_rep.max_ratio
         checks["g_bound"] = g_rep.passed
     else:
@@ -210,14 +212,7 @@ def check_instance(
     ]
     mus, lams, epss = (np.array(column) for column in zip(*draws))
     worst_fact = float(np.max(factorization_residual(a, mus)))
-    worst_id = float(
-        np.max(
-            [
-                g_resolvent_identity_residual(a, lams, mus),
-                *schur_perturbation_residuals(a, mus, epss),
-            ]
-        )
-    )
+    worst_id = float(np.max(resolvent_identity_residuals(a, lams, mus, epss)))
     res.factorization_worst = worst_fact
     res.identity_worst = worst_id
     checks["factorization"] = worst_fact <= _IDENTITY_TOL
@@ -265,10 +260,12 @@ def run_property_suite(specs, cfg: SolverConfig | None = None) -> SuiteReport:
     if cfg is None:
         cfg = SolverConfig()
     results: list[InstanceResult] = []
-    artifacts: list[dict] = []
+    # each drawn instance, kept for the failure artifacts
+    drawn: list[tuple[InstanceSpec, BlockOperator]] = []
     no_cauchy = 0
     for spec in specs:
         a = random_dissipative(spec)
+        drawn.append((spec, a))
         base = InstanceResult(seed=spec.seed, p=spec.p, m=spec.m, margin=spec.margin)
         try:
             rep = solve_theorem(a, cfg)
@@ -285,25 +282,22 @@ def run_property_suite(specs, cfg: SolverConfig | None = None) -> SuiteReport:
         results.append(
             check_instance(a, rep, cfg, seed=spec.seed, margin_label=spec.margin)
         )
-    passed = all(r.passed for r in results)
-    if not passed:
-        for spec, r in zip(specs, results):
-            if not r.passed:
-                artifacts.append(
-                    {
-                        "spec": {
-                            "p": spec.p,
-                            "m": spec.m,
-                            "margin": spec.margin,
-                            "a22_decay": spec.a22_decay,
-                            "coupling_scale": spec.coupling_scale,
-                            "seed": spec.seed,
-                        },
-                        "problem": serialize.problem_to_dict(
-                            random_dissipative(spec)
-                        ),
-                        "error": r.error,
-                        "checks": {k: bool(v) for k, v in r.checks.items()},
-                    }
-                )
+    artifacts = [
+        {
+            "spec": {
+                "p": spec.p,
+                "m": spec.m,
+                "margin": spec.margin,
+                "a22_decay": spec.a22_decay,
+                "coupling_scale": spec.coupling_scale,
+                "seed": spec.seed,
+            },
+            "problem": serialize.problem_to_dict(a),
+            "error": r.error,
+            "checks": {k: bool(v) for k, v in r.checks.items()},
+        }
+        for (spec, a), r in zip(drawn, results)
+        if not r.passed
+    ]
+    passed = not artifacts
     return SuiteReport(results, passed, no_cauchy, artifacts)

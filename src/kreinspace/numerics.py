@@ -49,6 +49,16 @@ def validate_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def validate_int(value, name: str) -> int:
+    """Return ``value`` as an int: Python and numpy integers pass, bools do not.
+
+    Anything else raises :class:`DimensionMismatch` naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DimensionMismatch(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def validate_vector(x, length: int | None = None, name: str = "vector") -> np.ndarray:
     """Return ``x`` as a validated 1-D complex128 array of optional length."""
     a = np.asarray(x, dtype=np.complex128).reshape(-1)

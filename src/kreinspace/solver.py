@@ -81,7 +81,7 @@ from .geometry import (
     gram_matrix,
     maximality_witness,
 )
-from .numerics import operator_norm, operator_norms
+from .numerics import operator_norm, operator_norms, validate_int
 from .projectors import upper_schur_form
 
 # the full eps row of the double limit; the default solve runs only its tail,
@@ -144,7 +144,7 @@ class SolverConfig:
             raise DimensionMismatch("eps schedule must reach 1e-4 or below")
         object.__setattr__(self, "eps_schedule", eps)
         if self.galerkin_dims is not None:
-            dims = tuple(int(n) for n in self.galerkin_dims)
+            dims = tuple(validate_int(n, "galerkin dim") for n in self.galerkin_dims)
             if not dims:
                 raise DimensionMismatch("galerkin dims must be nonempty")
             if any(n < 1 for n in dims) or any(

@@ -9,12 +9,11 @@ from kreinspace.blocks import (
     dissipativity_margin,
     factorization_residual,
     g_decay_profile,
-    g_resolvent_identity_residual,
     g_uniform_bound_check,
     half_range_norm,
     resolvent_asymptotics_check,
+    resolvent_identity_residuals,
     schur_data,
-    schur_perturbation_residuals,
 )
 from kreinspace.errors import (
     ConditionIFailed,
@@ -24,6 +23,7 @@ from kreinspace.errors import (
 )
 from kreinspace.geometry import KreinStructure
 from kreinspace.harness import InstanceSpec, random_dissipative
+from kreinspace import blocks
 from kreinspace.numerics import solve_shifted
 
 
@@ -141,16 +141,13 @@ def test_factorization_many_shifts():
 
 def test_g_decay_zero_coupling():
     prof = g_decay_profile(i_j_operator(), [1.0, 10.0, 100.0])
-    assert all(v == 0.0 for _, v in prof.points)
-    assert prof.last_le_first and prof.tail_below_tol
+    assert all(v == 0.0 for v in prof)
 
 
 def test_g_decay_scalar_values():
     # |G(i h)| = 1/|-i - i h| = 1/(1 + h)
     prof = g_decay_profile(scalar_block(), [1.0, 10.0, 100.0])
-    values = [v for _, v in prof.points]
-    np.testing.assert_allclose(values, [0.5, 1 / 11, 1 / 101], atol=1e-12)
-    assert prof.last_le_first and prof.tail_below_tol
+    np.testing.assert_allclose(prof, [0.5, 1 / 11, 1 / 101], atol=1e-12)
 
 
 def test_g_decay_resolvent_rate():
@@ -162,7 +159,7 @@ def test_g_decay_resolvent_rate():
         a12 = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         a = assemble(np.zeros((2, 2)), a12, np.zeros((3, 2)), a22)
         prof = g_decay_profile(a, [10.0, 100.0])
-        ratio = prof.points[1][1] / prof.points[0][1]
+        ratio = prof[1] / prof[0]
         assert 0.1 / 3 <= ratio <= 0.1 * 3
 
 
@@ -179,7 +176,7 @@ def test_g_decay_rejects_non_finite_heights(height):
 
 
 def test_g_bound_decoupled():
-    rep = g_uniform_bound_check(i_j_operator(), 1.0, [0.0, 1j, 1 + 1j])
+    rep = g_uniform_bound_check(i_j_operator(), [0.0, 1j, 1 + 1j])
     assert rep.max_ratio == 0.0 and rep.passed
 
 
@@ -187,7 +184,8 @@ def test_g_bound_scalar_triangular():
     # |G(0)| = |1/(-i)| = 1, a = 2 |A P+| (1 + 1e-6) with |A P+| = 1, eps = 1/2
     a = triangular()
     assert half_range_norm(a) == pytest.approx(1.0)
-    rep = g_uniform_bound_check(a, 0.5, [0.0])
+    rep = g_uniform_bound_check(a, [0.0])
+    assert rep.eps == pytest.approx(0.5)
     assert rep.bound >= 10.0
     assert rep.max_ratio == pytest.approx(1.0 / rep.bound, rel=1e-9)
     assert rep.passed
@@ -196,15 +194,18 @@ def test_g_bound_scalar_triangular():
 def test_g_bound_random_ensemble():
     rng = np.random.Generator(np.random.Philox(5))
     a = random_dissipative(InstanceSpec(p=4, m=4, margin=0.4, seed=9))
-    margin = dissipativity_margin(a)
     lams = rng.uniform(-5, 5, 20) + 1j * rng.uniform(0, 5, 20)
-    rep = g_uniform_bound_check(a, margin, lams)
+    rep = g_uniform_bound_check(a, lams)
+    assert rep.eps == dissipativity_margin(a)
     assert rep.passed
 
 
 def test_g_bound_requires_margin():
+    # J A = diag(0, i): dissipative with margin exactly 0
+    a = assemble([[0.0]], [[0.0]], [[0.0]], [[-1j]])
+    assert dissipativity_margin(a) == 0.0
     with pytest.raises(NotUniformlyDissipative):
-        g_uniform_bound_check(i_j_operator(), 2.0, [1j])
+        g_uniform_bound_check(a, [1j])
 
 
 def test_asymptotics_ij_constant():
@@ -246,7 +247,7 @@ def test_resolvent_identity_random():
     for _ in range(10):
         lam = complex(rng.standard_normal(), 0.3 + rng.random())
         mu = complex(rng.standard_normal(), 0.3 + rng.random())
-        assert g_resolvent_identity_residual(a, lam, mu) <= 1e-9
+        assert resolvent_identity_residuals(a, lam, mu, 0.5)[0] <= 1e-9
 
 
 def test_shift_perturbation_identities():
@@ -255,7 +256,7 @@ def test_shift_perturbation_identities():
     for _ in range(10):
         mu = complex(rng.standard_normal(), 0.3 + rng.random())
         eps = float(rng.uniform(1e-6, 1.0))
-        g_res, s_res = schur_perturbation_residuals(a, mu, eps)
+        _, g_res, s_res = resolvent_identity_residuals(a, mu, mu, eps)
         assert g_res <= 1e-9
         assert s_res <= 1e-9
 
@@ -387,18 +388,40 @@ def test_stacked_identity_helpers_match_scalar_calls_bitwise(spec):
     lams = rng.uniform(-2, 2, 4) + 1j * rng.uniform(0.5, 3, 4)
     epss = rng.uniform(1e-6, 1.0, 4)
     fact = factorization_residual(a, mus)
-    ident = g_resolvent_identity_residual(a, lams, mus)
-    g_res, s_res = schur_perturbation_residuals(a, mus, epss)
+    ident = resolvent_identity_residuals(a, lams, mus, epss)
     for k in range(mus.size):
         one_fact = factorization_residual(a, complex(mus[k]))
-        one_ident = g_resolvent_identity_residual(a, complex(lams[k]), complex(mus[k]))
-        one_pert = schur_perturbation_residuals(a, complex(mus[k]), float(epss[k]))
-        assert type(one_fact) is float and type(one_ident) is float
-        assert all(type(x) is float for x in one_pert)
-        assert fact[k] == one_fact and ident[k] == one_ident
-        assert (g_res[k], s_res[k]) == one_pert
+        one_ident = resolvent_identity_residuals(
+            a, complex(lams[k]), complex(mus[k]), float(epss[k])
+        )
+        assert type(one_fact) is float
+        assert len(one_ident) == 3 and all(type(x) is float for x in one_ident)
+        assert fact[k] == one_fact
+        assert tuple(r[k] for r in ident) == one_ident
     with pytest.raises(DimensionMismatch):
-        g_resolvent_identity_residual(a, lams, mus[:3])
+        resolvent_identity_residuals(a, lams, mus[:3], epss)
+
+
+@pytest.mark.parametrize("spec", STACK_SPECS)
+def test_resolvent_identities_share_the_mu_stack(monkeypatch, spec):
+    # A22 - mu serves all three identities: 3 checked stacks per call
+    a = random_dissipative(spec)
+    rng = np.random.Generator(np.random.Philox(spec.seed))
+    mus = rng.uniform(-2, 2, 3) + 1j * rng.uniform(0.5, 3, 3)
+    lams = rng.uniform(-2, 2, 3) + 1j * rng.uniform(0.5, 3, 3)
+    epss = rng.uniform(1e-6, 1.0, 3)
+    calls = []
+    original = blocks.shifted_stack
+
+    def counting(m, mu):
+        calls.append(mu)
+        return original(m, mu)
+
+    monkeypatch.setattr(blocks, "shifted_stack", counting)
+    resolvent_identity_residuals(a, lams, mus, epss)
+    assert len(calls) == 3
+    resolvent_identity_residuals(a, complex(lams[0]), complex(mus[0]), float(epss[0]))
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("spec", STACK_SPECS)
@@ -413,7 +436,7 @@ def test_g_bound_matches_per_sample_reference(spec):
         ]
     )
     margin = dissipativity_margin(a)
-    rep = g_uniform_bound_check(a, margin, lams)
+    rep = g_uniform_bound_check(a, lams)
     worst, worst_lam, passed = _reference_g_bound(a, margin, lams)
     assert _close(rep.max_ratio, worst)
     assert _close(rep.worst_lambda, worst_lam)
@@ -436,6 +459,20 @@ def test_asymptotics_matches_per_shift_reference(spec):
 def test_g_bound_rejects_lower_samples_and_empty_sets():
     a = i_j_operator()
     with pytest.raises(DimensionMismatch, match="closed upper half-plane"):
-        g_uniform_bound_check(a, 1.0, [1j, 2.0 - 1e-3j, -1j])
+        g_uniform_bound_check(a, [1j, 2.0 - 1e-3j, -1j])
     with pytest.raises(DimensionMismatch):
-        g_uniform_bound_check(a, 1.0, [])
+        g_uniform_bound_check(a, [])
+
+
+@pytest.mark.parametrize(
+    "radii", [[0.0, 1.0], [50.0, np.inf], [50.0, np.nan], [-50.0, 100.0], [50.0, 50.0], [5.0]]
+)
+def test_asymptotics_rejects_unusable_radii(monkeypatch, radii):
+    # checked before any shift stack is built: no solve, no numpy warning
+    def no_solve(*args):
+        raise AssertionError("solved before the radii were checked")
+
+    monkeypatch.setattr(blocks, "shifted_stack", no_solve)
+    a = random_dissipative(InstanceSpec(p=3, m=3, margin=0.5))
+    with pytest.raises(DimensionMismatch, match="radii"):
+        resolvent_asymptotics_check(a, radii)

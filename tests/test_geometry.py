@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kreinspace.errors import NormExceeded, NotMaximal, NotNonnegative
+from kreinspace.errors import DimensionMismatch, NormExceeded, NotMaximal, NotNonnegative
 from kreinspace.geometry import (
     INDEFINITE,
     NEGATIVE_TOUCHING,
@@ -54,6 +54,17 @@ def test_signature_involution():
     j = s.signature()
     np.testing.assert_allclose(j, j.conj().T)
     np.testing.assert_allclose(j @ j, np.eye(5), atol=1e-15)
+
+
+@pytest.mark.parametrize(("p", "m", "field"), [(2.5, 3, "p"), (True, 2, "p"), (2, 3.0, "m")])
+def test_structure_rejects_non_integer_dimensions(p, m, field):
+    with pytest.raises(DimensionMismatch, match=f"{field} must be an integer"):
+        KreinStructure(p, m)
+
+
+def test_structure_accepts_numpy_integers():
+    s = KreinStructure(np.int64(2), np.int32(3))
+    assert s.dim == 5 and type(s.p) is int and type(s.m) is int
 
 
 def test_classify_positive_axis():

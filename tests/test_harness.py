@@ -6,12 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from kreinspace import harness, projectors
+from kreinspace import harness, projectors, serialize
 from kreinspace.blocks import (
     dissipativity_margin,
     factorization_residual,
-    g_resolvent_identity_residual,
-    schur_perturbation_residuals,
+    resolvent_identity_residuals,
 )
 from kreinspace.errors import KreinError
 from kreinspace.harness import (
@@ -148,8 +147,7 @@ def test_check_instance_identities_equal_the_scalar_helpers():
         lam = rng.uniform(-2, 2) + 1j * rng.uniform(0.5, 3.0)
         eps = rng.uniform(1e-6, 1.0)
         worst_fact = max(worst_fact, factorization_residual(a, mu))
-        worst_id = max(worst_id, g_resolvent_identity_residual(a, lam, mu))
-        worst_id = max(worst_id, *schur_perturbation_residuals(a, mu, eps))
+        worst_id = max(worst_id, *resolvent_identity_residuals(a, lam, mu, eps))
     assert res.factorization_worst == worst_fact
     assert res.identity_worst == worst_id
     assert res.checks["factorization"] and res.checks["identities"]
@@ -166,6 +164,27 @@ def test_suite_negative_control():
     assert bad.error is not None and "NotDissipative" in bad.error
     assert suite.failure_artifacts
     assert suite.failure_artifacts[0]["spec"]["seed"] == 1
+
+
+def test_suite_draws_each_instance_once(monkeypatch):
+    # the failure artifact reuses the drawn instance
+    drawn = []
+    original = harness.random_dissipative
+
+    def counting(spec):
+        drawn.append(spec.seed)
+        return original(spec)
+
+    monkeypatch.setattr(harness, "random_dissipative", counting)
+    specs = [
+        InstanceSpec(p=2, m=2, margin=0.5, seed=0),
+        InstanceSpec(p=2, m=2, margin=-0.5, seed=1),
+    ]
+    suite = run_property_suite(specs, FAST)
+    assert drawn == [0, 1]
+    assert suite.failure_artifacts[0]["problem"] == serialize.problem_to_dict(
+        original(specs[1])
+    )
 
 
 def test_scaling_covariance():
@@ -219,3 +238,22 @@ def test_spec_validation():
             InstanceSpec(p=2, m=2, **{field: value})
     # a negative margin stays allowed: it makes a negative control
     assert InstanceSpec(p=2, m=2, margin=-0.5).margin == -0.5
+
+
+@pytest.mark.parametrize(
+    ("field", "value"), [("p", 2.5), ("m", True), ("seed", 2.0), ("seed", False)]
+)
+def test_spec_rejects_non_integer_fields(field, value):
+    kwargs = {"p": 2, "m": 2, field: value}
+    with pytest.raises(KreinError, match=f"{field} must be an integer"):
+        InstanceSpec(**kwargs)
+
+
+def test_spec_accepts_numpy_integers():
+    spec = InstanceSpec(p=np.int64(2), m=np.int32(3), seed=np.uint8(4))
+    assert (spec.p, spec.m, spec.seed) == (2, 3, 4)
+    assert all(type(x) is int for x in (spec.p, spec.m, spec.seed))
+    np.testing.assert_array_equal(
+        random_dissipative(spec).to_matrix(),
+        random_dissipative(InstanceSpec(p=2, m=3, seed=4)).to_matrix(),
+    )

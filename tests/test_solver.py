@@ -549,6 +549,10 @@ def test_solver_config_validation():
         SolverConfig(galerkin_dims=(2, 2))
     with pytest.raises(DimensionMismatch, match="galerkin dims must be nonempty"):
         SolverConfig(galerkin_dims=())
+    for dims in ((1.5, 3), (True, 3)):
+        with pytest.raises(DimensionMismatch, match="galerkin dim must be an integer"):
+            SolverConfig(galerkin_dims=dims)
+    assert SolverConfig(galerkin_dims=(np.int64(1), 3)).galerkin_dims == (1, 3)
 
 
 def test_solve_theorem_fixed_mu_gate():
