@@ -24,15 +24,14 @@ random ensembles.
 
 All functions here are pure.  Shift samples are stacked: :func:`schur_data`
 takes a 1-D array of shifts and returns the transfer data as stacks, so each
-check that samples many shifts (the uniform bound on G, the resolvent
-asymptotics, the decay profile) solves all of them in one batched call.
-The identity residuals (:func:`factorization_residual` and
-:func:`resolvent_identity_residuals`) take arrays of samples the same way
-and return arrays; a scalar sample still returns floats.  Each stack of
+check that samples many shifts solves all of them in one batched call.
+Each transfer quantity is computed once for all its readers: :func:`g_norms`
+forms only |G| (for the bound on G, the decay profile and the solver's mu),
+and the identity checks take the :class:`SchurData` stack they verify, so
+a caller builds the A22 - mu stack once for both.  Each stack of
 A22 - mu_k is checked against the singular floor once, and its transpose
-solves, which have the same singular values, reuse that check; the three
-resolvent identities share the transfer data at mu.  Each check takes only
-what it cannot derive: the uniform bound on G reads its eps from
+solves, which have the same singular values, reuse that check.  Each check
+takes only what it cannot derive: the uniform bound on G reads its eps from
 :func:`dissipativity_margin`.
 """
 
@@ -44,7 +43,8 @@ import numpy as np
 
 from .errors import ConditionIFailed, DimensionMismatch, NotUniformlyDissipative
 from .geometry import KreinStructure
-from .numerics import operator_norm, operator_norms, shifted_stack, validate_matrix
+from .numerics import operator_norm, operator_norms, shifted_stack
+from .numerics import validate_int, validate_matrix
 
 _EPS_A = 1e-6  # relative headroom on the half-norm constant a > 2|A P+|
 #: A dissipativity margin down to -DISSIPATIVITY_TOL counts as dissipative.
@@ -173,32 +173,21 @@ def _schur_stack(a: BlockOperator, mu, shifted: np.ndarray) -> SchurData:
     return SchurData(mu, a.a11 - a.a12 @ f, f, g)
 
 
-def _samples(*values):
-    """The sample values as 1-D arrays of one length, and whether all were scalars.
+def _stack_shifts(sd: SchurData) -> np.ndarray:
+    """The shift array of a :func:`schur_data` stack (DimensionMismatch if none)."""
+    if np.ndim(sd.mu) != 1:
+        raise DimensionMismatch("the transfer data must be a stack of 1-D shifts")
+    return sd.mu
 
-    Scalars broadcast against arrays; anything above 1-D, or arrays of
-    different lengths, raise :class:`DimensionMismatch`.
+
+def factorization_residual(a: BlockOperator, sd: SchurData) -> np.ndarray:
+    """Relative defect of the block LDU identity at each shift of the stack ``sd``.
+
+    ``sd`` is the :func:`schur_data` of ``a`` at a 1-D array of shifts.  The
+    identity is exact for finite matrices, so each residual is at rounding
+    level (contract: <= 1e-9) whenever the shift clears sigma(A22).
     """
-    arrays = [np.asarray(v) for v in values]
-    if any(v.ndim > 1 for v in arrays):
-        raise DimensionMismatch("samples must be scalars or 1-D arrays")
-    try:
-        flat = np.broadcast_arrays(*(np.atleast_1d(v) for v in arrays))
-    except ValueError as exc:
-        raise DimensionMismatch(f"sample arrays differ in length: {exc}") from exc
-    return flat, all(v.ndim == 0 for v in arrays)
-
-
-def factorization_residual(a: BlockOperator, mu):
-    """Relative defect of the block LDU identity at mu.
-
-    The identity is exact for finite matrices, so the residual is at
-    rounding level (contract: <= 1e-9) whenever mu clears sigma(A22).
-    ``mu`` is one shift (the result is a float) or a 1-D array of shifts
-    (the result is the array of their defects), checked as one stack.
-    """
-    (mus,), scalar = _samples(np.asarray(mu, dtype=np.complex128))
-    sd = schur_data(a, mus)
+    mus = _stack_shifts(sd)
     p, d = a.structure.p, a.structure.dim
     mu_eye = mus[:, np.newaxis, np.newaxis]
     eye = np.eye(d, dtype=np.complex128)
@@ -210,11 +199,7 @@ def factorization_residual(a: BlockOperator, mu):
     lower = np.repeat(eye[np.newaxis], mus.size, axis=0)
     lower[:, p:, :p] = sd.f
     recon = mu_eye * eye + upper @ diag @ lower
-    denom = a.norm()
-    if denom == 0.0:
-        denom = 1.0
-    res = operator_norms(a.to_matrix() - recon) / denom
-    return float(res[0]) if scalar else res
+    return operator_norms(a.to_matrix() - recon) / (a.norm() or 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +215,11 @@ def condition_i_margin(a: BlockOperator) -> float:
 # ---------------------------------------------------------------------------
 # decay and bound diagnostics for G
 # ---------------------------------------------------------------------------
+
+
+def g_norms(a: BlockOperator, shifts) -> np.ndarray:
+    """|G(mu_k)| at each of the shifts mu_k; F and S are not formed."""
+    return operator_norms(_applied_left(shifted_stack(a.a22, shifts), a.a12))
 
 
 def g_decay_profile(a: BlockOperator, heights) -> np.ndarray:
@@ -249,8 +239,7 @@ def g_decay_profile(a: BlockOperator, heights) -> np.ndarray:
         )
     if condition_i_margin(a) < -DISSIPATIVITY_TOL:
         raise ConditionIFailed("-A22 is not dissipative; the profile is undefined")
-    shifted = shifted_stack(a.a22, 1j * np.array(hs))
-    return operator_norms(_applied_left(shifted, a.a12))
+    return g_norms(a, 1j * np.array(hs))
 
 
 @dataclass(frozen=True)
@@ -274,8 +263,8 @@ def g_uniform_bound_check(a: BlockOperator, sample_lambdas) -> GBoundReport:
     ``eps`` is the dissipativity margin of A (a smaller one only loosens the
     bound); a margin <= 0 raises :class:`NotUniformlyDissipative`, and a
     positive one makes A22 - lambda invertible at every sample.
-    a = 2 |A P+| (1 + 1e-6).  All samples are solved as one stack of
-    G(lambda); ``worst_lambda`` is the first sample of largest ratio, and 0
+    a = 2 |A P+| (1 + 1e-6).  All samples are one :func:`g_norms` stack;
+    ``worst_lambda`` is the first sample of largest ratio, and 0
     when every ratio is 0.  An empty sample set raises
     :class:`DimensionMismatch`.
     """
@@ -289,7 +278,7 @@ def g_uniform_bound_check(a: BlockOperator, sample_lambdas) -> GBoundReport:
     if below.any():
         lam = complex(lams[np.argmax(below)])
         raise DimensionMismatch(f"sample {lam} is not in the closed upper half-plane")
-    ratios = operator_norms(_applied_left(shifted_stack(a.a22, lams), a.a12)) / bound
+    ratios = g_norms(a, lams) / bound
     k = int(np.argmax(ratios))
     worst = float(ratios[k])
     worst_lam = complex(lams[k]) if worst > 0.0 else 0j
@@ -319,7 +308,8 @@ def resolvent_asymptotics_check(
     1/lambda| is fitted at 16 shifts on an upper semicircle; C must be
     stable within a factor 4 across the two largest radii.  The compression
     identity ((lambda - A)^{-1} z, z) = ((lambda - S(lambda))^{-1} z, z) for
-    4 random unit z in H+ (drawn from ``seed``) is checked alongside to 1e-8
+    4 random unit z in H+ (drawn from the integer ``seed`` >= 0) is checked
+    alongside to 1e-8
     (it is exact, so the defect stays at rounding level).  The 16 shifts of
     every radius are one stack: one :func:`schur_data` call, one solve of
     S - lambda, and one solve of lambda - A for the 4 vectors (z, 0), since
@@ -331,6 +321,8 @@ def resolvent_asymptotics_check(
         raise DimensionMismatch(
             f"radii must be finite, positive and hold two distinct values, got {rs}"
         )
+    if validate_int(seed, "seed") < 0:
+        raise DimensionMismatch(f"seed must be nonnegative, got {seed}")
     if dissipativity_margin(a) <= 0:
         raise NotUniformlyDissipative("asymptotics probe needs a positive margin")
     p = a.structure.p
@@ -371,7 +363,7 @@ def _relative_defects(exact: np.ndarray, recon: np.ndarray) -> np.ndarray:
     return operator_norms(exact - recon) / np.maximum(operator_norms(exact), 1e-300)
 
 
-def resolvent_identity_residuals(a: BlockOperator, lam, mu, eps):
+def resolvent_identity_residuals(a: BlockOperator, sd: SchurData, lam, eps):
     """Relative defects of the three resolvent identities of the transfer data
 
         G(lambda)     = G(mu) + (lambda - mu) G(mu) (A22 - lambda)^{-1}
@@ -379,32 +371,28 @@ def resolvent_identity_residuals(a: BlockOperator, lam, mu, eps):
         S(mu + i eps) = S(mu) - i eps G(mu + i eps) F(mu)
 
     All three are exact resolvent algebra, so the defects sit at rounding
-    level.  One :func:`schur_data` at ``mu`` serves all three, so a call
-    checks three stacks: A22 - mu, A22 - lambda and A22 - mu - i eps.
-    ``lam``, ``mu`` and ``eps`` are one sample (the result is a triple of
-    floats: two-point, G shift, S shift) or 1-D arrays of one length (the
-    result is a triple of arrays).
+    level.  ``sd`` is the :func:`schur_data` of ``a`` at a 1-D array of
+    shifts mu, and ``lam`` and ``eps`` are 1-D arrays of the same length
+    (else :class:`DimensionMismatch`), sample k being (lam[k], mu[k],
+    eps[k]).  The call checks two more stacks, A22 - lambda and
+    A22 - mu - i eps, and returns the triple of defect arrays (two-point,
+    G shift, S shift).
     """
-    (lams, mus, epss), scalar = _samples(
-        np.asarray(lam, dtype=np.complex128),
-        np.asarray(mu, dtype=np.complex128),
-        np.asarray(eps, dtype=float),
-    )
-    sd_mu = schur_data(a, mus)
+    mus = _stack_shifts(sd)
+    lams = np.asarray(lam, dtype=np.complex128)
+    epss = np.asarray(eps, dtype=float)
+    if lams.shape != mus.shape or epss.shape != mus.shape:
+        raise DimensionMismatch(f"lam and eps must be 1-D arrays of length {mus.size}")
     shifted_lam = shifted_stack(a.a22, lams)
+    lam_step = (lams - mus)[:, np.newaxis, np.newaxis]
     two_point = _relative_defects(
         _applied_left(shifted_lam, a.a12),
-        sd_mu.g
-        + (lams - mus)[:, np.newaxis, np.newaxis] * _applied_left(shifted_lam, sd_mu.g),
+        sd.g + lam_step * _applied_left(shifted_lam, sd.g),
     )
     i_eps = (1j * epss)[:, np.newaxis, np.newaxis]
     mu_shift = mus + 1j * epss
     shifted_up = shifted_stack(a.a22, mu_shift)
     sd_up = _schur_stack(a, mu_shift, shifted_up)
-    g_shift = _relative_defects(
-        sd_up.g, sd_mu.g + i_eps * _applied_left(shifted_up, sd_mu.g)
-    )
-    s_shift = _relative_defects(sd_up.s, sd_mu.s - i_eps * (sd_up.g @ sd_mu.f))
-    if scalar:
-        return float(two_point[0]), float(g_shift[0]), float(s_shift[0])
+    g_shift = _relative_defects(sd_up.g, sd.g + i_eps * _applied_left(shifted_up, sd.g))
+    s_shift = _relative_defects(sd_up.s, sd.s - i_eps * (sd_up.g @ sd.f))
     return two_point, g_shift, s_shift

@@ -234,8 +234,8 @@ def _cmd_spectrum(args) -> int:
     full = a.to_matrix()
     spectrum_a = serialize.spectrum_pairs(np.linalg.eigvals(full))
     try:
-        rep = projectors.riesz_projector_exact(full, "upper_closed", tol=1e-9)
-        restriction = serialize.spectrum_pairs(rep.enclosed_eigenvalues)
+        t, _, sdim = projectors._upper_schur(full, "upper_closed", 1e-9)
+        restriction = serialize.spectrum_pairs(np.diag(t)[:sdim])
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -416,10 +416,12 @@ def _upper_schur(mat: np.ndarray, region: str, tol: float):
     (Im >= -tol).  The eigenvalues are read from the diagonal of T.  A
     reordering LAPACK cannot carry out, or a selection count that disagrees
     with that diagonal, means the spectrum straddles the splitting boundary
-    and raises :class:`BoundaryEigenvalue` as well.
+    and raises :class:`BoundaryEigenvalue` as well.  ``tol`` is finite and >= 0.
     """
     if region not in ("upper_open", "upper_closed"):
         raise DimensionMismatch(f"unknown region {region!r}")
+    if not 0.0 <= tol < np.inf:  # NaN fails the range test
+        raise DimensionMismatch(f"tol must be finite and nonnegative, got {tol}")
     cut = 0.0 if region == "upper_open" else -tol
     selector = lambda z: z.imag > cut  # noqa: E731 - passed to LAPACK gees
     try:

@@ -46,6 +46,7 @@ deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -59,6 +60,7 @@ from .blocks import (
     SchurData,
     condition_i_margin,
     dissipativity_margin,
+    g_norms,
     schur_data,
 )
 from .errors import (
@@ -98,16 +100,21 @@ _NEWTON_MAX_ITER = 30
 _CONTINUATION_MAX_STEPS = 8
 
 
+def _is_number(x, kind) -> bool:
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings of the regularized Galerkin pipeline.
 
     ``mu`` fixes the transfer-function shift; None selects the smallest
-    i*t with |G(i t + i eps)| < 1/2 across the whole schedule.  The epsilon
-    schedule must decrease strictly and reach 1e-4 or below; the default is
-    the last three values of :data:`DOUBLE_LIMIT_EPS_SCHEDULE`.
-    ``galerkin_dims`` lists the Galerkin dimensions (None: p alone) and
-    ``polish`` turns the final Newton polish on.  The full double-limit
+    i*t with |G(i t + i eps)| < 1/2 across the whole schedule.  The real
+    epsilon schedule must decrease strictly and reach 1e-4 or below; the
+    default is the last three values of :data:`DOUBLE_LIMIT_EPS_SCHEDULE`.
+    ``galerkin_dims`` lists the Galerkin dimensions (None: p alone) and the
+    bool ``polish`` turns the final Newton polish on.  As in a problem file,
+    a bool or a string is no number.  The full double-limit
     trace is ``SolverConfig(eps_schedule=DOUBLE_LIMIT_EPS_SCHEDULE,
     galerkin_dims=(ceil(p/4), ceil(p/2), p))``; it yields the same K to
     rounding level.  Every cell takes K from a sorted Schur basis of its
@@ -133,7 +140,14 @@ class SolverConfig:
     dissipativity_tol: ClassVar[float] = DISSIPATIVITY_TOL
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.eps_schedule)
+        if not (self.mu is None or _is_number(self.mu, numbers.Number)):
+            raise DimensionMismatch(f"mu must be None or a number, got {self.mu!r}")
+        if not isinstance(self.polish, bool):
+            raise DimensionMismatch(f"polish must be a bool, got {self.polish!r}")
+        eps = self.eps_schedule
+        if not all(_is_number(e, numbers.Real) for e in eps):
+            raise DimensionMismatch(f"eps values must be real numbers, got {eps!r}")
+        eps = tuple(float(e) for e in eps)
         if not eps:
             raise DimensionMismatch("eps schedule must be nonempty")
         if any(not 0.0 < e <= 1.0 for e in eps):
@@ -172,13 +186,13 @@ class Estimate10:
 class Estimate11:
     """Norm cap on the restriction through the transfer data at mu.
 
-    ``holds`` is None when gamma = |G(mu)| >= 1 and the cap is vacuous.
+    Every solve keeps gamma = |G(mu)| < 1/2, so ``bound`` is finite.
     """
 
     gamma: float
     s_norm: float
     bound: float
-    holds: bool | None
+    holds: bool
 
 
 @dataclass(frozen=True)
@@ -225,10 +239,10 @@ class SolveReport:
 
 
 def regularize(a: BlockOperator, eps: float) -> BlockOperator:
-    """A + i eps J; the dissipativity margin grows by exactly eps."""
+    """A + i eps J for a finite eps >= 0; the margin grows by exactly eps."""
     eps = float(eps)
-    if eps < 0:
-        raise DimensionMismatch("eps must be nonnegative")
+    if not 0.0 <= eps < math.inf:  # NaN fails the range test
+        raise DimensionMismatch(f"eps must be finite and nonnegative, got {eps}")
     s = a.structure
     return BlockOperator(
         s,
@@ -281,14 +295,14 @@ def riccati_residual(
 def _select_mu(a: BlockOperator, eps_values) -> complex:
     """Smallest i*t (doubling t) with |G(i t + i eps)| < 1/2 for all eps.
 
-    Each doubling evaluates G at all the shifts i t + i eps as one stack.
+    Each doubling is one :func:`blocks.g_norms` stack of the shifts i t + i eps.
     """
     t = 1.0 + operator_norm(a.a22)
     eps = np.asarray(eps_values, dtype=np.float64)
     for _ in range(64):
         mu = 1j * t
         try:
-            worst = float(np.max(operator_norms(schur_data(a, mu + 1j * eps).g)))
+            worst = float(np.max(g_norms(a, mu + 1j * eps)))
         except SingularShift:
             worst = math.inf
         if worst < _MU_COUPLING_BOUND:
@@ -415,34 +429,30 @@ def _restriction_min_im(a: BlockOperator, k_mat: np.ndarray) -> float:
     return float(np.min(np.linalg.eigvals(a.a11 + a.a12 @ k_mat).imag))
 
 
-def solve_uniformly_dissipative(a: BlockOperator, mu: complex | None = None) -> SolveReport:
+def solve_uniformly_dissipative(a: BlockOperator) -> SolveReport:
     """Solve one strictly dissipative instance through its upper spectral subspace.
 
     With a positive margin the real axis belongs to the resolvent set, so
     the eigenvalues with Im > 0 span the maximal uniformly positive
     invariant subspace; its angle operator is read from the sorted Schur
     basis that :func:`solve_theorem` computes for a Galerkin row's first
-    cell.  ``mu`` is the transfer-function shift of the report (None: the
-    smallest i*t with |G(i t)| < 1/2).  The report certifies the graph of
-    the returned K.
+    cell.  The report's shift mu is the smallest i*t with |G(i t)| < 1/2.
+    The report certifies the graph of the returned K.
     """
     margin = dissipativity_margin(a)
     k, _ = _upper_projector(a, margin, a.norm())
-    if mu is None:
-        mu = _select_mu(a, (0.0,))
-    return _assemble_report(a, k, mu, margin, schur_data(a, mu))
+    return _assemble_report(a, k, margin, schur_data(a, _select_mu(a, (0.0,))))
 
 
 def _assemble_report(
     a: BlockOperator,
     k: AngleOperator,
-    mu: complex,
     margin: float,
     sd: SchurData,
     trace: list[CellTrace] | None = None,
     polish_method: str = "none",
 ) -> SolveReport:
-    """The report of K with its certificates; ``sd`` is the transfer data at mu."""
+    """The report of K with its certificates; ``sd`` is the transfer data at its mu."""
     s = a.structure
     res, l_op = _riccati_from_schur(a, k.matrix, sd)
     restriction = sd.s + sd.g @ l_op
@@ -460,11 +470,8 @@ def _assemble_report(
     est10 = Estimate10(margin, a_plus_norm, lower, min_rayleigh)
     gamma = operator_norm(sd.g)
     s_norm = operator_norm(sd.s)
-    if gamma < 1.0:
-        bound = 2.0 * (s_norm + gamma / (1.0 - gamma) * (s_norm + abs(mu)))
-        est11 = Estimate11(gamma, s_norm, bound, a_plus_norm <= bound + 1e-8)
-    else:
-        est11 = Estimate11(gamma, s_norm, math.inf, None)
+    bound = 2.0 * (s_norm + gamma / (1.0 - gamma) * (s_norm + abs(sd.mu)))
+    est11 = Estimate11(gamma, s_norm, bound, a_plus_norm <= bound + 1e-8)
     return SolveReport(
         k=k,
         l_op=l_op,
@@ -475,7 +482,7 @@ def _assemble_report(
         estimate10=est10,
         estimate11=est11,
         convergence_trace=trace or [],
-        mu=complex(mu),
+        mu=complex(sd.mu),
         margin=margin,
         witness=maximality_witness(subspace),
         polish_method=polish_method,
@@ -641,7 +648,6 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
     report = _assemble_report(
         a,
         AngleOperator(s, k_best),
-        mu,
         margin0,
         sd_mu,
         trace=trace,

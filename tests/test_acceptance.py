@@ -6,6 +6,7 @@ ensemble (sizes up to 20+20, margins 0, 0.1, and 1) is solved once and
 reused by the criteria that quantify over it.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -227,6 +228,17 @@ def test_criterion_5_restriction_norm_cap(ensemble):
     assert checked and not failures
 
 
+def test_estimate_11_is_decided_on_every_report(ensemble):
+    """mu keeps |G(mu)| < 1/2, so the cap is finite and holds is a bool."""
+    reports = [inst.report for inst in ensemble if inst.report is not None]
+    assert len(reports) == len(ensemble)
+    for rep in reports:
+        est11 = rep.estimate11
+        assert est11.gamma < 0.5
+        assert math.isfinite(est11.bound)
+        assert type(est11.holds) is bool
+
+
 def test_criterion_6_uniform_transfer_bound(ensemble):
     """|G(lambda)| <= 2 + 2a/eps at 50 upper samples, a = 2|A P+|(1+1e-6)."""
     failures = []
@@ -260,9 +272,10 @@ def test_criterion_7_factorization_identity(ensemble):
         for _ in range(10):
             mu = complex(rng.uniform(-2, 2) * (1 + norm22), rng.uniform(0.3, 2.5))
             try:
-                worst = max(worst, factorization_residual(inst.a, mu))
+                sd = schur_data(inst.a, [mu])
             except SingularShift:
                 continue
+            worst = max(worst, float(factorization_residual(inst.a, sd)[0]))
     _line(7, worst <= 1e-9, f"worst relative residual {worst:.2e}")
     assert worst <= 1e-9
 
@@ -276,7 +289,10 @@ def test_criterion_8_resolvent_identities(ensemble):
             mu = complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.5))
             lam = complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.5))
             eps = float(rng.uniform(1e-6, 1.0))
-            worst = max(worst, *resolvent_identity_residuals(inst.a, lam, mu, eps))
+            ident = resolvent_identity_residuals(
+                inst.a, schur_data(inst.a, [mu]), [lam], [eps]
+            )
+            worst = max(worst, *(float(r[0]) for r in ident))
     _line(8, worst <= 1e-9, f"worst relative residual {worst:.2e}")
     assert worst <= 1e-9
 

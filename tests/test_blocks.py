@@ -40,6 +40,11 @@ def triangular():
     return assemble([[1j]], [[1.0]], [[0.0]], [[-1j]])
 
 
+def one_shift_factorization(a, mu):
+    """The LDU defect at one shift, checked as a one-shift stack."""
+    return float(factorization_residual(a, schur_data(a, [mu]))[0])
+
+
 def test_assemble_decompose_diagonal():
     a = decompose(np.diag([1j, -1j]), KreinStructure(1, 1))
     np.testing.assert_allclose(a.a11, [[1j]])
@@ -118,16 +123,17 @@ def test_schur_singular_shift():
 
 
 def test_factorization_diagonal():
-    assert factorization_residual(decompose(np.diag([1j, -1j]), KreinStructure(1, 1)), 2j) <= 1e-12
+    a = decompose(np.diag([1j, -1j]), KreinStructure(1, 1))
+    assert one_shift_factorization(a, 2j) <= 1e-12
 
 
 def test_factorization_scalar_block():
-    assert factorization_residual(scalar_block(), 1j) <= 1e-12
+    assert one_shift_factorization(scalar_block(), 1j) <= 1e-12
 
 
 def test_factorization_random_dissipative():
     a = random_dissipative(InstanceSpec(p=3, m=3, margin=0.5, seed=2))
-    assert factorization_residual(a, 1j) <= 1e-9
+    assert one_shift_factorization(a, 1j) <= 1e-9
 
 
 def test_factorization_many_shifts():
@@ -136,7 +142,7 @@ def test_factorization_many_shifts():
         a = random_dissipative(InstanceSpec(p=2, m=4, margin=0.1, seed=seed))
         for _ in range(10):
             mu = complex(2 * rng.standard_normal(), 0.2 + 2 * rng.random())
-            assert factorization_residual(a, mu) <= 1e-9
+            assert one_shift_factorization(a, mu) <= 1e-9
 
 
 def test_g_decay_zero_coupling():
@@ -247,7 +253,8 @@ def test_resolvent_identity_random():
     for _ in range(10):
         lam = complex(rng.standard_normal(), 0.3 + rng.random())
         mu = complex(rng.standard_normal(), 0.3 + rng.random())
-        assert resolvent_identity_residuals(a, lam, mu, 0.5)[0] <= 1e-9
+        two_point, _, _ = resolvent_identity_residuals(a, schur_data(a, [mu]), [lam], [0.5])
+        assert two_point[0] <= 1e-9
 
 
 def test_shift_perturbation_identities():
@@ -256,9 +263,9 @@ def test_shift_perturbation_identities():
     for _ in range(10):
         mu = complex(rng.standard_normal(), 0.3 + rng.random())
         eps = float(rng.uniform(1e-6, 1.0))
-        _, g_res, s_res = resolvent_identity_residuals(a, mu, mu, eps)
-        assert g_res <= 1e-9
-        assert s_res <= 1e-9
+        _, g_res, s_res = resolvent_identity_residuals(a, schur_data(a, [mu]), [mu], [eps])
+        assert g_res[0] <= 1e-9
+        assert s_res[0] <= 1e-9
 
 
 def test_shift_perturbation_sign_is_sharp():
@@ -382,34 +389,69 @@ def test_stacked_schur_data_names_the_first_singular_shift():
 
 @pytest.mark.parametrize("spec", STACK_SPECS)
 def test_stacked_identity_helpers_match_scalar_calls_bitwise(spec):
+    # each defect of a 4-shift stack equals that of its one-shift stack
     a = random_dissipative(spec)
     rng = np.random.Generator(np.random.Philox(spec.seed))
     mus = rng.uniform(-2, 2, 4) + 1j * rng.uniform(0.5, 3, 4)
     lams = rng.uniform(-2, 2, 4) + 1j * rng.uniform(0.5, 3, 4)
     epss = rng.uniform(1e-6, 1.0, 4)
-    fact = factorization_residual(a, mus)
-    ident = resolvent_identity_residuals(a, lams, mus, epss)
+    sd = schur_data(a, mus)
+    fact = factorization_residual(a, sd)
+    ident = resolvent_identity_residuals(a, sd, lams, epss)
+    assert fact.shape == (4,)
+    assert len(ident) == 3 and all(r.shape == (4,) for r in ident)
     for k in range(mus.size):
-        one_fact = factorization_residual(a, complex(mus[k]))
-        one_ident = resolvent_identity_residuals(
-            a, complex(lams[k]), complex(mus[k]), float(epss[k])
-        )
-        assert type(one_fact) is float
-        assert len(one_ident) == 3 and all(type(x) is float for x in one_ident)
-        assert fact[k] == one_fact
-        assert tuple(r[k] for r in ident) == one_ident
-    with pytest.raises(DimensionMismatch):
-        resolvent_identity_residuals(a, lams, mus[:3], epss)
+        one = schur_data(a, mus[k : k + 1])
+        one_fact = factorization_residual(a, one)
+        one_ident = resolvent_identity_residuals(a, one, lams[k : k + 1], epss[k : k + 1])
+        assert fact[k] == one_fact[0]
+        assert tuple(r[k] for r in ident) == tuple(r[0] for r in one_ident)
+
+
+@pytest.mark.parametrize(
+    "lam, eps",
+    [
+        ("short", "full"),
+        ("full", "short"),
+        ("scalar", "full"),
+        ("full", "scalar"),
+        ("column", "full"),
+    ],
+)
+def test_identity_samples_must_match_the_stack(lam, eps):
+    a = random_dissipative(STACK_SPECS[0])
+    mus = np.array([1j, 1 + 2j, -1 + 1j])
+    sd = schur_data(a, mus)
+    shapes = {
+        "full": np.full(3, 0.5),
+        "short": np.full(2, 0.5),
+        "scalar": 0.5,
+        "column": np.full((3, 1), 0.5),
+    }
+    with pytest.raises(DimensionMismatch, match="length 3"):
+        resolvent_identity_residuals(a, sd, shapes[lam] + 1j, shapes[eps])
+
+
+def test_identity_checks_reject_a_one_shift_transfer_data():
+    # schur_data at a scalar shift holds 2-D blocks, not a stack
+    a = scalar_block()
+    sd = schur_data(a, 1j)
+    with pytest.raises(DimensionMismatch, match="stack"):
+        factorization_residual(a, sd)
+    with pytest.raises(DimensionMismatch, match="stack"):
+        resolvent_identity_residuals(a, sd, [2j], [0.5])
 
 
 @pytest.mark.parametrize("spec", STACK_SPECS)
 def test_resolvent_identities_share_the_mu_stack(monkeypatch, spec):
-    # A22 - mu serves all three identities: 3 checked stacks per call
+    # the caller's A22 - mu stack serves all three identities: a call checks
+    # only the 2 stacks A22 - lambda and A22 - mu - i eps
     a = random_dissipative(spec)
     rng = np.random.Generator(np.random.Philox(spec.seed))
     mus = rng.uniform(-2, 2, 3) + 1j * rng.uniform(0.5, 3, 3)
     lams = rng.uniform(-2, 2, 3) + 1j * rng.uniform(0.5, 3, 3)
     epss = rng.uniform(1e-6, 1.0, 3)
+    sd = schur_data(a, mus)
     calls = []
     original = blocks.shifted_stack
 
@@ -418,10 +460,14 @@ def test_resolvent_identities_share_the_mu_stack(monkeypatch, spec):
         return original(m, mu)
 
     monkeypatch.setattr(blocks, "shifted_stack", counting)
-    resolvent_identity_residuals(a, lams, mus, epss)
+    resolvent_identity_residuals(a, sd, lams, epss)
+    assert len(calls) == 2
+    factorization_residual(a, sd)
+    assert len(calls) == 2
+    one = schur_data(a, mus[:1])
     assert len(calls) == 3
-    resolvent_identity_residuals(a, complex(lams[0]), complex(mus[0]), float(epss[0]))
-    assert len(calls) == 6
+    resolvent_identity_residuals(a, one, lams[:1], epss[:1])
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("spec", STACK_SPECS)
@@ -462,6 +508,25 @@ def test_g_bound_rejects_lower_samples_and_empty_sets():
         g_uniform_bound_check(a, [1j, 2.0 - 1e-3j, -1j])
     with pytest.raises(DimensionMismatch):
         g_uniform_bound_check(a, [])
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+def test_asymptotics_rejects_unusable_seeds(monkeypatch, seed):
+    # checked before any shift stack is built, as the radii are
+    def no_solve(*args):
+        raise AssertionError("solved before the seed was checked")
+
+    monkeypatch.setattr(blocks, "shifted_stack", no_solve)
+    a = random_dissipative(InstanceSpec(p=3, m=3, margin=0.5))
+    with pytest.raises(DimensionMismatch, match="seed"):
+        resolvent_asymptotics_check(a, [10.0, 20.0], seed=seed)
+
+
+def test_asymptotics_accepts_numpy_integer_seeds():
+    a = random_dissipative(InstanceSpec(p=3, m=3, margin=0.5))
+    assert resolvent_asymptotics_check(a, [10.0, 20.0], seed=np.int64(3)) == (
+        resolvent_asymptotics_check(a, [10.0, 20.0], seed=3)
+    )
 
 
 @pytest.mark.parametrize(

@@ -6,11 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from kreinspace import harness, projectors, serialize
+from kreinspace import blocks, harness, projectors, serialize
 from kreinspace.blocks import (
     dissipativity_margin,
     factorization_residual,
     resolvent_identity_residuals,
+    schur_data,
 )
 from kreinspace.errors import KreinError
 from kreinspace.harness import (
@@ -136,7 +137,8 @@ def test_default_cross_check_uses_one_rung(monkeypatch, solved_24):
 
 def test_check_instance_identities_equal_the_scalar_helpers():
     # margin 0 skips the G bound, so the identity samples are the first
-    # draws of the instance's generator
+    # draws of the instance's generator; each is checked here as its own
+    # one-shift stack
     spec = InstanceSpec(p=4, m=3, margin=0.0, seed=9)
     a = random_dissipative(spec)
     res = check_instance(a, solve_theorem(a), SolverConfig(), seed=spec.seed)
@@ -146,11 +148,32 @@ def test_check_instance_identities_equal_the_scalar_helpers():
         mu = rng.uniform(-2, 2) + 1j * rng.uniform(0.5, 3.0)
         lam = rng.uniform(-2, 2) + 1j * rng.uniform(0.5, 3.0)
         eps = rng.uniform(1e-6, 1.0)
-        worst_fact = max(worst_fact, factorization_residual(a, mu))
-        worst_id = max(worst_id, *resolvent_identity_residuals(a, lam, mu, eps))
+        sd = schur_data(a, [mu])
+        worst_fact = max(worst_fact, float(factorization_residual(a, sd)[0]))
+        ident = resolvent_identity_residuals(a, sd, [lam], [eps])
+        worst_id = max(worst_id, *(float(r[0]) for r in ident))
     assert res.factorization_worst == worst_fact
     assert res.identity_worst == worst_id
     assert res.checks["factorization"] and res.checks["identities"]
+
+
+@pytest.mark.parametrize("margin, stacks", [(0.1, 5), (1.0, 5), (0.0, 3), (1e-9, 3)])
+def test_check_instance_builds_each_stack_once(monkeypatch, margin, stacks):
+    # the G bound, the identities' mu, lambda and mu + i eps, and the
+    # asymptotics; the last and first are vacuous at margin <= 1e-8
+    spec = InstanceSpec(p=4, m=3, margin=margin, seed=4)
+    a = random_dissipative(spec)
+    rep = solve_theorem(a)
+    calls = []
+    original = blocks.shifted_stack
+
+    def counting(m, mu):
+        calls.append(np.shape(mu))
+        return original(m, mu)
+
+    monkeypatch.setattr(blocks, "shifted_stack", counting)
+    assert check_instance(a, rep, SolverConfig(), seed=spec.seed).passed
+    assert len(calls) == stacks
 
 
 def test_suite_negative_control():
@@ -188,13 +211,12 @@ def test_suite_draws_each_instance_once(monkeypatch):
 
 
 def test_scaling_covariance():
-    # scaling A, mu (and implicitly the contour) leaves K unchanged
+    # scaling A leaves K unchanged (K does not depend on the report's mu)
     a = random_dissipative(InstanceSpec(p=3, m=3, margin=0.6, seed=7))
-    mu0 = 1j * (1.0 + np.linalg.norm(a.a22, 2))
     s = 2.0
     scaled = type(a)(a.structure, s * a.a11, s * a.a12, s * a.a21, s * a.a22)
-    r1 = solve_uniformly_dissipative(a, mu=mu0)
-    r2 = solve_uniformly_dissipative(scaled, mu=s * mu0)
+    r1 = solve_uniformly_dissipative(a)
+    r2 = solve_uniformly_dissipative(scaled)
     np.testing.assert_allclose(r1.k.matrix, r2.k.matrix, atol=1e-8)
 
 

@@ -294,6 +294,17 @@ def test_exact_boundary_eigenvalue():
         riesz_projector_exact(np.diag([1.0 + 0j, 2j]), "upper_open", tol=1e-6)
 
 
+def test_exact_boundary_eigenvalue_needs_a_usable_tol():
+    # tol = 1e-9 sees the eigenvalue 1e-12 i; NaN or a negative tol used to
+    # switch the check off and return a projector of trace 2
+    near = np.diag([1j, 1e-12j, -1j])
+    with pytest.raises(BoundaryEigenvalue):
+        riesz_projector_exact(near, "upper_open", tol=1e-9)
+    for tol in (np.nan, -1e-9, np.inf):
+        with pytest.raises(DimensionMismatch, match="tol must be finite and nonnegative"):
+            riesz_projector_exact(near, "upper_open", tol=tol)
+
+
 def test_upper_schur_form_matches_projector_route():
     for seed in (10, 11, 12):
         op = random_dissipative(InstanceSpec(p=4, m=3, margin=0.5, seed=seed))

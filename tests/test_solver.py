@@ -555,6 +555,68 @@ def test_solver_config_validation():
     assert SolverConfig(galerkin_dims=(np.int64(1), 3)).galerkin_dims == (1, 3)
 
 
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("polish", "no", "polish must be a bool"),
+        ("polish", 1, "polish must be a bool"),
+        ("polish", np.bool_(True), "polish must be a bool"),
+        ("eps_schedule", ("0.5", 1e-5), "eps values must be real numbers"),
+        ("eps_schedule", (True, 1e-5), "eps values must be real numbers"),
+        ("eps_schedule", (0.5 + 0j, 1e-5), "eps values must be real numbers"),
+        ("mu", "4j", "mu must be None or a number"),
+        ("mu", True, "mu must be None or a number"),
+        ("mu", [0.0, 4.0], "mu must be None or a number"),
+    ],
+)
+def test_solver_config_rejects_what_a_problem_file_cannot_pass(field, value, match):
+    with pytest.raises(DimensionMismatch, match=match):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_accepts_numpy_numbers():
+    cfg = SolverConfig(
+        mu=np.complex128(4j), eps_schedule=(np.float64(0.5), np.float32(1e-5))
+    )
+    assert cfg.mu == 4j
+    assert cfg.eps_schedule == (0.5, float(np.float32(1e-5)))
+    assert SolverConfig(mu=2).mu == 2
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3])
+def test_regularize_rejects_unusable_eps(eps):
+    with pytest.raises(DimensionMismatch, match="eps must be finite and nonnegative"):
+        regularize(I_J, eps)
+
+
+def test_default_solve_builds_the_transfer_data_once(monkeypatch):
+    # mu selection reads |G| alone; only the schedule's stack forms S, F, G
+    calls = []
+    original = solver.schur_data
+
+    def counting(a, mu):
+        calls.append(np.shape(mu))
+        return original(a, mu)
+
+    monkeypatch.setattr(solver, "schur_data", counting)
+    a = random_dissipative(InstanceSpec(p=4, m=3, margin=0.1, seed=3))
+    solver._select_mu(a, np.array([0.5, 0.25, 0.0]))
+    assert calls == []
+    solve_theorem(a)
+    assert calls == [(4,)]
+    solve_uniformly_dissipative(a)
+    assert calls == [(4,), ()]
+
+
+def test_estimate_11_is_decided_on_every_solve():
+    # mu keeps |G(mu)| < 1/2, so the cap is finite and holds is a bool
+    for rep in (solve_uniformly_dissipative(TRIANGULAR), solve_theorem(BOUNDARY)):
+        est11 = rep.estimate11
+        assert est11.gamma < 0.5
+        assert math.isfinite(est11.bound)
+        assert type(est11.holds) is bool and est11.holds
+
+
 def test_solve_theorem_fixed_mu_gate():
     a = random_dissipative(InstanceSpec(p=2, m=2, margin=0.5, seed=15))
     bad = SolverConfig(mu=0.01j, eps_schedule=(0.5, 1e-4))
