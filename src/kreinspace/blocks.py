@@ -44,7 +44,7 @@ import numpy as np
 from .errors import ConditionIFailed, DimensionMismatch, NotUniformlyDissipative
 from .geometry import KreinStructure
 from .numerics import operator_norm, operator_norms, shifted_stack
-from .numerics import validate_int, validate_matrix
+from .numerics import validate_int, validate_matrix, validate_vector
 
 _EPS_A = 1e-6  # relative headroom on the half-norm constant a > 2|A P+|
 #: A dissipativity margin down to -DISSIPATIVITY_TOL counts as dissipative.
@@ -265,15 +265,15 @@ def g_uniform_bound_check(a: BlockOperator, sample_lambdas) -> GBoundReport:
     positive one makes A22 - lambda invertible at every sample.
     a = 2 |A P+| (1 + 1e-6).  All samples are one :func:`g_norms` stack;
     ``worst_lambda`` is the first sample of largest ratio, and 0
-    when every ratio is 0.  An empty sample set raises
-    :class:`DimensionMismatch`.
+    when every ratio is 0.  A NaN or infinite sample raises
+    :class:`NonFinite`, an empty sample set :class:`DimensionMismatch`.
     """
+    lams = validate_vector(sample_lambdas, name="sample_lambdas")
     eps = dissipativity_margin(a)
     if eps <= 0:
         raise NotUniformlyDissipative(f"need a positive margin, got {eps:.3e}")
     a_const = 2.0 * half_range_norm(a) * (1.0 + _EPS_A)
     bound = 2.0 + 2.0 * a_const / eps
-    lams = np.asarray(sample_lambdas, dtype=np.complex128).reshape(-1)
     below = lams.imag < -1e-12
     if below.any():
         lam = complex(lams[np.argmax(below)])
@@ -374,15 +374,18 @@ def resolvent_identity_residuals(a: BlockOperator, sd: SchurData, lam, eps):
     level.  ``sd`` is the :func:`schur_data` of ``a`` at a 1-D array of
     shifts mu, and ``lam`` and ``eps`` are 1-D arrays of the same length
     (else :class:`DimensionMismatch`), sample k being (lam[k], mu[k],
-    eps[k]).  The call checks two more stacks, A22 - lambda and
-    A22 - mu - i eps, and returns the triple of defect arrays (two-point,
-    G shift, S shift).
+    eps[k]); a NaN or infinite ``lam`` or ``eps`` raises :class:`NonFinite`
+    before any stack is built.  The call checks two more stacks,
+    A22 - lambda and A22 - mu - i eps, and returns the triple of defect
+    arrays (two-point, G shift, S shift).
     """
     mus = _stack_shifts(sd)
     lams = np.asarray(lam, dtype=np.complex128)
     epss = np.asarray(eps, dtype=float)
     if lams.shape != mus.shape or epss.shape != mus.shape:
         raise DimensionMismatch(f"lam and eps must be 1-D arrays of length {mus.size}")
+    validate_vector(lams, name="lam")
+    validate_vector(epss, name="eps")
     shifted_lam = shifted_stack(a.a22, lams)
     lam_step = (lams - mus)[:, np.newaxis, np.newaxis]
     two_point = _relative_defects(

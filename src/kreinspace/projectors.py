@@ -1,19 +1,23 @@
 """Riesz spectral projectors and invariant subspaces of the upper half-plane.
 
-Two independent routes to the upper spectral projector:
+Three independent routes to the upper spectral projector:
 
 * :func:`riesz_projector_quadrature` discretizes (2 pi i)^{-1} times the
   contour integral of the resolvent over a closed contour made of the
   segment [-R, R] and the upper semicircle of radius R;
 * :func:`riesz_projector_exact` splits a sorted complex Schur form with a
-  Sylvester solve.
+  Sylvester solve;
+* the private ``_sign_projector`` forms (I + sign(-i A)) / 2 by the
+  determinant-scaled Newton sign iteration, from LU factorizations alone.
 
 The sorted Schur form also gives the projector's range directly, as its
 leading Schur vectors: :func:`upper_schur_form` returns the whole form,
 which is how the solver computes the first cell of each Galerkin row.  The
-quadrature is the paper's own construction and stays independent of the
-Schur route; it serves as the cross-check of the Schur projector
-(``harness.check_instance``, acceptance criterion 2).  Its range, through
+sign iteration is the cross-check of the Schur projector in
+``harness.check_instance``: it needs 5 to 7 LU steps where the quadrature
+needs 129 resolvents.  The quadrature is the paper's own construction and
+stays independent of the Schur route; acceptance criterion 2 and the
+projector tests check it against the Schur projector.  Its range, through
 :func:`invariant_subspace_from_projector`, gives the quadrature's own K.
 
 The quadrature has one rule: 21-point Gauss panels embedded in their
@@ -33,9 +37,7 @@ segment and the arc by their measures; each further rung gives both pieces
 about half more panels, ``max(1, n // 2)``, up to the first rung with at
 least ``LADDER_REACH`` (16) times the budget's Gauss points.  By default
 that is 3 panels, 129 resolvents.  An eigenvalue within 1e-6 R of the
-contour fails the call.  The harness's cross-check reads only the
-projector, so it calls the ladder without the report's defects, SVD and
-eigenvalues.
+contour fails the call.
 
 Resolvent evaluations at the nodes are independent; each panel's 43 nodes
 are evaluated as one batched inverse and both sums are accumulated panel by
@@ -45,6 +47,7 @@ node budget and the working set stays at one panel's inverses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +77,10 @@ REFINE_TOL = 1e-8
 LADDER_REACH = 16
 _SEGMENT_PROBES = 9
 _ARC_PROBES = 5
+# the sign iteration settles at a relative 1-norm change of at most SIGN_TOL
+SIGN_TOL = 5e-13
+# largest |X^2 - I|_1 / |X|_1^2 accepted from a settled sign iteration
+_SIGN_RESIDUAL_TOL = 1e-10
 
 
 def _kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -335,9 +342,9 @@ def _quadrature_projector(mat: np.ndarray, contour: Contour) -> tuple[np.ndarray
     """The accepted Kronrod sum of a square matrix and the nodes the ladder used.
 
     This is :func:`riesz_projector_quadrature` without the report's
-    defects, SVD and enclosed eigenvalues, for a caller that reads only the
-    projector.  The node count covers every rung evaluated, 43 resolvents
-    per panel; at the default budget one rung of 3 panels is 129.
+    defects, SVD and enclosed eigenvalues.  The node count covers every
+    rung evaluated, 43 resolvents per panel; at the default budget one rung
+    of 3 panels is 129.
     """
     r = contour.radius
     gap = GAP_FACTOR * r
@@ -379,6 +386,60 @@ def _quadrature_projector(mat: np.ndarray, contour: Contour) -> tuple[np.ndarray
             )
         # the next rung gives each piece about half more panels
         split = tuple(n + max(1, n // 2) for n in split)
+
+
+# ---------------------------------------------------------------------------
+# Newton sign iteration
+# ---------------------------------------------------------------------------
+
+
+def _sign_projector(mat: np.ndarray, clearance: float) -> tuple[np.ndarray, int]:
+    """The upper Riesz projector ``(I + sign(-i M)) / 2`` and its LU steps.
+
+    The determinant-scaled Newton iteration ``X <- (mu X + (mu X)^{-1}) / 2``
+    runs from ``X_0 = -i M``, with ``mu = |det X|^{-1/d}`` read off the LU
+    factors that also give the inverse (Higham, *Functions of Matrices*,
+    SIAM 2008, ch. 5; Kenney & Laub, SIAM J. Matrix Anal. Appl. 13, 1992).
+    It uses LU factorizations only, so it shares nothing with the Schur
+    route.  It stops once the relative 1-norm change of a step is at most
+    ``SIGN_TOL`` (5e-13).  ``clearance`` > 0 is the caller's lower bound on
+    the distance of the spectrum from the real axis.  The iteration is
+    capped at ``ceil(log2(R / clearance)) + 10`` steps, R the
+    :func:`default_contour_radius` of M.  An exactly singular iterate, no
+    settling within the cap, ``|X^2 - I|_1 > 1e-10 |X|_1^2`` or a projector
+    trace more than 1e-6 from an integer raise :class:`BoundaryEigenvalue`:
+    an eigenvalue on or near the real axis leaves the sign undefined.
+    """
+    d = mat.shape[0]
+    cap = math.ceil(math.log2(default_contour_radius(mat) / clearance)) + 10
+    eye = np.eye(d, dtype=np.complex128)
+    x = -1j * mat
+    for step in range(1, cap + 1):
+        lu, piv, info = scipy.linalg.lapack.zgetrf(x)
+        if info > 0:
+            raise BoundaryEigenvalue(f"sign iterate {step} is singular")
+        inv, _ = scipy.linalg.lapack.zgetri(lu, piv)
+        # |det X| is the product of |U_kk|; its log mean cannot overflow
+        mu = np.exp(-np.mean(np.log(np.abs(np.diag(lu)))))
+        new = 0.5 * (mu * x + inv / mu)
+        change = np.linalg.norm(new - x, 1) / np.linalg.norm(new, 1)
+        x = new
+        if change <= SIGN_TOL:
+            break
+    else:
+        raise BoundaryEigenvalue(
+            f"the sign iteration did not settle in {cap} steps "
+            f"(last relative change {change:.3e})"
+        )
+    residual = np.linalg.norm(x @ x - eye, 1) / np.linalg.norm(x, 1) ** 2
+    q = 0.5 * (eye + x)
+    tr = float(np.trace(q).real)
+    if not residual <= _SIGN_RESIDUAL_TOL or abs(tr - round(tr)) > 1e-6:
+        raise BoundaryEigenvalue(
+            f"the settled sign iterate has |X^2 - I| = {residual:.3e} |X|^2 "
+            f"and projector trace {tr:.8f}"
+        )
+    return q, step
 
 
 def _finish_report(mat, q, method, nodes=0, enclosed=None) -> ProjectorReport:

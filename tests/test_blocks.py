@@ -1,5 +1,7 @@
 """Block operators, transfer data, and the quantitative resolvent checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from kreinspace.blocks import (
 from kreinspace.errors import (
     ConditionIFailed,
     DimensionMismatch,
+    NonFinite,
     NotUniformlyDissipative,
     SingularShift,
 )
@@ -508,6 +511,37 @@ def test_g_bound_rejects_lower_samples_and_empty_sets():
         g_uniform_bound_check(a, [1j, 2.0 - 1e-3j, -1j])
     with pytest.raises(DimensionMismatch):
         g_uniform_bound_check(a, [])
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("lam", np.nan), ("lam", complex(0.0, np.inf)), ("eps", np.inf), ("eps", np.nan)],
+)
+def test_identity_checks_reject_non_finite_samples(monkeypatch, name, value):
+    # named where it enters, before any stack is built and with no warning
+    a = random_dissipative(STACK_SPECS[0])
+    sd = schur_data(a, np.array([1j, 1 + 2j, -1 + 1j]))
+    samples = {"lam": np.array([2j, 1 + 1j, 0.5j]), "eps": np.full(3, 0.5)}
+    samples[name][1] = value
+    calls = []
+    monkeypatch.setattr(blocks, "shifted_stack", lambda *args: calls.append(args))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFinite, match=f"^{name} contains NaN or Inf"):
+            resolvent_identity_residuals(a, sd, samples["lam"], samples["eps"])
+    assert caught == [] and calls == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_g_bound_rejects_non_finite_samples(monkeypatch, value):
+    a = random_dissipative(STACK_SPECS[0])
+    calls = []
+    monkeypatch.setattr(blocks, "shifted_stack", lambda *args: calls.append(args))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFinite, match="^sample_lambdas contains NaN or Inf"):
+            g_uniform_bound_check(a, [1j, value, 2.0])
+    assert caught == [] and calls == []
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])

@@ -86,8 +86,8 @@ def test_suite_cross_checks_quadrature_against_schur(monkeypatch):
     for row in suite.results:
         assert row.checks["quadrature"]
         assert row.quadrature_gap <= 1e-7
-    # a quadrature that never converges fails the check, and the suite
-    monkeypatch.setattr(projectors, "REFINE_TOL", -1.0)
+    # a sign iteration that never settles fails the check, and the suite
+    monkeypatch.setattr(projectors, "SIGN_TOL", -1.0)
     suite = run_property_suite(specs[:1], FAST)
     row = suite.results[0]
     assert row.error is None
@@ -118,21 +118,32 @@ def test_check_instance_runs_no_floor_svd(monkeypatch, solved_24):
     assert floor_svds == []
 
 
-def test_default_cross_check_uses_one_rung(monkeypatch, solved_24):
-    # the default budget of 64 Gauss points buys 3 panels of 43 Kronrod nodes
+def test_default_cross_check_takes_five_or_six_sign_steps(monkeypatch, solved_24):
+    # A + iJ keeps its spectrum margin + 1 from the axis, so the scaled
+    # Newton sign iteration settles in a few LU steps
     used = []
-    original = harness._quadrature_projector
+    original = harness._sign_projector
 
-    def recording(mat, contour):
-        q, nodes = original(mat, contour)
-        used.append(nodes)
-        return q, nodes
+    def recording(mat, clearance):
+        q, steps = original(mat, clearance)
+        used.append(steps)
+        return q, steps
 
-    monkeypatch.setattr(harness, "_quadrature_projector", recording)
+    monkeypatch.setattr(harness, "_sign_projector", recording)
     a, rep = solved_24
     res = check_instance(a, rep, SolverConfig(), seed=0)
     assert res.checks["quadrature"] and res.quadrature_gap <= 1e-13
-    assert used == [129]
+    assert len(used) == 1 and used[0] in (5, 6)
+
+
+def test_check_instance_runs_no_contour_quadrature(monkeypatch, solved_24):
+    def refuses(*args, **kwargs):
+        raise AssertionError("the harness ran the contour quadrature")
+
+    monkeypatch.setattr(projectors, "_quadrature_projector", refuses)
+    a, rep = solved_24
+    res = check_instance(a, rep, SolverConfig(), seed=0)
+    assert res.passed and res.checks["quadrature"]
 
 
 def test_check_instance_identities_equal_the_scalar_helpers():

@@ -15,12 +15,14 @@ from kreinspace.harness import InstanceSpec, random_dissipative
 from kreinspace.numerics import operator_norm
 from kreinspace.projectors import (
     Contour,
+    _sign_projector,
     default_contour_radius,
     invariant_subspace_from_projector,
     riesz_projector_exact,
     riesz_projector_quadrature,
     upper_schur_form,
 )
+from kreinspace.solver import regularize
 
 TRIANGULAR = np.array([[1j, 1.0], [0.0, -1j]])
 # eigenprojector onto span{e1} along span{(1, -2i)}
@@ -261,6 +263,45 @@ def test_eigenvalue_between_coarse_probes_is_caught(normal):
         a = v @ d @ np.linalg.inv(v)
     with pytest.raises(ContourTooClose):
         riesz_projector_quadrature(a, Contour(radius))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        InstanceSpec(3, 4, margin=0.0, seed=0),
+        InstanceSpec(2, 2, margin=0.1, coupling_scale=30.0, seed=1),
+        InstanceSpec(5, 1, margin=1.0, a22_decay=2.0, seed=2),
+    ],
+)
+def test_sign_projector_agrees_with_the_quadrature(spec):
+    # LU steps against graded resolvent sums: two routes that share no code
+    a = regularize(random_dissipative(spec), 1.0).to_matrix()
+    q, steps = _sign_projector(a, spec.margin + 1.0)
+    quad = riesz_projector_quadrature(a, Contour(default_contour_radius(a)))
+    assert np.linalg.norm(q - quad.q_plus, 2) <= 1e-12
+    assert steps <= 8
+
+
+def test_sign_projector_stops_at_its_cap_on_a_real_eigenvalue():
+    # R = 4.4 and clearance 1 give a cap of ceil(log2 4.4) + 10 = 13 steps
+    with pytest.raises(BoundaryEigenvalue, match="did not settle in 13 steps"):
+        _sign_projector(np.diag([1.0, 2j]), 1.0)
+    rng = np.random.Generator(np.random.Philox(3))
+    v = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    a = v @ np.diag([0.7, 1j, -1j, 2 + 1j, -2 - 0.5j]) @ np.linalg.inv(v)
+    with pytest.raises(BoundaryEigenvalue):
+        _sign_projector(a, 0.5)
+    # -i A singular: the first LU reports it
+    with pytest.raises(BoundaryEigenvalue, match="sign iterate 1 is singular"):
+        _sign_projector(np.array([[1.0, 1.0], [-1.0, -1.0]], dtype=complex), 1.0)
+
+
+def test_sign_projector_checks_its_settled_iterate(monkeypatch):
+    a = random_dissipative(InstanceSpec(3, 3, margin=0.5, seed=4)).to_matrix()
+    assert _sign_projector(a, 0.5)[1] <= 8
+    monkeypatch.setattr(projectors, "_SIGN_RESIDUAL_TOL", -1.0)
+    with pytest.raises(BoundaryEigenvalue, match="settled sign iterate"):
+        _sign_projector(a, 0.5)
 
 
 def test_invariance_of_range():
