@@ -92,19 +92,25 @@ def _atomic_write(path: str, text: str) -> None:
         raise _UnwritableOutput(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _instance_spec(args, seed: int):
+    """The instance the ``--p/--m/--margin/--coupling/--decay`` flags describe."""
+    from . import harness
+
+    return harness.InstanceSpec(
+        p=args.p,
+        m=args.m,
+        margin=args.margin,
+        a22_decay=args.decay,
+        coupling_scale=args.coupling,
+        seed=seed,
+    )
+
+
 def _cmd_generate(args) -> int:
     from . import harness, serialize
 
     try:
-        spec = harness.InstanceSpec(
-            p=args.p,
-            m=args.m,
-            margin=args.margin,
-            a22_decay=args.decay,
-            coupling_scale=args.coupling,
-            seed=args.seed,
-        )
-        a = harness.random_dissipative(spec)
+        a = harness.random_dissipative(_instance_spec(args, args.seed))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -178,17 +184,8 @@ def _cmd_verify(args) -> int:
             print("error: --seeds must be at least 1", file=sys.stderr)
             return 2
         try:
-            specs = [
-                harness.InstanceSpec(
-                    p=args.p,
-                    m=args.m,
-                    margin=args.margin,
-                    a22_decay=args.decay,
-                    coupling_scale=args.coupling,
-                    seed=s,
-                )
-                for s in range(args.seed, args.seed + args.seeds)
-            ]
+            seeds = range(args.seed, args.seed + args.seeds)
+            specs = [_instance_spec(args, s) for s in seeds]
         except Exception as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -232,10 +229,11 @@ def _cmd_spectrum(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     full = a.to_matrix()
-    spectrum_a = serialize.spectrum_pairs(np.linalg.eigvals(full))
     try:
         t, _, sdim = projectors._upper_schur(full, "upper_closed", 1e-9)
-        restriction = serialize.spectrum_pairs(np.diag(t)[:sdim])
+        eigs = np.diag(t)
+        spectrum_a = serialize.spectrum_pairs(eigs)
+        restriction = serialize.spectrum_pairs(eigs[:sdim])
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ the report for replay, and the suite passes only with zero failures.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -286,14 +287,7 @@ def run_property_suite(specs, cfg: SolverConfig | None = None) -> SuiteReport:
         )
     artifacts = [
         {
-            "spec": {
-                "p": spec.p,
-                "m": spec.m,
-                "margin": spec.margin,
-                "a22_decay": spec.a22_decay,
-                "coupling_scale": spec.coupling_scale,
-                "seed": spec.seed,
-            },
+            "spec": dataclasses.asdict(spec),
             "problem": serialize.problem_to_dict(a),
             "error": r.error,
             "checks": {k: bool(v) for k, v in r.checks.items()},

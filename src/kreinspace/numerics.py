@@ -141,7 +141,9 @@ def _clears_floor(a: np.ndarray, mus: np.ndarray) -> np.ndarray:
     in the box the Hermitian part's range cuts from that strip; the box is
     formed only when the strip leaves a shift uncleared.
     """
-    upper = np.linalg.norm(a) + np.abs(mus)
+    # BLAS nrm2 scales its sum of squares, so |M|_F does not overflow for
+    # entries above 1e154 as np.linalg.norm does; an inf would clear nothing
+    upper = scipy.linalg.blas.dznrm2(a.ravel()) + np.abs(mus)
     # the eigenvalues and the distance are backward stable, with errors of a
     # few d eps |M - mu|; twice the floor leaves the SVD's own rounding room
     need = 4.0 * a.shape[0] * np.finfo(float).eps * upper

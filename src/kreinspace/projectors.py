@@ -168,8 +168,6 @@ class ProjectorReport:
     enclosed_eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0, complex))
     trace: float = 0.0
     method: str = "exact"
-    # resolvent nodes of every rung of the quadrature ladder; 0 for the Schur oracle
-    nodes_used: int = 0
 
 
 def default_contour_radius(a) -> float:
@@ -326,26 +324,13 @@ def riesz_projector_quadrature(a, contour: Contour) -> ProjectorReport:
     integer; if the top rung fails either check,
     :class:`QuadratureNotConverged` is raised.  An eigenvalue within
     ``GAP_FACTOR * R`` (1e-6 R) of the contour raises
-    :class:`ContourTooClose`.  The report's ``nodes_used`` counts the
-    resolvent nodes of every rung evaluated, ``KRONROD_PANEL_ORDER`` per
-    panel.  The caller is responsible for a radius that encloses the whole
-    upper spectrum.
+    :class:`ContourTooClose`.  At the default budget one rung of 3 panels
+    evaluates 129 resolvents.  The caller is responsible for a radius that
+    encloses the whole upper spectrum.
     """
     mat = validate_matrix(a)
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch("expected a square matrix")
-    q, nodes = _quadrature_projector(mat, contour)
-    return _finish_report(mat, q, method=QUADRATURE_RULE, nodes=nodes)
-
-
-def _quadrature_projector(mat: np.ndarray, contour: Contour) -> tuple[np.ndarray, int]:
-    """The accepted Kronrod sum of a square matrix and the nodes the ladder used.
-
-    This is :func:`riesz_projector_quadrature` without the report's
-    defects, SVD and enclosed eigenvalues.  The node count covers every
-    rung evaluated, 43 resolvents per panel; at the default budget one rung
-    of 3 panels is 129.
-    """
     r = contour.radius
     gap = GAP_FACTOR * r
     seg_x = np.linspace(-r, r, _SEGMENT_PROBES)
@@ -370,15 +355,13 @@ def _quadrature_projector(mat: np.ndarray, contour: Contour) -> tuple[np.ndarray
     )
     split = _panel_split(contour.nodes, *profiles)
     top = LADDER_REACH * contour.nodes
-    evaluated = 0
     while True:
         lams, weights = _contour_nodes(contour, split, *profiles)
         kronrod, gauss = _quadrature_sum(mat, lams, weights, gap)
-        evaluated += lams.size
         drift = operator_norm(kronrod - gauss)
         tr = float(np.trace(kronrod).real)
         if drift <= REFINE_TOL and abs(tr - round(tr)) <= 1e-6:
-            return kronrod, evaluated
+            return _finish_report(mat, kronrod, method=QUADRATURE_RULE)
         if GAUSS_PANEL_ORDER * sum(split) >= top:
             raise QuadratureNotConverged(
                 f"the {lams.size}-node Kronrod sum differs from its Gauss sum "
@@ -442,7 +425,7 @@ def _sign_projector(mat: np.ndarray, clearance: float) -> tuple[np.ndarray, int]
     return q, step
 
 
-def _finish_report(mat, q, method, nodes=0, enclosed=None) -> ProjectorReport:
+def _finish_report(mat, q, method, enclosed=None) -> ProjectorReport:
     idem = operator_norm(q @ q - q)
     comm = operator_norm(mat @ q - q @ mat)
     tr = float(np.trace(q).real)
@@ -460,7 +443,6 @@ def _finish_report(mat, q, method, nodes=0, enclosed=None) -> ProjectorReport:
         enclosed_eigenvalues=np.asarray(enclosed, dtype=np.complex128),
         trace=tr,
         method=method,
-        nodes_used=nodes,
     )
 
 

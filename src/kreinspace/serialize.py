@@ -144,25 +144,19 @@ def problem_from_dict(doc) -> tuple[BlockOperator, dict]:
 
 
 def config_from_overrides(overrides: dict) -> SolverConfig:
+    """The :class:`SolverConfig` of a problem file's ``"solver"`` object.
+
+    Only ``mu`` is converted here, from its ``[re, im]`` pair; every value
+    is checked by ``SolverConfig`` itself, and what it rejects is raised as
+    :class:`ProblemFormatError`.
+    """
     kwargs = dict(overrides)
     if kwargs.get("mu") is not None:
         kwargs["mu"] = pair_to_complex(kwargs["mu"])
-    for key, accept, kind in (
-        ("eps_schedule", _is_number, "numbers"),
-        ("galerkin_dims", _is_integer, "integers"),
-    ):
-        values = kwargs.get(key)
-        if values is not None and not (
-            isinstance(values, (list, tuple)) and all(map(accept, values))
-        ):
-            raise ProblemFormatError(f"{key} must be a list of {kind}, got {values!r}")
-    polish = kwargs.get("polish", True)
-    if not isinstance(polish, bool):
-        raise ProblemFormatError(f"polish must be true or false, got {polish!r}")
     try:
         return SolverConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"bad solver overrides: {exc}") from exc
+    except (KreinError, TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"bad solver overrides {overrides!r}: {exc}") from exc
 
 
 def dump_json(doc) -> str:
@@ -181,6 +175,26 @@ def load_problem(path: str) -> tuple[BlockOperator, dict]:
 def _finite_or_none(x):
     x = float(x)
     return x if math.isfinite(x) else None
+
+
+def _json_value(x):
+    if isinstance(x, float):
+        return _finite_or_none(x)
+    if isinstance(x, np.bool_):
+        return bool(x)
+    return x
+
+
+def record_to_dict(record) -> dict:
+    """A dataclass record as JSON, one key per field in declaration order.
+
+    Non-finite floats become ``None`` and numpy bools ``bool``; ints, strs,
+    bools and ``None`` pass through unchanged.
+    """
+    return {
+        f.name: _json_value(getattr(record, f.name))
+        for f in dataclasses.fields(record)
+    }
 
 
 def spectrum_pairs(values) -> list:
@@ -210,8 +224,6 @@ def acceptance_triple(rep: SolveReport, norm_a: float, cfg: SolverConfig) -> dic
 
 
 def report_to_dict(rep: SolveReport, norm_a: float, cfg: SolverConfig) -> dict:
-    est10 = rep.estimate10
-    est11 = rep.estimate11
     return {
         "K": matrix_to_pairs(rep.k.matrix),
         "K_norm": _finite_or_none(rep.k_norm),
@@ -224,35 +236,9 @@ def report_to_dict(rep: SolveReport, norm_a: float, cfg: SolverConfig) -> dict:
         "operator_norm": _finite_or_none(norm_a),
         "maximal": bool(rep.maximal),
         "polish_method": rep.polish_method,
-        "estimate10": {
-            "eps": _finite_or_none(est10.eps),
-            "a_plus_norm": _finite_or_none(est10.a_plus_norm),
-            "lower_bound": _finite_or_none(est10.lower_bound),
-            "min_rayleigh": _finite_or_none(est10.min_rayleigh),
-        },
-        "estimate11": {
-            "gamma": _finite_or_none(est11.gamma),
-            "s_norm": _finite_or_none(est11.s_norm),
-            "bound": _finite_or_none(est11.bound),
-            "holds": est11.holds,
-        },
-        "convergence_trace": [
-            {
-                "n": t.n,
-                "eps": t.eps,
-                "ok": t.ok,
-                "error": t.error,
-                "k_norm": _finite_or_none(t.k_norm),
-                "l_norm": _finite_or_none(t.l_norm),
-                "k_dist_prev": None
-                if t.k_dist_prev is None
-                else _finite_or_none(t.k_dist_prev),
-                "restriction_min_im": _finite_or_none(t.restriction_min_im),
-                "projector_method": t.projector_method,
-                "l_bound_ok": bool(t.l_bound_ok),
-            }
-            for t in rep.convergence_trace
-        ],
+        "estimate10": record_to_dict(rep.estimate10),
+        "estimate11": record_to_dict(rep.estimate11),
+        "convergence_trace": [record_to_dict(t) for t in rep.convergence_trace],
         "acceptance": acceptance_triple(rep, norm_a, cfg),
     }
 

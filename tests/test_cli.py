@@ -348,6 +348,9 @@ def test_verify_suite_rejects_empty_suite(capsys, seeds):
         ("solver", "galerkin_dims", [True]),
         ("solver", "eps_schedule", 0.5),
         ("solver", "eps_schedule", ["0.5", 1e-4]),
+        # well typed, but SolverConfig rejects the values
+        ("solver", "eps_schedule", [0.5, 0.5, 1e-4]),
+        ("solver", "galerkin_dims", [2, 2]),
     ],
 )
 def test_problem_file_values_are_type_checked(capsys, tmp_path, section, key, value):

@@ -140,7 +140,7 @@ def test_check_instance_runs_no_contour_quadrature(monkeypatch, solved_24):
     def refuses(*args, **kwargs):
         raise AssertionError("the harness ran the contour quadrature")
 
-    monkeypatch.setattr(projectors, "_quadrature_projector", refuses)
+    monkeypatch.setattr(projectors, "_contour_nodes", refuses)
     a, rep = solved_24
     res = check_instance(a, rep, SolverConfig(), seed=0)
     assert res.passed and res.checks["quadrature"]

@@ -158,7 +158,7 @@ def _outcome(fn, m, mus):
     st.integers(1, 30),
     st.integers(0, 2**32 - 1),
     st.lists(st.sampled_from(["far", "inside", "near", "at"]), min_size=1, max_size=6),
-    st.sampled_from([1e-3, 1.0, 1e3]),
+    st.sampled_from([1e-3, 1.0, 1e3, 1e200]),
 )
 def test_shifted_stack_screen_matches_an_svd_of_every_shift(n, seed, kinds, scale):
     # far shifts are cleared by the screen; shifts inside the numerical range,

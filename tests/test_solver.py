@@ -225,7 +225,7 @@ def test_quadrature_ladder_budgets_and_fallback(monkeypatch):
         raise QuadratureNotConverged("forced")
 
     monkeypatch.setattr(projectors, "riesz_projector_quadrature", never_converges)
-    monkeypatch.setattr(projectors, "_quadrature_projector", never_converges)
+    monkeypatch.setattr(projectors, "_contour_nodes", never_converges)
     a = random_dissipative(InstanceSpec(4, 3, 0.5, seed=1))
     rep = solve_theorem(a, FAST)
     assert rep.convergence_trace
