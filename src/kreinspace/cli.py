@@ -216,7 +216,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    import numpy as np
+    import scipy.linalg
 
     from . import blocks, projectors, serialize
 
@@ -230,10 +230,10 @@ def _cmd_spectrum(args) -> int:
         return 2
     full = a.to_matrix()
     try:
-        t, _, sdim = projectors._upper_schur(full, "upper_closed", 1e-9)
-        eigs = np.diag(t)
+        # eigenvalues from a Schur form; the restriction keeps real ones of both types
+        eigs = scipy.linalg.schur(full, output="complex")[0].diagonal()
         spectrum_a = serialize.spectrum_pairs(eigs)
-        restriction = serialize.spectrum_pairs(eigs[:sdim])
+        restriction = serialize.spectrum_pairs(eigs[eigs.imag > -1e-9])
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -251,7 +251,7 @@ def _projector_cross_check(a: BlockOperator, margin: float) -> tuple[float, bool
     cell = regularize(a, 1.0).to_matrix()
     try:
         sign, _ = _sign_projector(cell, margin + 1.0)
-        schur, _ = _schur_projector(cell, "upper_open", (margin + 1.0) / 2.0)
+        schur, _ = _schur_projector(cell, (margin + 1.0) / 2.0)
     except KreinError:
         return math.inf, False
     gap = operator_norm(sign - schur)

@@ -451,33 +451,33 @@ def _finish_report(mat, q, method, enclosed=None) -> ProjectorReport:
 # ---------------------------------------------------------------------------
 
 
-def _upper_schur(mat: np.ndarray, region: str, tol: float):
-    """Complex Schur form ``(T, Z, sdim)`` with the upper eigenvalues first.
+def upper_schur_form(a, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sorted complex Schur form ``(T, Z, sdim)``, eigenvalues with Im > 0 first.
 
-    ``region`` is "upper_open" (Im > 0; eigenvalues within ``tol`` of the
-    real axis raise :class:`BoundaryEigenvalue`) or "upper_closed"
-    (Im >= -tol).  The eigenvalues are read from the diagonal of T.  A
+    A = Z T Z* with T upper triangular; the leading sdim columns of Z span
+    the invariant subspace of the sdim eigenvalues with Im > 0 (Laub's Schur
+    method: no projector is formed).  The eigenvalues are read from the
+    diagonal of T.  An eigenvalue within ``tol`` of the real axis, a
     reordering LAPACK cannot carry out, or a selection count that disagrees
-    with that diagonal, means the spectrum straddles the splitting boundary
-    and raises :class:`BoundaryEigenvalue` as well.  ``tol`` is finite and >= 0.
+    with that diagonal raises :class:`BoundaryEigenvalue`: the spectrum
+    straddles the real axis.  ``tol`` is finite and >= 0.
     """
-    if region not in ("upper_open", "upper_closed"):
-        raise DimensionMismatch(f"unknown region {region!r}")
+    mat = validate_matrix(a)
+    if mat.shape[0] != mat.shape[1]:
+        raise DimensionMismatch("expected a square matrix")
     if not 0.0 <= tol < np.inf:  # NaN fails the range test
         raise DimensionMismatch(f"tol must be finite and nonnegative, got {tol}")
-    cut = 0.0 if region == "upper_open" else -tol
-    selector = lambda z: z.imag > cut  # noqa: E731 - passed to LAPACK gees
     try:
-        t, z, sdim = scipy.linalg.schur(mat, output="complex", sort=selector)
+        t, z, sdim = scipy.linalg.schur(mat, output="complex", sort=lambda w: w.imag > 0.0)
     except np.linalg.LinAlgError as exc:
         raise BoundaryEigenvalue(f"Schur reordering failed: {exc}") from exc
     eigs = np.diag(t)
-    if region == "upper_open" and np.any(np.abs(eigs.imag) < tol):
+    if np.any(np.abs(eigs.imag) < tol):
         worst = eigs[np.argmin(np.abs(eigs.imag))]
         raise BoundaryEigenvalue(
             f"eigenvalue {worst:.6g} within {tol:.1e} of the real axis"
         )
-    expected = int(np.sum(eigs.imag > cut))
+    expected = int(np.sum(eigs.imag > 0.0))
     if sdim != expected:
         raise BoundaryEigenvalue(
             f"Schur reordering selected {sdim} eigenvalues, expected {expected}; "
@@ -487,27 +487,27 @@ def _upper_schur(mat: np.ndarray, region: str, tol: float):
 
 
 def riesz_projector_exact(a, region: str = "upper_open", tol: float = 1e-9) -> ProjectorReport:
-    """Spectral projector onto the generalized eigenspaces of the upper region.
+    """Spectral projector onto the generalized eigenspaces with Im > 0.
 
-    ``region`` and ``tol`` are those of the sorted Schur form (eigenvalues
-    within ``tol`` of the real axis raise :class:`BoundaryEigenvalue` for
-    "upper_open"; "upper_closed" keeps Im >= -tol).  The coupling block of
-    the Schur form is resolved by a Sylvester solve, which is the
+    ``region`` must be "upper_open", the one region there is; ``tol`` is
+    that of :func:`upper_schur_form` (eigenvalues within ``tol`` of the real
+    axis raise :class:`BoundaryEigenvalue`).  The coupling block of the
+    Schur form is resolved by a Sylvester solve, which is the
     invariant-subspace refinement of a plain eigenvector sum.
     """
+    if region != "upper_open":
+        raise DimensionMismatch(f"unknown region {region!r}")
     mat = validate_matrix(a)
-    if mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatch("expected a square matrix")
-    q, enclosed = _schur_projector(mat, region, tol)
+    q, enclosed = _schur_projector(mat, tol)
     return _finish_report(mat, q, method="schur", enclosed=enclosed)
 
 
-def _schur_projector(mat: np.ndarray, region: str, tol: float):
+def _schur_projector(mat: np.ndarray, tol: float):
     """The projector of :func:`riesz_projector_exact` and its enclosed eigenvalues.
 
     For a caller that reads only the projector: no defects are computed.
     """
-    t, z, k = _upper_schur(mat, region, tol)
+    t, z, k = upper_schur_form(mat, tol)
     d = mat.shape[0]
     if k == 0:
         return np.zeros_like(mat), np.empty(0, dtype=np.complex128)
@@ -521,20 +521,6 @@ def _schur_projector(mat: np.ndarray, region: str, tol: float):
     core[:k, :k] = np.eye(k)
     core[:k, k:] = x
     return z @ core @ z.conj().T, np.diag(t11)
-
-
-def upper_schur_form(a, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """Sorted complex Schur form ``(T, Z, sdim)``, eigenvalues with Im > 0 first.
-
-    A = Z T Z* with T upper triangular; the leading sdim columns of Z span
-    the invariant subspace of the sdim eigenvalues with Im > 0 (Laub's Schur
-    method: no projector is formed).  An eigenvalue within ``tol`` of the
-    real axis raises :class:`BoundaryEigenvalue`.
-    """
-    mat = validate_matrix(a)
-    if mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatch("expected a square matrix")
-    return _upper_schur(mat, "upper_open", tol)
 
 
 def invariant_subspace_from_projector(

@@ -27,8 +27,8 @@ double limit, Galerkin dimensions ceil(p/4), ceil(p/2), p against
 :data:`DOUBLE_LIMIT_EPS_SCHEDULE`, runs when the two settings ask for it.
 
 The full report, with its certificates, is assembled once, for the limit.
-The contour quadrature of the paper is not on this path; it remains the
-harness's independent cross-check of the Schur projector.
+The contour quadrature of the paper is not on this path, nor on the
+harness's, which cross-checks the Schur projector by the sign iteration.
 
 Each Galerkin row computes a sorted Schur form (T, Z) for its first cell
 and keeps it.  The later cells of the row differ from it by i (eps - eps') J, so
@@ -104,6 +104,14 @@ def _is_number(x, kind) -> bool:
     return isinstance(x, kind) and not isinstance(x, bool)
 
 
+def _sequence(value, name: str) -> tuple:
+    """``value`` as a tuple; a scalar raises :class:`DimensionMismatch` naming ``name``."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise DimensionMismatch(f"{name} must be a sequence, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings of the regularized Galerkin pipeline.
@@ -144,7 +152,7 @@ class SolverConfig:
             raise DimensionMismatch(f"mu must be None or a number, got {self.mu!r}")
         if not isinstance(self.polish, bool):
             raise DimensionMismatch(f"polish must be a bool, got {self.polish!r}")
-        eps = self.eps_schedule
+        eps = _sequence(self.eps_schedule, "eps schedule")
         if not all(_is_number(e, numbers.Real) for e in eps):
             raise DimensionMismatch(f"eps values must be real numbers, got {eps!r}")
         eps = tuple(float(e) for e in eps)
@@ -158,7 +166,8 @@ class SolverConfig:
             raise DimensionMismatch("eps schedule must reach 1e-4 or below")
         object.__setattr__(self, "eps_schedule", eps)
         if self.galerkin_dims is not None:
-            dims = tuple(validate_int(n, "galerkin dim") for n in self.galerkin_dims)
+            dims = _sequence(self.galerkin_dims, "galerkin dims")
+            dims = tuple(validate_int(n, "galerkin dim") for n in dims)
             if not dims:
                 raise DimensionMismatch("galerkin dims must be nonempty")
             if any(n < 1 for n in dims) or any(
@@ -372,7 +381,8 @@ def _continued_angle_operator(
     tol = d * np.finfo(float).eps * norm_bound
     x = np.zeros_like(m21)
     defect = m21
-    res = float(np.linalg.norm(defect))
+    # BLAS nrm2 scales its sum of squares: no overflow for entries above 1e154
+    res = float(scipy.linalg.blas.dznrm2(defect.ravel()))
     steps = 0
     while res > tol:
         delta, scale, info = scipy.linalg.lapack.ztrsyl(t22, t11, -defect, isgn=-1)
@@ -380,7 +390,7 @@ def _continued_angle_operator(
             return None
         x = x + delta / scale
         defect = m21 + m22 @ x - x @ (m11 + m12 @ x)
-        res_next = float(np.linalg.norm(defect))
+        res_next = float(scipy.linalg.blas.dznrm2(defect.ravel()))
         steps += 1
         # go on only while the observed contraction, kept up over the steps
         # left, reaches rounding level; a residual that grows never does

@@ -4,9 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreinspace.blocks import (
     assemble,
+    condition_i_margin,
     decompose,
     dissipativity_margin,
     factorization_residual,
@@ -575,3 +578,23 @@ def test_asymptotics_rejects_unusable_radii(monkeypatch, radii):
     a = random_dissipative(InstanceSpec(p=3, m=3, margin=0.5))
     with pytest.raises(DimensionMismatch, match="radii"):
         resolvent_asymptotics_check(a, radii)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-3, 1e3),
+)
+def test_condition_i_margin_is_at_least_the_dissipativity_margin(p, m, seed, scale):
+    # Im(-A22) is the H- diagonal block of Im(JA), so by Cauchy interlacing
+    # its least eigenvalue is at least Im(JA)'s: once solve_theorem's
+    # NotDissipative gate passes, its ConditionIFailed gate can fail only by
+    # rounding, which is why no test reaches that raise
+    rng = np.random.default_rng(seed)
+    d = p + m
+    full = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    a = decompose(full, KreinStructure(p, m))
+    slack = 1e-13 * np.linalg.norm(full, 2)
+    assert condition_i_margin(a) >= dissipativity_margin(a) - slack

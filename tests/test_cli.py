@@ -346,6 +346,7 @@ def test_verify_suite_rejects_empty_suite(capsys, seeds):
         ("solver", "polish", "no"),
         ("solver", "galerkin_dims", [1.7]),
         ("solver", "galerkin_dims", [True]),
+        ("solver", "galerkin_dims", 3),
         ("solver", "eps_schedule", 0.5),
         ("solver", "eps_schedule", ["0.5", 1e-4]),
         # well typed, but SolverConfig rejects the values

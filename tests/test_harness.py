@@ -1,19 +1,21 @@
 """Instance generator and batch suite behavior."""
 
+import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from kreinspace import blocks, harness, projectors, serialize
+from kreinspace import blocks, harness, projectors, serialize, solver
 from kreinspace.blocks import (
     dissipativity_margin,
     factorization_residual,
     resolvent_identity_residuals,
     schur_data,
 )
-from kreinspace.errors import KreinError
+from kreinspace.errors import KreinError, NoCauchyConvergence
+from kreinspace.geometry import AngleOperator
 from kreinspace.harness import (
     InstanceSpec,
     check_instance,
@@ -198,6 +200,89 @@ def test_suite_negative_control():
     assert bad.error is not None and "NotDissipative" in bad.error
     assert suite.failure_artifacts
     assert suite.failure_artifacts[0]["spec"]["seed"] == 1
+
+
+def test_suite_counts_a_no_cauchy_row_and_keeps_its_report(monkeypatch):
+    specs = [InstanceSpec(p=2, m=2, margin=0.5, seed=s) for s in range(2)]
+    partial = solve_theorem(random_dissipative(specs[1]), FAST)
+    original = harness.solve_theorem
+    calls = []
+
+    def second_fails(a, cfg):
+        calls.append(a)
+        if len(calls) == 2:
+            raise NoCauchyConvergence("the tail did not settle", report=partial)
+        return original(a, cfg)
+
+    monkeypatch.setattr(harness, "solve_theorem", second_fails)
+    suite = run_property_suite(specs, FAST)
+    assert suite.no_cauchy_count == 1 and not suite.passed
+    good, bad = suite.results
+    assert good.passed and good.error is None
+    assert bad.error == "NoCauchyConvergence: the tail did not settle"
+    assert bad.report is partial
+    assert not bad.passed and bad.checks == {}
+    [artifact] = suite.failure_artifacts
+    assert artifact["spec"] == dataclasses.asdict(specs[1])
+    assert artifact["error"] == bad.error and artifact["checks"] == {}
+    # the row measured nothing: every value column after the margin is nan
+    assert serialize.csv_row(bad).split(",") == ["1", "2", "2", "0.5"] + ["nan"] * 7
+    doc = serialize.row_to_dict(bad)
+    assert doc["margin"] == 0.5 and doc["K_norm"] is None
+    assert doc["error"] == bad.error and doc["passed"] is False
+
+
+@pytest.fixture(scope="module")
+def solved_4():
+    a = random_dissipative(InstanceSpec(p=4, m=4, margin=0.1, seed=0))
+    rep = solve_theorem(a)
+    # a fixed direction E with |E| = 1 for the perturbed K + s E
+    rng = np.random.default_rng(0)
+    e = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return a, rep, e / np.linalg.norm(e, 2)
+
+
+def _failed_checks(a, rep, k=None, trace=None):
+    """The checks that fail on the report rebuilt from K (or rep's K) and a trace."""
+    k = rep.k.matrix if k is None else k
+    trace = rep.convergence_trace if trace is None else trace
+    rebuilt = solver._assemble_report(
+        a, AngleOperator(a.structure, k), rep.margin, schur_data(a, rep.mu), trace
+    )
+    res = check_instance(a, rebuilt, SolverConfig(), seed=0)
+    return sorted(name for name, ok in res.checks.items() if not ok)
+
+
+def test_invariance_check_flips_on_a_perturbed_k(solved_4):
+    # the residual is about 4.5 s against invariance_tol |A| = 3.9e-7, so the
+    # check flips between s = 7e-8 and 1e-7, about 1e8 times above the
+    # solved K's own residual of 1e-15
+    a, rep, e = solved_4
+    assert _failed_checks(a, rep) == []
+    assert _failed_checks(a, rep, rep.k.matrix + 1e-8 * e) == []
+    for s in (1e-7, 1e-5, 1e-3):
+        assert _failed_checks(a, rep, rep.k.matrix + s * e) == ["invariance"]
+
+
+def test_maximal_check_flips_only_near_k_norm_1e8(solved_4):
+    # the graph basis has sigma_min(B+) = (1 + |K|^2)^(-1/2), which falls
+    # below maximality_witness's 1e-8 rank cut only near |K| = 1e8 (with
+    # this E: it holds at s = 9.9e7 and fails at 1.01e8); k_norm has failed
+    # since |K| > 1 + 1e-8, so maximal cannot fail while k_norm holds
+    a, rep, e = solved_4
+    assert "maximal" not in _failed_checks(a, rep, rep.k.matrix + 1e7 * e)
+    assert "k_norm" in _failed_checks(a, rep, rep.k.matrix + 1e7 * e)
+    assert "maximal" in _failed_checks(a, rep, rep.k.matrix + 1e9 * e)
+
+
+def test_cells_check_flips_on_a_trace_cell_with_k_norm_1(solved_4):
+    # the check is |K| < 1 on every ok cell: 1 - 1e-12 passes, 1 fails
+    a, rep, _ = solved_4
+    last = rep.convergence_trace[-1]
+    assert last.ok
+    for k_norm, failed in ((1.0 - 1e-12, []), (1.0, ["cells"]), (2.0, ["cells"])):
+        trace = rep.convergence_trace[:-1] + [dataclasses.replace(last, k_norm=k_norm)]
+        assert _failed_checks(a, rep, trace=trace) == failed
 
 
 def test_suite_draws_each_instance_once(monkeypatch):

@@ -372,9 +372,12 @@ def test_upper_schur_form_boundary_and_empty():
     assert upper_schur_form(a, tol=1e-9)[2] == 0
 
 
-def test_exact_closed_region_includes_boundary():
-    rep = riesz_projector_exact(np.diag([1.0 + 0j, -2j]), "upper_closed", tol=1e-9)
-    np.testing.assert_allclose(rep.q_plus, np.diag([1.0, 0.0]), atol=1e-12)
+def test_exact_accepts_only_the_open_upper_region():
+    # a closed region would take every real eigenvalue, of either sign type;
+    # the maximal nonnegative subspace takes only those of positive type
+    for region in ("upper_closed", "lower_open"):
+        with pytest.raises(DimensionMismatch, match="unknown region"):
+            riesz_projector_exact(np.diag([1.0 + 0j, -2j]), region)
 
 
 def test_subspace_extraction_diagonal():

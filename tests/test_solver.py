@@ -513,6 +513,16 @@ def test_solve_theorem_boundary_neutral_limit():
     assert abs(rep.min_im_restriction()) <= 1e-5
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_solve_theorem_survives_entries_above_1e154(scale):
+    # a squared 1e200 overflows; the continuation's residual norm must not
+    # square it, and K has no units, so it does not move with the scale
+    a = random_dissipative(InstanceSpec(p=4, m=4, margin=0.1, seed=0))
+    big = type(a)(a.structure, *(scale * b for b in (a.a11, a.a12, a.a21, a.a22)))
+    ref = solve_theorem(a).k.matrix
+    assert np.linalg.norm(solve_theorem(big).k.matrix - ref, 2) <= 1e-13
+
+
 def test_solve_theorem_rejects_anti_dissipative():
     anti = assemble([[-1j]], [[0.0]], [[0.0]], [[1j]])
     with pytest.raises(NotDissipative):
@@ -567,6 +577,8 @@ def test_solver_config_validation():
         ("mu", "4j", "mu must be None or a number"),
         ("mu", True, "mu must be None or a number"),
         ("mu", [0.0, 4.0], "mu must be None or a number"),
+        ("eps_schedule", 0.5, "eps schedule must be a sequence"),
+        ("galerkin_dims", 3, "galerkin dims must be a sequence"),
     ],
 )
 def test_solver_config_rejects_what_a_problem_file_cannot_pass(field, value, match):

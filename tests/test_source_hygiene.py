@@ -4,7 +4,8 @@ The checks parse ``src/kreinspace`` with the standard-library ``ast``
 module, so they need no linter.  ``__init__.py`` re-exports the public API
 and is exempt from the unused-import check; its exports must each be read
 by another module of the package, apart from the few listed with a reason
-in ``CALLER_LESS_EXPORTS``.
+in ``CALLER_LESS_EXPORTS``.  No module reads another module's underscore
+names, apart from the few listed with a reason in ``PRIVATE_READS``.
 """
 
 import ast
@@ -193,3 +194,44 @@ def test_every_export_has_a_library_caller():
             uncalled.append(name)
     assert uncalled == []
     assert sorted(set(CALLER_LESS_EXPORTS) - set(kreinspace.__all__)) == []
+
+
+#: ``(reader, home module, name)`` of the underscore names one package module
+#: may read from another, each with why the name stays off the public API.
+PRIVATE_READS = {
+    ("harness.py", "projectors", "_schur_projector"): "the cross-check needs "
+    "the bare Schur projector without the defects riesz_projector_exact adds",
+    ("harness.py", "projectors", "_sign_projector"): "the Newton sign "
+    "iteration is the harness's independent reference, not a library route",
+}
+
+
+def _private_reads(module, tree):
+    """``(reader, home module, name)`` of each underscore name read off another module."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            pairs = [(node.module, alias.name) for alias in node.names]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in MODULE_NAMES
+        ):
+            pairs = [(node.value.id, node.attr)]
+        else:
+            continue
+        reads |= {
+            (module, home, name)
+            for home, name in pairs
+            if name.startswith("_")
+            and not name.startswith("__")
+            and home + ".py" != module
+        }
+    return reads
+
+
+def test_no_module_reads_another_modules_private_names():
+    reads = set().union(*(_private_reads(m, tree) for m, tree in TREES.items()))
+    assert sorted(reads - set(PRIVATE_READS)) == []
+    # an allowance no module uses any more is dropped with it
+    assert sorted(set(PRIVATE_READS) - reads) == []
