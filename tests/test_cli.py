@@ -346,12 +346,12 @@ def test_verify_suite_rejects_empty_suite(capsys, seeds):
         ("solver", "polish", "no"),
         ("solver", "galerkin_dims", [1.7]),
         ("solver", "galerkin_dims", [True]),
-        ("solver", "galerkin_dims", 3),
         ("solver", "eps_schedule", 0.5),
         ("solver", "eps_schedule", ["0.5", 1e-4]),
         # well typed, but SolverConfig rejects the values
         ("solver", "eps_schedule", [0.5, 0.5, 1e-4]),
         ("solver", "galerkin_dims", [2, 2]),
+        ("solver", "galerkin_dims", 3),
     ],
 )
 def test_problem_file_values_are_type_checked(capsys, tmp_path, section, key, value):
