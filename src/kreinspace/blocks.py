@@ -163,14 +163,20 @@ def schur_data(a: BlockOperator, mu) -> SchurData:
 
 def _schur_stack(a: BlockOperator, mu, shifted: np.ndarray) -> SchurData:
     """:func:`schur_data` at the shifts ``mu`` of the checked stack A22 - mu_k."""
-    k = shifted.shape[0]
-    f = np.linalg.solve(shifted, np.broadcast_to(a.a21, (k, *a.a21.shape)))
+    s, f = _schur_complements(a, shifted)
     g = _applied_left(shifted, a.a12)
     if np.ndim(mu):
         mu = np.asarray(mu, dtype=np.complex128)
     else:
-        mu, f, g = complex(mu), f[0], g[0]
-    return SchurData(mu, a.a11 - a.a12 @ f, f, g)
+        mu, s, f, g = complex(mu), s[0], f[0], g[0]
+    return SchurData(mu, s, f, g)
+
+
+def _schur_complements(a: BlockOperator, shifted: np.ndarray):
+    """The stacks S = A11 - A12 F and F = (A22 - mu_k)^{-1} A21 of a checked stack."""
+    k = shifted.shape[0]
+    f = np.linalg.solve(shifted, np.broadcast_to(a.a21, (k, *a.a21.shape)))
+    return a.a11 - a.a12 @ f, f
 
 
 def _stack_shifts(sd: SchurData) -> np.ndarray:
@@ -311,9 +317,10 @@ def resolvent_asymptotics_check(
     4 random unit z in H+ (drawn from the integer ``seed`` >= 0) is checked
     alongside to 1e-8
     (it is exact, so the defect stays at rounding level).  The 16 shifts of
-    every radius are one stack: one :func:`schur_data` call, one solve of
-    S - lambda, and one solve of lambda - A for the 4 vectors (z, 0), since
-    the identity reads only z* [(lambda - A)^{-1}]_11 z.
+    every radius are one stack: one floor-checked A22 - lambda stack with
+    one solve for F and none for G (which the probe never reads), one solve
+    of S - lambda, and one solve of lambda - A for the 4 vectors (z, 0),
+    since the identity reads only z* [(lambda - A)^{-1}]_11 z.
     """
     rs = sorted(float(r) for r in radii)
     # a comparison with NaN is false, so NaN fails the range test
@@ -338,9 +345,9 @@ def resolvent_asymptotics_check(
     thetas = np.linspace(0.0, np.pi, 16)
     lams = (np.array(rs)[:, np.newaxis] * np.exp(1j * thetas)).ravel()
     lam_eye = lams[:, np.newaxis, np.newaxis]
-    sd = schur_data(a, lams)
+    s, _ = _schur_complements(a, shifted_stack(a.a22, lams))
     # (S - lambda)^{-1}; (lambda - S)^{-1} is its negative
-    inv = np.linalg.solve(sd.s - lam_eye * eye_p, np.broadcast_to(eye_p, sd.s.shape))
+    inv = np.linalg.solve(s - lam_eye * eye_p, np.broadcast_to(eye_p, s.shape))
     c_fit = np.abs(lams) ** 2 * operator_norms(inv + eye_p / lam_eye)
     constants = [float(c) for c in np.max(c_fit.reshape(len(rs), -1), axis=1)]
     applied = np.linalg.solve(

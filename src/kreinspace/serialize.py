@@ -11,14 +11,29 @@ strings), so files parse bit-exactly across languages.  A problem file is
     }
 
 JSON is dumped with sorted keys and fixed indentation, so a fixed seed
-reproduces byte-identical output.
+reproduces byte-identical output.  :func:`dump_json` writes exactly the bytes
+of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` for every document.
+With ``indent`` set the standard library encodes in pure Python, so the writer
+hands each list nested to one depth throughout, with ints and floats at the
+bottom and no empty list, to the C encoder in one call and adds only the
+indentation.  That covers every matrix of ``[re, im]`` pairs; such a list may
+be ragged, and its numbers may be -0.0, NaN or infinite.  Every other list
+and dict is walked member by member, as the indented encoder walks it.
+
+The reader converts a block of exact ``list`` rows and pairs of exact ``int``
+and ``float`` entries in one numpy call; any other block, and any block with
+a non-finite or out-of-range entry, goes through the per-entry loop, which
+accepts and rejects what it always has.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import itertools
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -71,17 +86,50 @@ def pair_to_complex(pair) -> complex:
     re, im = pair
     if not _is_number(re) or not _is_number(im):
         raise ProblemFormatError(f"complex entries must be numeric, got {pair!r}")
-    if not (math.isfinite(re) and math.isfinite(im)):
+    try:
+        z = complex(re, im)
+    except OverflowError:
+        # an int literal beyond the float range
+        raise ProblemFormatError(f"entry beyond the float range {pair!r}") from None
+    if not cmath.isfinite(z):
         raise ProblemFormatError(f"non-finite entry {pair!r}")
-    return complex(re, im)
+    return z
 
 
 def matrix_to_pairs(m) -> list:
-    arr = np.asarray(m, dtype=np.complex128)
-    return [[complex_to_pair(z) for z in row] for row in arr]
+    arr = np.ascontiguousarray(m, dtype=np.complex128)
+    return arr.view(np.float64).reshape(*arr.shape, 2).tolist()
+
+
+def _bulk_matrix(data, shape: tuple[int, int]) -> np.ndarray | None:
+    """The matrix of a block of plain pairs, or None for the loop to judge.
+
+    Rows and pairs must be exact lists and entries exact ints or floats, so
+    the one conversion accepts nothing the loop would reject.
+    """
+    rows, cols = shape
+    if type(data) is not list or len(data) != rows:
+        return None
+    if set(map(type, data)) != {list} or set(map(len, data)) != {cols}:
+        return None
+    pairs = list(itertools.chain.from_iterable(data))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    if not set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}:
+        return None
+    try:
+        values = np.array(data, dtype=np.float64)
+    except OverflowError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.view(np.complex128).reshape(shape)
 
 
 def pairs_to_matrix(data, shape: tuple[int, int], name: str) -> np.ndarray:
+    bulk = _bulk_matrix(data, shape)
+    if bulk is not None:
+        return bulk
     if not isinstance(data, list) or len(data) != shape[0]:
         raise ProblemFormatError(f"{name} must have {shape[0]} rows")
     out = np.empty(shape, dtype=np.complex128)
@@ -160,7 +208,113 @@ def config_from_overrides(overrides: dict) -> SolverConfig:
 
 
 def dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``doc`` as ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` writes it."""
+    out: list[str] = []
+    _write(doc, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+_INDENT = "  "
+_CONTAINERS = (list, tuple, dict)
+
+
+def _write(value, level: int, out: list[str]) -> None:
+    """Append ``value`` as the indented encoder writes it at indent ``level``."""
+    if not (isinstance(value, _CONTAINERS) and value):
+        out.append(_scalar(value))
+        return
+    is_dict = isinstance(value, dict)
+    if not is_dict:
+        spliced = _splice_numbers(value, level)
+        if spliced is not None:
+            out.append(spliced)
+            return
+    inner = "\n" + _INDENT * (level + 1)
+    close = "\n" + _INDENT * level
+    if is_dict:
+        out.append("{")
+        for i, (key, v) in enumerate(sorted(value.items())):
+            out.append(("," if i else "") + inner + _key(key) + ": ")
+            _write(v, level + 1, out)
+        out.append(close + "}")
+    else:
+        out.append("[")
+        for i, v in enumerate(value):
+            out.append(("," if i else "") + inner)
+            _write(v, level + 1, out)
+        out.append(close + "]")
+
+
+def _scalar(value) -> str:
+    """A scalar or an empty container, which reads the same without indentation."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    # NaN, the infinities, subclasses, empty containers, and the TypeError of
+    # what JSON cannot hold, from the encoder itself
+    return json.dumps(value)
+
+
+def _key(key) -> str:
+    """A dict key as the encoder writes it: a string, or a scalar's JSON text quoted."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+            )
+        key = json.dumps(key)
+    return encode_basestring_ascii(key)
+
+
+def _splice_numbers(value, level: int) -> str | None:
+    """``value`` indented at ``level`` from one compact C-encoder call, or None.
+
+    Applies to a list nested to the same depth D throughout, with no empty
+    list and ints or floats at the bottom.  Its compact text then holds only
+    numbers, brackets and separators, and a separator between siblings D - j
+    lists deep reads ``"]" * j + ", " + "[" * j``.  Each is replaced by its
+    indented form, longest first, and the shape is checked on the way: every
+    bracket must be in the leading or trailing run of D or in a replaced
+    separator.  ``None`` sends the list back to the member-by-member walk.
+    """
+    depth, first = 0, value
+    while isinstance(first, (list, tuple)) and first:
+        depth, first = depth + 1, first[0]
+    if isinstance(first, bool) or not isinstance(first, (int, float)):
+        return None
+    text = json.dumps(value)
+    # strings, objects, true, false and null each need one of these characters
+    if any(c in text for c in '"{ul') or "[]" in text:
+        return None
+    if not (text.startswith("[" * depth) and text.endswith("]" * depth)):
+        return None
+    # line breaks before the brackets at the depths 1..D, and before a number
+    breaks = ["\n" + _INDENT * (level + k) for k in range(depth + 1)]
+    body = text[depth:-depth]
+    brackets = depth
+    for j in range(depth - 1, -1, -1):
+        closing = "".join(breaks[k] + "]" for k in range(depth - 1, depth - 1 - j, -1))
+        opening = "".join(breaks[k] + "[" for k in range(depth - j, depth))
+        separator = "]" * j + ", " + "[" * j
+        indented = closing + "," + opening + breaks[depth]
+        spliced = body.replace(separator, indented)
+        # each replacement lengthens the text by the same amount
+        replaced = (len(spliced) - len(body)) // (len(indented) - len(separator))
+        brackets += j * replaced
+        body = spliced
+    # the text is valid JSON, so its "]" count equals its "[" count
+    if text.count("[") != brackets:
+        return None
+    head = "[" + "".join(breaks[k] + "[" for k in range(1, depth)) + breaks[depth]
+    tail = "".join(breaks[k] + "]" for k in range(depth - 1, -1, -1))
+    return head + body + tail
 
 
 def load_problem(path: str) -> tuple[BlockOperator, dict]:

@@ -508,6 +508,17 @@ def test_asymptotics_matches_per_shift_reference(spec):
     assert rep.passed == (max(constants) / min(constants) <= 4.0 and defect <= 1e-8)
 
 
+def test_asymptotics_forms_no_g_stack(monkeypatch):
+    # the probe reads S and F's solve only; G = A12 (A22 - lambda)^{-1} is unused
+    def no_g(*args):
+        raise AssertionError("the asymptotics probe formed a G stack")
+
+    monkeypatch.setattr(blocks, "_applied_left", no_g)
+    a = random_dissipative(STACK_SPECS[0])
+    r0 = 8.0 * (1.0 + a.norm())
+    assert resolvent_asymptotics_check(a, [r0, 2.0 * r0]).passed
+
+
 def test_g_bound_rejects_lower_samples_and_empty_sets():
     a = i_j_operator()
     with pytest.raises(DimensionMismatch, match="closed upper half-plane"):

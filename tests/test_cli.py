@@ -352,6 +352,8 @@ def test_verify_suite_rejects_empty_suite(capsys, seeds):
         ("solver", "eps_schedule", [0.5, 0.5, 1e-4]),
         ("solver", "galerkin_dims", [2, 2]),
         ("solver", "galerkin_dims", 3),
+        # an int literal beyond the float range
+        ("blocks", "A12", [[[10**400, 0.0]]]),
     ],
 )
 def test_problem_file_values_are_type_checked(capsys, tmp_path, section, key, value):
