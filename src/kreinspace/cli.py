@@ -9,9 +9,14 @@ decay data).  Machine-readable output goes to stdout; the human summary of
 Exit codes are part of the stable interface:
     0  success / all checks passed
     1  a check or suite row failed
-    2  bad flags, unreadable input or an unwritable output path
+    2  bad input: a KreinError raised on the input values, an unreadable or
+       unwritable path, or bad flags; stderr holds one ``error:`` line, or
+       argparse's usage and message
     3  the operator is not dissipative (or its negative block is not dominant)
     4  the regularization tail did not converge (report still emitted)
+
+Only :func:`main` turns errors into exit codes.  Any other exception is a
+defect of the program and propagates with its traceback.
 
 The environment variable KREIN_THREADS caps BLAS parallelism; it is applied
 at package import, before numpy is loaded.
@@ -20,7 +25,34 @@ at package import, before numpy is loaded.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
+
+import scipy.linalg
+
+from . import blocks, errors, harness, projectors, serialize, solver
+
+
+def _seed_count(text: str) -> int:
+    """``--seeds``: an integer of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
+def _heights(text: str) -> list[float]:
+    """``--profile``: comma-separated numbers."""
+    try:
+        return [float(h) for h in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,6 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a random dissipative problem file")
+    gen.set_defaults(run=_cmd_generate)
     gen.add_argument("--p", type=int, required=True, help="dimension of H+")
     gen.add_argument("--m", type=int, required=True, help="dimension of H-")
     gen.add_argument("--margin", type=float, default=0.0, help="target dissipativity margin")
@@ -40,13 +73,15 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", type=str, default=None, help="output path (default stdout)")
 
     slv = sub.add_parser("solve", help="run the solver on a problem file")
+    slv.set_defaults(run=_cmd_solve)
     slv.add_argument("problem", type=str)
     slv.add_argument("--out", type=str, default=None, help="also write the report here")
 
     ver = sub.add_parser("verify", help="property-check one problem or a seeded suite")
+    ver.set_defaults(run=_cmd_verify)
     ver.add_argument("problem", type=str, nargs="?", default=None)
     ver.add_argument("--suite", action="store_true")
-    ver.add_argument("--seeds", type=int, default=10, help="suite size")
+    ver.add_argument("--seeds", type=_seed_count, default=10, help="suite size")
     ver.add_argument("--seed", type=int, default=0, help="first suite seed")
     ver.add_argument("--p", type=int, default=3)
     ver.add_argument("--m", type=int, default=3)
@@ -57,18 +92,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--out", type=str, default=None, help="also write the JSON report here")
 
     spc = sub.add_parser("spectrum", help="eigenvalue data for a problem file")
+    spc.set_defaults(run=_cmd_spectrum)
     spc.add_argument("problem", type=str)
     spc.add_argument(
         "--profile",
-        type=str,
+        type=_heights,
         default=None,
         help="comma-separated increasing heights for the transfer decay profile",
     )
     return parser
-
-
-class _UnwritableOutput(Exception):
-    """An output path that could not be written (exit 2)."""
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -78,9 +110,6 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    import contextlib
-    import os
-
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -89,13 +118,11 @@ def _atomic_write(path: str, text: str) -> None:
     except OSError as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        raise _UnwritableOutput(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _instance_spec(args, seed: int):
     """The instance the ``--p/--m/--margin/--coupling/--decay`` flags describe."""
-    from . import harness
-
     return harness.InstanceSpec(
         p=args.p,
         m=args.m,
@@ -107,94 +134,56 @@ def _instance_spec(args, seed: int):
 
 
 def _cmd_generate(args) -> int:
-    from . import harness, serialize
-
-    try:
-        a = harness.random_dissipative(_instance_spec(args, args.seed))
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    a = harness.random_dissipative(_instance_spec(args, args.seed))
     _emit(serialize.dump_json(serialize.problem_to_dict(a)), args.out)
     return 0
 
 
 def _load(path: str):
-    from . import serialize
-
     a, overrides = serialize.load_problem(path)
-    cfg = serialize.config_from_overrides(overrides)
-    return a, cfg
+    return a, serialize.config_from_overrides(overrides)
 
 
 def _solve_file(path: str, out: str | None):
-    """Load and solve a problem file: ``(a, cfg, report)`` or an exit code.
+    """Load and solve a problem file: ``(a, cfg, report)``.
 
-    A failed solve is reported here: exit 3 (not dissipative) and exit 4
-    (no convergence, with the partial report) write their error document to
-    stdout and ``out``; other failures go to stderr with exit 2.
+    A failed solve ends the command here: exit 3 (not dissipative) and
+    exit 4 (no convergence, with the partial report) write their error
+    document to stdout and ``out`` first.
     """
-    from . import errors, serialize, solver
-
-    try:
-        a, cfg = _load(path)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    a, cfg = _load(path)
     try:
         return a, cfg, solver.solve_theorem(a, cfg)
     except (errors.NotDissipative, errors.ConditionIFailed) as exc:
         _emit(serialize.dump_json({"error": f"{type(exc).__name__}: {exc}"}), out)
-        return 3
+        sys.exit(3)
     except errors.NoCauchyConvergence as exc:
         doc = {"error": f"NoCauchyConvergence: {exc}"}
         if exc.report is not None:
             doc["report"] = serialize.report_to_dict(exc.report, a.norm(), cfg)
         _emit(serialize.dump_json(doc), out)
-        return 4
-    except errors.KreinError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        sys.exit(4)
 
 
 def _cmd_solve(args) -> int:
-    from . import serialize
-
-    solved = _solve_file(args.problem, args.out)
-    if isinstance(solved, int):
-        return solved
-    a, cfg, rep = solved
+    a, cfg, rep = _solve_file(args.problem, args.out)
     doc = serialize.report_to_dict(rep, a.norm(), cfg)
     _emit(serialize.dump_json(doc), args.out)
     return 0 if doc["acceptance"]["passed"] else 1
 
 
 def _write_csv(path: str, results) -> None:
-    from . import serialize
-
     lines = [serialize.CSV_HEADER]
     lines.extend(serialize.csv_row(r) for r in results)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _cmd_verify(args) -> int:
-    from . import harness, serialize
-
     if args.suite:
-        if args.seeds < 1:
-            print("error: --seeds must be at least 1", file=sys.stderr)
-            return 2
-        try:
-            seeds = range(args.seed, args.seed + args.seeds)
-            specs = [_instance_spec(args, s) for s in seeds]
-        except Exception as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        suite = harness.run_property_suite(specs)
+        seeds = range(args.seed, args.seed + args.seeds)
+        suite = harness.run_property_suite([_instance_spec(args, s) for s in seeds])
     elif args.problem:
-        solved = _solve_file(args.problem, args.out)
-        if isinstance(solved, int):
-            return solved
-        a, cfg, rep = solved
+        a, cfg, rep = _solve_file(args.problem, args.out)
         result = harness.check_instance(a, rep, cfg, seed=-1)
         suite = harness.SuiteReport([result], result.passed)
     else:
@@ -216,31 +205,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    import scipy.linalg
-
-    from . import blocks, projectors, serialize
-
-    try:
-        a, _ = _load(args.problem)
-        heights = None
-        if args.profile:
-            heights = [float(h) for h in args.profile.split(",")]
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    a, _ = _load(args.problem)
     full = a.to_matrix()
-    try:
-        # eigenvalues from a Schur form; the restriction keeps real ones of both types
-        eigs = scipy.linalg.schur(full, output="complex")[0].diagonal()
-        spectrum_a = serialize.spectrum_pairs(eigs)
-        restriction = serialize.spectrum_pairs(eigs[eigs.imag > -1e-9])
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # eigenvalues from a Schur form; the restriction keeps real ones of both types
+    eigs = scipy.linalg.schur(full, output="complex")[0].diagonal()
     radius = projectors.default_contour_radius(full)
     doc = {
-        "spectrum_A": spectrum_a,
-        "spectrum_restriction": restriction,
+        "spectrum_A": serialize.spectrum_pairs(eigs),
+        "spectrum_restriction": serialize.spectrum_pairs(eigs[eigs.imag > -1e-9]),
         "contour_used": {
             "kind": "semicircle_upper",
             "radius": radius,
@@ -249,34 +221,28 @@ def _cmd_spectrum(args) -> int:
         },
         "g_decay_profile": None,
     }
-    if heights is not None:
-        try:
-            profile = blocks.g_decay_profile(a, heights)
-        except Exception as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        doc["g_decay_profile"] = [[h, v] for h, v in zip(heights, profile.tolist())]
+    if args.profile is not None:
+        profile = blocks.g_decay_profile(a, args.profile)
+        doc["g_decay_profile"] = [[h, v] for h, v in zip(args.profile, profile.tolist())]
     sys.stdout.write(serialize.dump_json(doc))
     return 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command; return its exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    handlers = {
-        "generate": _cmd_generate,
-        "solve": _cmd_solve,
-        "verify": _cmd_verify,
-        "spectrum": _cmd_spectrum,
-    }
-    try:
-        return handlers[args.command](args)
-    except _UnwritableOutput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # argparse exits 0 after --help and 2 on bad flags; a failed solve
+        # exits 3 or 4 once its error document is written
+        return exc.code or 0
+    except errors.KreinError as exc:
+        message = f"{type(exc).__name__}: {exc}"
+    except OSError as exc:
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def console_main() -> None:

@@ -318,11 +318,21 @@ def _splice_numbers(value, level: int) -> str | None:
 
 
 def load_problem(path: str) -> tuple[BlockOperator, dict]:
+    """The operator and solver overrides of a problem file.
+
+    A file that is not UTF-8, not JSON, nested too deeply for the parser or
+    off the schema raises :class:`ProblemFormatError`; a path that cannot be
+    opened raises ``OSError``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.loads(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ProblemFormatError(f"not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(f"invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise ProblemFormatError("invalid JSON: nested too deeply") from None
     return problem_from_dict(doc)
 
 

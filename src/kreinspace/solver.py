@@ -69,6 +69,7 @@ from .errors import (
     DimensionMismatch,
     KreinError,
     NoCauchyConvergence,
+    NonFinite,
     NotDissipative,
     NotMaximal,
     NotNonnegative,
@@ -155,7 +156,11 @@ class SolverConfig:
         eps = _sequence(self.eps_schedule, "eps schedule")
         if not all(_is_number(e, numbers.Real) for e in eps):
             raise DimensionMismatch(f"eps values must be real numbers, got {eps!r}")
-        eps = tuple(float(e) for e in eps)
+        try:
+            eps = tuple(float(e) for e in eps)
+        except OverflowError:
+            # an int beyond the float range
+            raise DimensionMismatch("eps values must lie in (0, 1]") from None
         if not eps:
             raise DimensionMismatch("eps schedule must be nonempty")
         if any(not 0.0 < e <= 1.0 for e in eps):
@@ -528,10 +533,12 @@ def _newton_polish(
             delta = scipy.linalg.solve_sylvester(
                 a.a22 - k @ a.a12, -(a.a11 + a.a12 @ k), -graph_defect(a, k)
             )
-        except (np.linalg.LinAlgError, ValueError):
+            step = operator_norm(delta)
+        except (ValueError, NonFinite):
+            # a failed solve (LinAlgError is a ValueError) or a non-finite
+            # correction ends the polish at the best iterate so far
             break
-        step = operator_norm(delta)
-        if not np.isfinite(step) or moved + step > _NEWTON_MAX_STEP:
+        if moved + step > _NEWTON_MAX_STEP:
             break
         k_next = k + delta
         res_next = operator_norm(graph_defect(a, k_next))

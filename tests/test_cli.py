@@ -354,6 +354,7 @@ def test_verify_suite_rejects_empty_suite(capsys, seeds):
         ("solver", "galerkin_dims", 3),
         # an int literal beyond the float range
         ("blocks", "A12", [[[10**400, 0.0]]]),
+        ("solver", "eps_schedule", [10**400, 1e-5]),
     ],
 )
 def test_problem_file_values_are_type_checked(capsys, tmp_path, section, key, value):
@@ -372,6 +373,64 @@ def test_problem_file_values_are_type_checked(capsys, tmp_path, section, key, va
     code, out, _ = run(capsys, "solve", str(path))
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+    ids=["not_utf8", "nested_100000_deep"],
+)
+def test_unreadable_problem_file_exit_2(capsys, tmp_path, content):
+    from kreinspace.serialize import ProblemFormatError, load_problem
+
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(ProblemFormatError):
+        load_problem(str(path))
+    for command in ("solve", "verify", "spectrum"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ProblemFormatError:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "missing.json"],
+        ["verify", "."],
+        ["spectrum", "{problem}", "--profile", "1,x"],
+        ["verify", "--suite", "--seeds", "2", "--p", "0"],
+    ],
+    ids=["missing", "directory", "profile_not_numbers", "p_zero"],
+)
+def test_bad_input_exit_2_without_traceback(capsys, monkeypatch, tmp_path, ij_problem, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *(a.format(problem=ij_problem) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+def _raise_type_error(*args, **kwargs):
+    raise TypeError("injected defect")
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("serialize.problem_from_dict", ["solve", "{problem}"]),
+        ("serialize.problem_from_dict", ["verify", "{problem}"]),
+        ("harness.random_dissipative", ["generate", "--p", "2", "--m", "2"]),
+        ("blocks.g_decay_profile", ["spectrum", "{problem}", "--profile", "1,10"]),
+    ],
+    ids=["solve", "verify", "generate", "spectrum"],
+)
+def test_library_defect_is_not_bad_input(monkeypatch, ij_problem, target, argv):
+    # only KreinError and OSError mean bad input; a defect keeps its traceback
+    monkeypatch.setattr(f"kreinspace.{target}", _raise_type_error)
+    with pytest.raises(TypeError, match="injected defect"):
+        main([a.format(problem=ij_problem) for a in argv])
 
 
 def test_krein_threads_sets_blas_variables():

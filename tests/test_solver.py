@@ -660,3 +660,22 @@ def test_newton_polish_contract(spec, offset):
     assert np.linalg.norm(k - k0, 2) <= solver._NEWTON_MAX_STEP
     if 0.0 < offset < 0.1:
         assert improved
+
+
+def test_non_finite_newton_correction_stops_the_polish(monkeypatch):
+    a = random_dissipative(InstanceSpec(4, 4, 0.1, seed=0))
+    unpolished = solve_theorem(a, SolverConfig(polish=False))
+    sylvester = scipy.linalg.solve_sylvester
+    calls = []
+
+    def nan_correction(*args):
+        delta = sylvester(*args)
+        delta[0, 0] = np.nan
+        calls.append(1)
+        return delta
+
+    monkeypatch.setattr(scipy.linalg, "solve_sylvester", nan_correction)
+    rep = solve_theorem(a)
+    assert calls
+    assert rep.polish_method == unpolished.polish_method
+    assert np.array_equal(rep.k.matrix, unpolished.k.matrix)

@@ -5,7 +5,9 @@ module, so they need no linter.  ``__init__.py`` re-exports the public API
 and is exempt from the unused-import check; its exports must each be read
 by another module of the package, apart from the few listed with a reason
 in ``CALLER_LESS_EXPORTS``.  No module reads another module's underscore
-names, apart from the few listed with a reason in ``PRIVATE_READS``.
+names, apart from the few listed with a reason in ``PRIVATE_READS``.  No
+handler catches ``Exception`` or ``BaseException``, or everything with a
+bare ``except:``: a defect must not pass for an expected failure.
 """
 
 import ast
@@ -235,3 +237,20 @@ def test_no_module_reads_another_modules_private_names():
     assert sorted(reads - set(PRIVATE_READS)) == []
     # an allowance no module uses any more is dropped with it
     assert sorted(set(PRIVATE_READS) - reads) == []
+
+
+def _broad_handlers(tree):
+    """Line of each ``except`` clause that catches everything or ``(Base)Exception``."""
+    broad = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if any(c is None or _dotted(c) in {"Exception", "BaseException"} for c in caught):
+            broad.append(node.lineno)
+    return broad
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_broad_exception_handlers(name):
+    assert _broad_handlers(TREES[name]) == []
