@@ -66,7 +66,6 @@ from .numerics import (  # noqa: E402
     solve_shifted,
 )
 from .projectors import (  # noqa: E402
-    Contour,
     ProjectorReport,
     default_contour_radius,
     invariant_subspace_from_projector,
@@ -90,7 +89,6 @@ __all__ = [
     "BlockOperator",
     "BoundaryEigenvalue",
     "ConditionIFailed",
-    "Contour",
     "ContourTooClose",
     "DimensionMismatch",
     "InstanceSpec",

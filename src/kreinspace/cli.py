@@ -216,7 +216,7 @@ def _cmd_spectrum(args) -> int:
         "contour_used": {
             "kind": "semicircle_upper",
             "radius": radius,
-            "nodes": projectors.Contour(radius).nodes,
+            "nodes": projectors.NODE_BUDGET,
             "rule": projectors.QUADRATURE_RULE,
         },
         "g_decay_profile": None,

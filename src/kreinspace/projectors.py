@@ -25,24 +25,23 @@ The quadrature has one rule: 21-point Gauss panels embedded in their
 clearance sigma_min(lambda - A) probed along the contour.  Each panel
 carries an equal share of the integral of 1/clearance, so panel lengths
 shrink in proportion to the clearance, which keeps the node count
-logarithmic in R/clearance instead of linear.  A node budget counts Gauss
-points and buys ``max(2, budget // 21)`` whole panels.  Each call probes the
-contour once (9 segment and 5 arc probes, bisected where the clearance is
-tight) and climbs a ladder of panel counts.  A rung evaluates the 43 Kronrod
-nodes of every panel and forms two sums from them: the K43 sum and the G21
-sum on the same panels, the coarser comparator.  The call returns the K43
-sum of the first rung whose two sums differ by at most 1e-8 and whose trace
-is an integer.  The first rung is the contour's budget, split between the
-segment and the arc by their measures; each further rung gives both pieces
-about half more panels, ``max(1, n // 2)``, up to the first rung with at
-least ``LADDER_REACH`` (16) times the budget's Gauss points.  By default
-that is 3 panels, 129 resolvents.  An eigenvalue within 1e-6 R of the
-contour fails the call.
+logarithmic in R/clearance instead of linear.  A call takes the radius R
+alone.  It probes the contour once (9 segment and 5 arc probes, bisected
+where the clearance is tight) and climbs a ladder of panel counts.  A rung
+evaluates the 43 Kronrod nodes of every panel and forms two sums from them:
+the K43 sum and the G21 sum on the same panels, the coarser comparator.
+The call returns the K43 sum of the first rung whose two sums differ by at
+most 1e-8 and whose trace is an integer.  The first rung holds the whole
+panels of ``NODE_BUDGET`` (64) Gauss points, 3 panels and 129 resolvents,
+split between the segment and the arc by their measures; each further rung
+gives both pieces about half more panels, ``max(1, n // 2)``, up to the
+first rung with at least ``LADDER_REACH`` (16) times 64 Gauss points.  An
+eigenvalue within 1e-6 R of the contour fails the call.
 
 Resolvent evaluations at the nodes are independent; each panel's 43 nodes
 are evaluated as one batched inverse and both sums are accumulated panel by
-panel in a fixed order, so results are reproducible bit-for-bit for a given
-node budget and the working set stays at one panel's inverses.
+panel in a fixed order, so results are reproducible bit-for-bit and the
+working set stays at one panel's inverses.
 """
 
 from __future__ import annotations
@@ -63,17 +62,19 @@ from .errors import (
 from .geometry import KreinStructure, Subspace
 from .numerics import operator_norm, validate_matrix
 
-#: ``ProjectorReport.method`` of the quadrature route
+#: the quadrature rule ``kreinspace spectrum`` reports as ``contour_used.rule``
 QUADRATURE_RULE = "gauss_segments"
-#: Gauss points per panel; a node budget counts these
+#: Gauss points per panel
 GAUSS_PANEL_ORDER = 21
+#: Gauss points of the ladder's first rung, which buys NODE_BUDGET // 21 = 3 panels
+NODE_BUDGET = 64
 #: resolvent nodes per panel: the Kronrod extension of the Gauss points
 KRONROD_PANEL_ORDER = 2 * GAUSS_PANEL_ORDER + 1
 # an eigenvalue closer than GAP_FACTOR * R to the contour is too close
 GAP_FACTOR = 1e-6
 # largest gap allowed between a rung's Kronrod sum and its Gauss sum
 REFINE_TOL = 1e-8
-# the ladder's top rung has at least LADDER_REACH times the budget's Gauss points
+# the ladder's top rung has at least LADDER_REACH * NODE_BUDGET Gauss points
 LADDER_REACH = 16
 _SEGMENT_PROBES = 9
 _ARC_PROBES = 5
@@ -142,24 +143,6 @@ def _kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 _KRONROD_X, _KRONROD_W = _kronrod_rule(GAUSS_PANEL_ORDER)
 
 
-@dataclass(frozen=True)
-class Contour:
-    """Closed contour: segment [-R, R] plus the upper semicircle of radius R."""
-
-    radius: float
-    nodes: int = 64
-
-    def __post_init__(self):
-        if not 0 < self.radius < np.inf:
-            raise DimensionMismatch("contour radius must be positive and finite")
-        # a budget buys max(2, nodes // GAUSS_PANEL_ORDER) panels, so small
-        # budgets all buy the same two
-        if not isinstance(self.nodes, (int, np.integer)):
-            raise DimensionMismatch(f"node count must be an integer, got {self.nodes!r}")
-        if self.nodes < 32 or self.nodes % 2:
-            raise DimensionMismatch("node count must be even and at least 32")
-
-
 @dataclass
 class ProjectorReport:
     q_plus: np.ndarray = field(repr=False)
@@ -167,7 +150,6 @@ class ProjectorReport:
     commutation_defect: float = 0.0
     enclosed_eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0, complex))
     trace: float = 0.0
-    method: str = "exact"
 
 
 def default_contour_radius(a) -> float:
@@ -241,22 +223,21 @@ def _panel_nodes(x, measure, count):
     return nodes.ravel(), weights.reshape(2, -1)
 
 
-def _panel_split(budget: int, seg_profile, arc_profile) -> tuple[int, int]:
-    """Segment and arc panel counts of a node budget.
+def _panel_split(seg_profile, arc_profile) -> tuple[int, int]:
+    """Segment and arc panel counts of the ladder's first rung.
 
-    The budget counts Gauss points and buys
-    ``max(2, budget // GAUSS_PANEL_ORDER)`` panels,
-    split between segment and arc in proportion to their measures of
-    1/clearance, with at least one panel on each.
+    ``NODE_BUDGET // GAUSS_PANEL_ORDER`` panels, split between segment and
+    arc in proportion to their measures of 1/clearance, with at least one
+    panel on each.
     """
     seg_measure, arc_measure = seg_profile[1][-1], arc_profile[1][-1]
-    panels = max(2, budget // GAUSS_PANEL_ORDER)
+    panels = NODE_BUDGET // GAUSS_PANEL_ORDER
     share = seg_measure / (seg_measure + arc_measure)
     n_seg = min(max(int(round(panels * share)), 1), panels - 1)
     return n_seg, panels - n_seg
 
 
-def _contour_nodes(contour: Contour, split, seg_profile, arc_profile):
+def _contour_nodes(r: float, split, seg_profile, arc_profile):
     """All contour nodes with complex weights including the orientation factor.
 
     The profiles pair the probe points with the running measure of
@@ -265,7 +246,6 @@ def _contour_nodes(contour: Contour, split, seg_profile, arc_profile):
     ``KRONROD_PANEL_ORDER * sum(split)`` nodes.  The weights are a
     ``(2, nodes)`` array: the Kronrod sum's row and the Gauss sum's row.
     """
-    r = contour.radius
     n_seg, n_arc = split
     ts, tw = _panel_nodes(*seg_profile, n_seg)
     thetas, th_w = _panel_nodes(*arc_profile, n_arc)
@@ -308,30 +288,32 @@ def _quadrature_sum(a: np.ndarray, lams: np.ndarray, weights: np.ndarray, gap: f
     return sums.reshape(-1, d, d)
 
 
-def riesz_projector_quadrature(a, contour: Contour) -> ProjectorReport:
+def riesz_projector_quadrature(a, radius: float) -> ProjectorReport:
     """Quadrature realization of the upper Riesz projector.
 
-    The contour is probed once and the graded Gauss-Kronrod rule (G21
-    inside K43) climbs a ladder of panel counts.  The first rung is the
-    contour's node budget, which counts Gauss points and buys
-    ``max(2, b // GAUSS_PANEL_ORDER)`` panels, split into segment and arc
-    panels by their measures; each further rung gives the segment and the
-    arc ``max(1, n // 2)`` more equal-measure panels each, up to the first
-    rung with at least ``LADDER_REACH`` (16) times the budget's Gauss
-    points.  A rung evaluates the 43 Kronrod nodes of each panel.  Its K43
-    sum is returned when it differs from the G21 sum on the same panels by
-    at most ``REFINE_TOL`` (1e-8) and its trace lies within 1e-6 of an
+    The contour is the segment [-R, R] plus the upper semicircle of radius
+    R = ``radius``, which must be positive and finite.  It is probed once
+    and the graded Gauss-Kronrod rule (G21 inside K43) climbs a ladder of
+    panel counts.  The first rung holds ``NODE_BUDGET // GAUSS_PANEL_ORDER``
+    (3) panels, split into segment and arc panels by their measures; each
+    further rung gives the segment and the arc ``max(1, n // 2)`` more
+    equal-measure panels each, up to the first rung with at least
+    ``LADDER_REACH * NODE_BUDGET`` (1024) Gauss points.  A rung evaluates
+    the 43 Kronrod nodes of each panel, 129 resolvents on the first.  Its
+    K43 sum is returned when it differs from the G21 sum on the same panels
+    by at most ``REFINE_TOL`` (1e-8) and its trace lies within 1e-6 of an
     integer; if the top rung fails either check,
     :class:`QuadratureNotConverged` is raised.  An eigenvalue within
     ``GAP_FACTOR * R`` (1e-6 R) of the contour raises
-    :class:`ContourTooClose`.  At the default budget one rung of 3 panels
-    evaluates 129 resolvents.  The caller is responsible for a radius that
+    :class:`ContourTooClose`.  The caller is responsible for a radius that
     encloses the whole upper spectrum.
     """
     mat = validate_matrix(a)
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch("expected a square matrix")
-    r = contour.radius
+    if not 0 < radius < np.inf:
+        raise DimensionMismatch("contour radius must be positive and finite")
+    r = radius
     gap = GAP_FACTOR * r
     seg_x = np.linspace(-r, r, _SEGMENT_PROBES)
     seg_c = _batch_sigma_min(seg_x.astype(np.complex128), mat)
@@ -353,16 +335,15 @@ def riesz_projector_quadrature(a, contour: Contour) -> ProjectorReport:
         (seg_x, _running_measure(seg_x, np.maximum(seg_c, gap))),
         (arc_t, _running_measure(arc_t, np.maximum(arc_c, gap) / r)),
     )
-    split = _panel_split(contour.nodes, *profiles)
-    top = LADDER_REACH * contour.nodes
+    split = _panel_split(*profiles)
     while True:
-        lams, weights = _contour_nodes(contour, split, *profiles)
+        lams, weights = _contour_nodes(r, split, *profiles)
         kronrod, gauss = _quadrature_sum(mat, lams, weights, gap)
         drift = operator_norm(kronrod - gauss)
         tr = float(np.trace(kronrod).real)
         if drift <= REFINE_TOL and abs(tr - round(tr)) <= 1e-6:
-            return _finish_report(mat, kronrod, method=QUADRATURE_RULE)
-        if GAUSS_PANEL_ORDER * sum(split) >= top:
+            return _finish_report(mat, kronrod)
+        if GAUSS_PANEL_ORDER * sum(split) >= LADDER_REACH * NODE_BUDGET:
             raise QuadratureNotConverged(
                 f"the {lams.size}-node Kronrod sum differs from its Gauss sum "
                 f"by {drift:.3e} (trace {tr:.8f})"
@@ -425,7 +406,7 @@ def _sign_projector(mat: np.ndarray, clearance: float) -> tuple[np.ndarray, int]
     return q, step
 
 
-def _finish_report(mat, q, method, enclosed=None) -> ProjectorReport:
+def _finish_report(mat, q, enclosed=None) -> ProjectorReport:
     idem = operator_norm(q @ q - q)
     comm = operator_norm(mat @ q - q @ mat)
     tr = float(np.trace(q).real)
@@ -442,7 +423,6 @@ def _finish_report(mat, q, method, enclosed=None) -> ProjectorReport:
         commutation_defect=comm,
         enclosed_eigenvalues=np.asarray(enclosed, dtype=np.complex128),
         trace=tr,
-        method=method,
     )
 
 
@@ -486,20 +466,21 @@ def upper_schur_form(a, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
     return t, z, int(sdim)
 
 
-def riesz_projector_exact(a, region: str = "upper_open", tol: float = 1e-9) -> ProjectorReport:
+def riesz_projector_exact(a, region: str = "upper_open") -> ProjectorReport:
     """Spectral projector onto the generalized eigenspaces with Im > 0.
 
-    ``region`` must be "upper_open", the one region there is; ``tol`` is
-    that of :func:`upper_schur_form` (eigenvalues within ``tol`` of the real
-    axis raise :class:`BoundaryEigenvalue`).  The coupling block of the
+    ``region`` must be "upper_open", the one region there is.  An
+    eigenvalue within 1e-9 of the real axis raises
+    :class:`BoundaryEigenvalue` (:func:`upper_schur_form` with that
+    ``tol``).  The coupling block of the
     Schur form is resolved by a Sylvester solve, which is the
     invariant-subspace refinement of a plain eigenvector sum.
     """
     if region != "upper_open":
         raise DimensionMismatch(f"unknown region {region!r}")
     mat = validate_matrix(a)
-    q, enclosed = _schur_projector(mat, tol)
-    return _finish_report(mat, q, method="schur", enclosed=enclosed)
+    q, enclosed = _schur_projector(mat, 1e-9)
+    return _finish_report(mat, q, enclosed=enclosed)
 
 
 def _schur_projector(mat: np.ndarray, tol: float):
@@ -529,10 +510,15 @@ def invariant_subspace_from_projector(
     """Orthonormal basis of the projector range as a :class:`Subspace`.
 
     The rank is taken from the projector trace; a missing singular-value gap
-    there raises :class:`RankAmbiguous`.  The zero projector yields None.
+    there raises :class:`RankAmbiguous`.  The zero projector yields None.  A
+    projector of another shape than ``a`` raises :class:`DimensionMismatch`.
     """
     mat = validate_matrix(a)
     q = report.q_plus
+    if q.shape != mat.shape:
+        raise DimensionMismatch(
+            f"projector of shape {q.shape} for an operator of shape {mat.shape}"
+        )
     tr = float(np.trace(q).real)
     k = int(round(tr))
     if abs(tr - k) > 1e-6:

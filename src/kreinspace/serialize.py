@@ -203,7 +203,7 @@ def config_from_overrides(overrides: dict) -> SolverConfig:
         kwargs["mu"] = pair_to_complex(kwargs["mu"])
     try:
         return SolverConfig(**kwargs)
-    except (KreinError, TypeError, ValueError) as exc:
+    except KreinError as exc:
         raise ProblemFormatError(f"bad solver overrides {overrides!r}: {exc}") from exc
 
 
@@ -344,16 +344,14 @@ def _finite_or_none(x):
 def _json_value(x):
     if isinstance(x, float):
         return _finite_or_none(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
     return x
 
 
 def record_to_dict(record) -> dict:
     """A dataclass record as JSON, one key per field in declaration order.
 
-    Non-finite floats become ``None`` and numpy bools ``bool``; ints, strs,
-    bools and ``None`` pass through unchanged.
+    Non-finite floats become ``None``; ints, strs, bools and ``None`` pass
+    through unchanged.
     """
     return {
         f.name: _json_value(getattr(record, f.name))

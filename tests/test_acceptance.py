@@ -34,7 +34,7 @@ from kreinspace.geometry import (
     subspace_from_angle_operator,
 )
 from kreinspace.harness import InstanceSpec, random_dissipative
-from kreinspace.projectors import Contour, riesz_projector_exact, riesz_projector_quadrature
+from kreinspace.projectors import riesz_projector_exact, riesz_projector_quadrature
 from kreinspace.solver import (
     DOUBLE_LIMIT_EPS_SCHEDULE,
     SolverConfig,
@@ -148,9 +148,8 @@ def test_criterion_2_projector_oracle_agreement():
             rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         )
         a = v @ np.diag(w) @ np.linalg.inv(v)
-        contour = Contour(2.0 * (np.max(np.abs(w)) + 1.0), 256)
-        q_quad = riesz_projector_quadrature(a, contour)
-        q_exact = riesz_projector_exact(a, "upper_open", tol=1e-3)
+        q_quad = riesz_projector_quadrature(a, 2.0 * (np.max(np.abs(w)) + 1.0))
+        q_exact = riesz_projector_exact(a)
         worst = max(worst, np.linalg.norm(q_quad.q_plus - q_exact.q_plus, 2))
     _line(2, worst <= 1e-7, f"worst |dQ| = {worst:.2e} over 100 instances")
     assert worst <= 1e-7
@@ -372,7 +371,7 @@ def test_criterion_11_golden_cases():
     mask = np.diag((w.imag > 0).astype(float))
     oracle_q = v @ mask @ np.linalg.inv(v)
     assert np.allclose(oracle_q, [[1.0, -0.5j], [0.0, 0.0]], atol=1e-14)
-    q_rep = riesz_projector_quadrature(tri, Contour(10.0))
+    q_rep = riesz_projector_quadrature(tri, 10.0)
     rep2 = solve_theorem(decompose(tri, s11))
     case2 = (
         np.linalg.norm(q_rep.q_plus - oracle_q, 2) <= 1e-7

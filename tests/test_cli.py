@@ -433,6 +433,18 @@ def test_library_defect_is_not_bad_input(monkeypatch, ij_problem, target, argv):
         main([a.format(problem=ij_problem) for a in argv])
 
 
+def test_solver_config_defect_is_not_a_format_error(monkeypatch, ij_problem):
+    # SolverConfig raises a KreinError for every bad value, so anything else
+    # is a defect and must not read as a malformed file (exit 2)
+    from kreinspace.serialize import config_from_overrides
+
+    monkeypatch.setattr("kreinspace.serialize.SolverConfig", _raise_type_error)
+    with pytest.raises(TypeError, match="injected defect"):
+        config_from_overrides({})
+    with pytest.raises(TypeError, match="injected defect"):
+        main(["solve", ij_problem])
+
+
 def test_krein_threads_sets_blas_variables():
     # a fresh interpreter each time: the cap only acts before numpy is loaded
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kreinspace import projectors
 from kreinspace.errors import (
@@ -14,7 +15,6 @@ from kreinspace.geometry import KreinStructure, Subspace, angle_operator_from_su
 from kreinspace.harness import InstanceSpec, random_dissipative
 from kreinspace.numerics import operator_norm
 from kreinspace.projectors import (
-    Contour,
     _sign_projector,
     default_contour_radius,
     invariant_subspace_from_projector,
@@ -45,7 +45,7 @@ def random_gapped(rng, d, gap=0.1, radius=2.0):
 
 
 def test_quadrature_diagonal():
-    rep = riesz_projector_quadrature(np.diag([2j, -3j]), Contour(10.0))
+    rep = riesz_projector_quadrature(np.diag([2j, -3j]), 10.0)
     np.testing.assert_allclose(rep.q_plus, np.diag([1.0, 0.0]), atol=1e-9)
     assert rep.trace == pytest.approx(1.0, abs=1e-9)
 
@@ -53,12 +53,12 @@ def test_quadrature_diagonal():
 def test_quadrature_triangular_matches_eigenprojector():
     oracle = eigenprojector_oracle(TRIANGULAR, lambda z: z.imag > 0)
     np.testing.assert_allclose(oracle, TRIANGULAR_Q, atol=1e-14)
-    rep = riesz_projector_quadrature(TRIANGULAR, Contour(10.0))
+    rep = riesz_projector_quadrature(TRIANGULAR, 10.0)
     np.testing.assert_allclose(rep.q_plus, TRIANGULAR_Q, atol=1e-9)
 
 
 def test_quadrature_nothing_enclosed():
-    rep = riesz_projector_quadrature(np.diag([-1j, -2j, -0.5j]), Contour(10.0))
+    rep = riesz_projector_quadrature(np.diag([-1j, -2j, -0.5j]), 10.0)
     np.testing.assert_allclose(rep.q_plus, np.zeros((3, 3)), atol=1e-9)
     assert rep.enclosed_eigenvalues.size == 0
 
@@ -66,7 +66,7 @@ def test_quadrature_nothing_enclosed():
 def test_quadrature_defect_contracts():
     rng = np.random.Generator(np.random.Philox(0))
     a, w = random_gapped(rng, 6)
-    rep = riesz_projector_quadrature(a, Contour(2 * (np.max(np.abs(w)) + 1)))
+    rep = riesz_projector_quadrature(a, 2 * (np.max(np.abs(w)) + 1))
     norm_a = np.linalg.norm(a, 2)
     assert rep.idempotency_defect <= 1e-8
     assert rep.commutation_defect <= 1e-8 * norm_a
@@ -79,9 +79,8 @@ def test_quadrature_exact_agreement():
     for _ in range(30):
         d = int(rng.integers(2, 8))
         a, w = random_gapped(rng, d)
-        contour = Contour(2.0 * (np.max(np.abs(w)) + 1.0), 256)
-        q1 = riesz_projector_quadrature(a, contour)
-        q2 = riesz_projector_exact(a, "upper_open", tol=1e-3)
+        q1 = riesz_projector_quadrature(a, 2.0 * (np.max(np.abs(w)) + 1.0))
+        q2 = riesz_projector_exact(a)
         assert np.linalg.norm(q1.q_plus - q2.q_plus, 2) <= 1e-7
 
 
@@ -89,14 +88,14 @@ def test_quadrature_contour_deformation():
     rng = np.random.Generator(np.random.Philox(2))
     a, w = random_gapped(rng, 5)
     r = 2.0 * (np.max(np.abs(w)) + 1.0)
-    q1 = riesz_projector_quadrature(a, Contour(r))
-    q2 = riesz_projector_quadrature(a, Contour(2 * r))
+    q1 = riesz_projector_quadrature(a, r)
+    q2 = riesz_projector_quadrature(a, 2 * r)
     assert np.linalg.norm(q1.q_plus - q2.q_plus, 2) <= 1e-8
 
 
 def test_quadrature_contour_too_close():
     with pytest.raises(ContourTooClose):
-        riesz_projector_quadrature(np.diag([1.0 + 0j, 2j]), Contour(10.0))
+        riesz_projector_quadrature(np.diag([1.0 + 0j, 2j]), 10.0)
 
 
 LADDER_CASE = InstanceSpec(4, 3, 0.5, seed=1)
@@ -107,9 +106,9 @@ def record_rungs(monkeypatch):
     rungs = []
     original = projectors._contour_nodes
 
-    def recording(contour, split, *profiles):
+    def recording(radius, split, *profiles):
         rungs.append(split)
-        return original(contour, split, *profiles)
+        return original(radius, split, *profiles)
 
     monkeypatch.setattr(projectors, "_contour_nodes", recording)
     return rungs
@@ -133,24 +132,22 @@ def test_quadrature_not_converged_reports(monkeypatch):
     rungs = record_rungs(monkeypatch)
     monkeypatch.setattr(projectors, "REFINE_TOL", -1.0)
     a = random_dissipative(LADDER_CASE).to_matrix()
-    contour = Contour(default_contour_radius(a))
     with pytest.raises(QuadratureNotConverged, match="the 3010-node Kronrod sum"):
-        riesz_projector_quadrature(a, contour)
+        riesz_projector_quadrature(a, default_contour_radius(a))
     assert rungs == [
         (2, 1), (3, 2), (4, 3), (6, 4), (9, 6), (13, 9), (19, 13), (28, 19), (42, 28)
     ]
 
 
-@pytest.mark.parametrize("budget", [32, 40, 64, 128, 200])
-def test_ladder_top_rung_holds_sixteen_times_the_budget(monkeypatch, budget):
+def test_ladder_top_rung_holds_sixteen_times_the_budget(monkeypatch):
     rungs = record_rungs(monkeypatch)
     monkeypatch.setattr(projectors, "REFINE_TOL", -1.0)
     a = random_dissipative(LADDER_CASE).to_matrix()
     with pytest.raises(QuadratureNotConverged):
-        riesz_projector_quadrature(a, Contour(default_contour_radius(a), budget))
-    order = projectors.GAUSS_PANEL_ORDER
+        riesz_projector_quadrature(a, default_contour_radius(a))
+    budget, order = projectors.NODE_BUDGET, projectors.GAUSS_PANEL_ORDER
     gauss_points = [order * sum(split) for split in rungs]
-    assert gauss_points[0] == order * max(2, budget // order)
+    assert gauss_points[0] == order * (budget // order)
     # the ladder stops at the first rung that reaches 16 times the budget
     assert gauss_points[-2] < projectors.LADDER_REACH * budget <= gauss_points[-1]
     # every rung gives both pieces max(1, n // 2) more panels
@@ -159,16 +156,15 @@ def test_ladder_top_rung_holds_sixteen_times_the_budget(monkeypatch, budget):
 
 
 def test_quadrature_ladder_escalates_on_real_instance(monkeypatch):
-    # on the two panels a 32-point budget buys, the Kronrod and Gauss sums
-    # differ by 1.6e-2; the next rung's sums agree to 4e-9 < REFINE_TOL
+    # an eigenvalue 0.127 from the axis against R = 7: the G21 comparator
+    # lags the K43 sum, and the ladder climbs four rungs past the first
     rungs = record_rungs(monkeypatch)
     counted = count_nodes(monkeypatch)
-    a = random_dissipative(LADDER_CASE).to_matrix()
-    rep = riesz_projector_quadrature(a, Contour(default_contour_radius(a), 32))
-    assert rungs == [(1, 1), (2, 2)]
-    assert sum(counted) == projectors.KRONROD_PANEL_ORDER * (2 + 4)
-    assert rep.method == "gauss_segments"
-    ref = riesz_projector_exact(a, "upper_open", tol=0.25)
+    a, w = random_gapped(np.random.Generator(np.random.Philox(0)), 6)
+    rep = riesz_projector_quadrature(a, 2 * (np.max(np.abs(w)) + 1))
+    assert rungs == [(2, 1), (3, 2), (4, 3), (6, 4), (9, 6)]
+    assert sum(counted) == projectors.KRONROD_PANEL_ORDER * (3 + 5 + 7 + 10 + 15)
+    ref = riesz_projector_exact(a)
     assert np.linalg.norm(rep.q_plus - ref.q_plus, 2) <= 1e-13
 
 
@@ -177,13 +173,13 @@ def probe_profiles(a, radius):
     seen = []
     original = projectors._contour_nodes
 
-    def recording(contour, split, *profiles):
+    def recording(radius, split, *profiles):
         seen.append(profiles)
-        return original(contour, split, *profiles)
+        return original(radius, split, *profiles)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(projectors, "_contour_nodes", recording)
-        riesz_projector_quadrature(a, Contour(radius))
+        riesz_projector_quadrature(a, radius)
     return seen[0]
 
 
@@ -196,14 +192,13 @@ def test_contour_nodes_keep_the_budget(case):
         a = random_dissipative(LADDER_CASE).to_matrix()
         radius = default_contour_radius(a)
     profiles = probe_profiles(a, radius)
-    for budget in (16, 32, 64, 96, 128, 1000):
-        split = projectors._panel_split(budget, *profiles)
-        assert min(split) >= 1
-        panels = max(2, budget // projectors.GAUSS_PANEL_ORDER)
-        assert sum(split) == panels
-        lams, weights = projectors._contour_nodes(Contour(radius), split, *profiles)
-        assert lams.size == projectors.KRONROD_PANEL_ORDER * panels
-        assert weights.shape == (2, lams.size)
+    split = projectors._panel_split(*profiles)
+    assert min(split) >= 1
+    panels = projectors.NODE_BUDGET // projectors.GAUSS_PANEL_ORDER
+    assert sum(split) == panels
+    lams, weights = projectors._contour_nodes(radius, split, *profiles)
+    assert lams.size == projectors.KRONROD_PANEL_ORDER * panels
+    assert weights.shape == (2, lams.size)
 
 
 def test_shifted_stack_matches_broadcast():
@@ -218,9 +213,9 @@ def test_each_rung_evaluates_43_nodes_per_panel(monkeypatch):
     counted = count_nodes(monkeypatch)
     rng = np.random.Generator(np.random.Philox(0))
     a, w = random_gapped(rng, 6)
-    riesz_projector_quadrature(a, Contour(2 * (np.max(np.abs(w)) + 1), 128))
-    # this spectrum needs a second rung
-    assert counted == [43 * 6, 43 * 9]
+    riesz_projector_quadrature(a, 2 * (np.max(np.abs(w)) + 1))
+    # this spectrum needs four rungs past the first
+    assert counted == [43 * 3, 43 * 5, 43 * 7, 43 * 10, 43 * 15]
 
 
 def test_each_rung_inverts_one_panel_at_a_time(monkeypatch):
@@ -235,7 +230,7 @@ def test_each_rung_inverts_one_panel_at_a_time(monkeypatch):
     rng = np.random.Generator(np.random.Philox(0))
     a, w = random_gapped(rng, 6)
     monkeypatch.setattr(np.linalg, "inv", recording)
-    riesz_projector_quadrature(a, Contour(2 * (np.max(np.abs(w)) + 1), 128))
+    riesz_projector_quadrature(a, 2 * (np.max(np.abs(w)) + 1))
     assert max(batches) == projectors.KRONROD_PANEL_ORDER
     assert sum(batches) == sum(counted)
 
@@ -268,7 +263,7 @@ def test_eigenvalue_between_coarse_probes_is_caught(normal):
         v = np.eye(4) + np.triu(np.full((4, 4), 0.8), 1)
         a = v @ d @ np.linalg.inv(v)
     with pytest.raises(ContourTooClose):
-        riesz_projector_quadrature(a, Contour(radius))
+        riesz_projector_quadrature(a, radius)
 
 
 @pytest.mark.parametrize(
@@ -283,7 +278,7 @@ def test_sign_projector_agrees_with_the_quadrature(spec):
     # LU steps against graded resolvent sums: two routes that share no code
     a = regularize(random_dissipative(spec), 1.0).to_matrix()
     q, steps = _sign_projector(a, spec.margin + 1.0)
-    quad = riesz_projector_quadrature(a, Contour(default_contour_radius(a)))
+    quad = riesz_projector_quadrature(a, default_contour_radius(a))
     assert np.linalg.norm(q - quad.q_plus, 2) <= 1e-12
     assert steps <= 8
 
@@ -313,7 +308,7 @@ def test_sign_projector_checks_its_settled_iterate(monkeypatch):
 def test_invariance_of_range():
     rng = np.random.Generator(np.random.Philox(3))
     a, w = random_gapped(rng, 6)
-    rep = riesz_projector_quadrature(a, Contour(2 * (np.max(np.abs(w)) + 1)))
+    rep = riesz_projector_quadrature(a, 2 * (np.max(np.abs(w)) + 1))
     sub = invariant_subspace_from_projector(a, rep, KreinStructure(3, 3))
     b = sub.basis
     resid = np.linalg.norm(a @ b - b @ (b.conj().T @ a @ b), 2)
@@ -338,18 +333,18 @@ def test_exact_full_spectrum():
 
 def test_exact_boundary_eigenvalue():
     with pytest.raises(BoundaryEigenvalue):
-        riesz_projector_exact(np.diag([1.0 + 0j, 2j]), "upper_open", tol=1e-6)
+        riesz_projector_exact(np.diag([1.0 + 0j, 2j]))
 
 
 def test_exact_boundary_eigenvalue_needs_a_usable_tol():
-    # tol = 1e-9 sees the eigenvalue 1e-12 i; NaN or a negative tol used to
-    # switch the check off and return a projector of trace 2
+    # the exact route's fixed 1e-9 sees the eigenvalue 1e-12 i; NaN or a
+    # negative Schur tol used to switch the check off and select 2 eigenvalues
     near = np.diag([1j, 1e-12j, -1j])
     with pytest.raises(BoundaryEigenvalue):
-        riesz_projector_exact(near, "upper_open", tol=1e-9)
+        riesz_projector_exact(near)
     for tol in (np.nan, -1e-9, np.inf):
         with pytest.raises(DimensionMismatch, match="tol must be finite and nonnegative"):
-            riesz_projector_exact(near, "upper_open", tol=tol)
+            upper_schur_form(near, tol=tol)
 
 
 def test_upper_schur_form_matches_projector_route():
@@ -358,7 +353,7 @@ def test_upper_schur_form_matches_projector_route():
         a = op.to_matrix()
         _, z, sdim = upper_schur_form(a, tol=0.25)
         direct = Subspace(op.structure, z[:, :sdim])
-        rep = riesz_projector_exact(a, "upper_open", tol=0.25)
+        rep = riesz_projector_exact(a)
         via_projector = invariant_subspace_from_projector(a, rep, op.structure)
         k1 = angle_operator_from_subspace(direct).matrix
         k2 = angle_operator_from_subspace(via_projector).matrix
@@ -370,6 +365,26 @@ def test_upper_schur_form_boundary_and_empty():
         upper_schur_form(np.diag([1j, 1e-12j, -1j]), tol=1e-9)
     a = np.diag([-1j, -2j + 0.5, -0.1j])
     assert upper_schur_form(a, tol=1e-9)[2] == 0
+
+
+def test_upper_schur_form_refuses_a_failed_reordering(monkeypatch):
+    a = random_dissipative(InstanceSpec(4, 4, 0.1, seed=0)).to_matrix()
+    schur = scipy.linalg.schur
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(scipy.linalg, "schur", failing)
+    with pytest.raises(BoundaryEigenvalue, match="Schur reordering failed: injected"):
+        upper_schur_form(a, tol=1e-9)
+
+    def miscounting(*args, **kwargs):
+        t, z, sdim = schur(*args, **kwargs)
+        return t, z, sdim + 1
+
+    monkeypatch.setattr(scipy.linalg, "schur", miscounting)
+    with pytest.raises(BoundaryEigenvalue, match="selected 5 eigenvalues, expected 4"):
+        upper_schur_form(a, tol=1e-9)
 
 
 def test_exact_accepts_only_the_open_upper_region():
@@ -386,6 +401,10 @@ def test_subspace_extraction_diagonal():
         np.diag([1j, -1j]), rep, KreinStructure(1, 1)
     )
     np.testing.assert_allclose(np.abs(sub.basis), [[1.0], [0.0]], atol=1e-12)
+    # a 2 x 2 projector is no projector of a 3 x 3 operator
+    larger = np.diag([1j, 2j, -1j])
+    with pytest.raises(DimensionMismatch, match="projector of shape"):
+        invariant_subspace_from_projector(larger, rep, KreinStructure(2, 1))
 
 
 def test_subspace_extraction_oblique():
@@ -419,21 +438,11 @@ def test_default_radius_covers_spectrum():
 
 
 def test_contour_validation(monkeypatch):
-    with pytest.raises(DimensionMismatch):
-        Contour(-1.0)
-    with pytest.raises(DimensionMismatch):
-        Contour(float("inf"))
-    with pytest.raises(DimensionMismatch):
-        Contour(float("nan"))
-    with pytest.raises(DimensionMismatch):
-        Contour(1.0, nodes=15)
-    with pytest.raises(DimensionMismatch):
-        Contour(1.0, nodes=16)
-    with pytest.raises(DimensionMismatch):
-        Contour(1.0, nodes=33)
-    with pytest.raises(DimensionMismatch, match="integer"):
-        Contour(5.0, nodes=64.0)
-    # a numpy integer is an integer node count: 3 panels of 43 Kronrod nodes
     counted = count_nodes(monkeypatch)
-    riesz_projector_quadrature(TRIANGULAR, Contour(5.0, nodes=np.int64(64)))
+    for radius in (-1.0, 0.0, float("inf"), float("nan")):
+        with pytest.raises(DimensionMismatch, match="radius must be positive"):
+            riesz_projector_quadrature(TRIANGULAR, radius)
+    assert counted == []
+    # one rung of 3 panels, 43 Kronrod nodes each
+    riesz_projector_quadrature(TRIANGULAR, 5.0)
     assert counted == [129]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from kreinspace.errors import (
     DimensionMismatch,
     NoCauchyConvergence,
     NotDissipative,
+    NotNonnegative,
     NotUniformlyDissipative,
     QuadratureNotConverged,
 )
@@ -24,12 +26,11 @@ from kreinspace.geometry import (
 from kreinspace.harness import InstanceSpec, random_dissipative
 from kreinspace.numerics import operator_norm
 from kreinspace.projectors import (
-    Contour,
     default_contour_radius,
     invariant_subspace_from_projector,
     riesz_projector_quadrature,
 )
-from kreinspace.serialize import report_to_dict
+from kreinspace.serialize import acceptance_triple, report_to_dict
 from kreinspace.solver import (
     DOUBLE_LIMIT_EPS_SCHEDULE,
     SolverConfig,
@@ -199,7 +200,7 @@ def test_solve_uniform_requires_margin():
 def quadrature_k(a):
     """K of the range of the contour-quadrature projector, built without the solver."""
     full = a.to_matrix()
-    rep = riesz_projector_quadrature(full, Contour(default_contour_radius(full)))
+    rep = riesz_projector_quadrature(full, default_contour_radius(full))
     subspace = invariant_subspace_from_projector(full, rep, a.structure)
     return angle_operator_from_subspace(subspace).matrix
 
@@ -447,6 +448,57 @@ def test_non_contracting_continuation_is_the_fresh_route(monkeypatch):
     assert stalled == _solve_docs(a, cfgs)
 
 
+def _ztrsyl_reports_failure(monkeypatch):
+    original = scipy.linalg.lapack.ztrsyl
+
+    def failing(*args, **kwargs):
+        x, scale, _ = original(*args, **kwargs)
+        return x, scale, 1
+
+    monkeypatch.setattr(solver.scipy.linalg.lapack, "ztrsyl", failing)
+
+
+def _continued_subspace_is_not_nonnegative(monkeypatch):
+    def refusing(subspace):
+        if sys._getframe(1).f_code.co_name == "_continued_angle_operator":
+            raise NotNonnegative("injected")
+        return angle_operator_from_subspace(subspace)
+
+    monkeypatch.setattr(solver, "angle_operator_from_subspace", refusing)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [_ztrsyl_reports_failure, _continued_subspace_is_not_nonnegative],
+    ids=["ztrsyl_info", "not_nonnegative"],
+)
+def test_failed_continuation_takes_its_own_schur_form(monkeypatch, fault):
+    a = random_dissipative(InstanceSpec(4, 4, 0.1, seed=0))
+    cfg = SolverConfig()
+    continued = solve_theorem(a, cfg)
+    attempts = _record_continuations(monkeypatch)
+    forms = []
+    upper = solver._upper_projector
+
+    def counting(*args):
+        forms.append(args)
+        return upper(*args)
+
+    monkeypatch.setattr(solver, "_upper_projector", counting)
+    fault(monkeypatch)
+    rep = solve_theorem(a, cfg)
+    # both later cells give up on the continuation: three Schur forms
+    assert [k for _, k in attempts] == [None, None]
+    assert len(forms) == 3
+    assert acceptance_triple(rep, a.norm(), cfg)["passed"]
+    np.testing.assert_allclose(rep.k.matrix, continued.k.matrix, rtol=0, atol=1e-15)
+    monkeypatch.undo()
+    _fresh_cells(monkeypatch)
+    assert report_to_dict(rep, a.norm(), cfg) == report_to_dict(
+        solve_theorem(a, cfg), a.norm(), cfg
+    )
+
+
 def _shifted_below_zero(a, delta):
     """A - i delta J: the margin drops by delta."""
     p, m = a.structure.p, a.structure.m
@@ -627,6 +679,8 @@ def test_estimate_11_is_decided_on_every_solve():
         assert est11.gamma < 0.5
         assert math.isfinite(est11.bound)
         assert type(est11.holds) is bool and est11.holds
+        for cell in rep.convergence_trace:
+            assert type(cell.ok) is bool and type(cell.l_bound_ok) is bool
 
 
 def test_solve_theorem_fixed_mu_gate():

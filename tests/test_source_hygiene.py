@@ -7,7 +7,9 @@ by another module of the package, apart from the few listed with a reason
 in ``CALLER_LESS_EXPORTS``.  No module reads another module's underscore
 names, apart from the few listed with a reason in ``PRIVATE_READS``.  No
 handler catches ``Exception`` or ``BaseException``, or everything with a
-bare ``except:``: a defect must not pass for an expected failure.
+bare ``except:``: a defect must not pass for an expected failure.  No
+function binds a local name that it never reads, unless the name starts
+with an underscore.
 """
 
 import ast
@@ -254,3 +256,45 @@ def _broad_handlers(tree):
 @pytest.mark.parametrize("name", sorted(TREES))
 def test_no_broad_exception_handlers(name):
     assert _broad_handlers(TREES[name]) == []
+
+
+def _own_scope(func):
+    """Every node of ``func``'s body outside the functions and classes nested in it."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unused_locals(tree):
+    """``(line, name)`` of each function-local name that is bound and never read.
+
+    A local counts as read when the function, or a function nested in it,
+    loads or deletes it.  Underscore names are exempt.
+    """
+    unused = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {
+            node.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Load, ast.Del))
+        }
+        for node in _own_scope(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound = node.id
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound = node.name
+            else:
+                continue
+            if not bound.startswith("_") and bound not in read:
+                unused.append((node.lineno, bound))
+    return sorted(unused)
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_unused_locals(name):
+    assert _unused_locals(TREES[name]) == []
