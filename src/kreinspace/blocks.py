@@ -106,7 +106,8 @@ def decompose(a, structure: KreinStructure) -> BlockOperator:
 def imag_part(m) -> np.ndarray:
     """Hermitian imaginary part (M - M*) / (2i)."""
     a = validate_matrix(m)
-    return (a - a.conj().T) / 2j
+    # halving before the difference keeps entries near the float maximum finite
+    return a / 2j - a.conj().T / 2j
 
 
 def dissipativity_margin(a: BlockOperator) -> float:

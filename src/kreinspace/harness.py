@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,12 +80,28 @@ class InstanceSpec:
         if self.p < 1 or self.m < 1:
             raise KreinError(f"need p, m >= 1, got p={self.p}, m={self.m}")
         for name in ("margin", "a22_decay", "coupling_scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise KreinError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise KreinError(f"{name} must be a real number, got {value!r}")
+            if not _within_float_range(value):
+                raise KreinError(f"{name} must be finite, got {value}")
         if self.coupling_scale < 0 or self.a22_decay < 0:
             raise KreinError("coupling_scale and a22_decay must be nonnegative")
+        # the decay profile's largest entry is a22_decay * m
+        if self.a22_decay > 0 and not _within_float_range(self.a22_decay, self.m):
+            raise KreinError(
+                f"a22_decay * m must be finite, got a22_decay={self.a22_decay}, m={self.m}"
+            )
         if self.seed < 0:
             raise KreinError("seed must be nonnegative")
+
+
+def _within_float_range(*factors) -> bool:
+    """Whether the product of the real ``factors`` is a finite float."""
+    try:
+        return math.isfinite(math.prod(float(f) for f in factors))
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _hermitian_ginibre(rng, n: int) -> np.ndarray:

@@ -153,7 +153,8 @@ def _clears_floor(a: np.ndarray, mus: np.ndarray) -> np.ndarray:
     # Im W(M) = Re W(-iM), the eigenvalue range of the Hermitian part of -iM
     for turn, coord in ((-1j, mus.imag), (1.0, mus.real)):
         b = turn * a
-        w, _, info = scipy.linalg.lapack.zheev(0.5 * (b + b.conj().T), compute_v=0)
+        # halving before the sum keeps entries near the float maximum finite
+        w, _, info = scipy.linalg.lapack.zheev(0.5 * b + 0.5 * b.conj().T, compute_v=0)
         if info:  # no converged range, no bound
             break
         dist = np.hypot(dist, np.maximum(np.maximum(w[0] - coord, coord - w[-1]), 0.0))

@@ -21,7 +21,9 @@ projector tests check it against the Schur projector.  Its range, through
 :func:`invariant_subspace_from_projector`, gives the quadrature's own K.
 
 The quadrature has one rule: 21-point Gauss panels embedded in their
-43-point Kronrod extension (G21 inside K43), graded by the local spectral
+43-point Kronrod extension (G21 inside K43), built once at import from the
+rule's definition, the Gauss nodes plus the zeros of the Stieltjes
+polynomial with weights exact to degree 42, and graded by the local spectral
 clearance sigma_min(lambda - A) probed along the contour.  Each panel
 carries an equal share of the integral of 1/clearance, so panel lengths
 shrink in proportion to the clearance, which keeps the node count
@@ -87,56 +89,30 @@ _SIGN_RESIDUAL_TOL = 1e-10
 def _kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The (2n+1)-point Gauss-Kronrod rule on [-1, 1] and its embedded Gauss rule.
 
-    Laurie's algorithm ("Calculation of Gauss-Kronrod quadrature rules",
-    Math. Comp. 66, 1997; after Gautschi's ``r_kronrod``) extends the
-    Legendre recurrence to the Jacobi-Kronrod matrix.  Its eigenvalues are
-    the nodes, and 2 times the squared first eigenvector components are the
-    weights.  The rule is exact to degree 3n + 1 and holds the n Gauss
-    nodes as its odd-indexed nodes.  Returns the nodes and a ``(2, 2n+1)``
-    weight array: the Kronrod weights, then the Gauss weights on the
-    embedded nodes and zero on the others.
+    Built from the rule's definition, by two small, well-conditioned solves.
+    The nodes are the n Gauss nodes and the n + 1 zeros of the Stieltjes
+    polynomial E = P_{n+1} + sum_{k<=n} c_k P_k, for which P_n E is
+    orthogonal to P_0 ... P_n; the (2n+2)-point Gauss rule integrates these
+    triple products, of degree at most 3n + 1, exactly.  The weights
+    integrate P_0 ... P_2n exactly.  The rule is exact to degree 3n + 1 and
+    holds the n Gauss nodes as its odd-indexed nodes.  Returns the nodes
+    and a ``(2, 2n+1)`` weight array: the Kronrod weights, then the Gauss
+    weights on the embedded nodes and zero on the others.
     """
-    size = (3 * n) // 2 + 2
-    # the Legendre recurrence: a_i = 0, b_0 = 2, b_i = i^2 / (4 i^2 - 1)
-    i = np.arange(1, size, dtype=float)
-    a = np.zeros(2 * n + 1)
-    b = np.zeros(2 * n + 1)
-    b[0] = 2.0
-    b[1:size] = i**2 / (4.0 * i**2 - 1.0)
-    s = np.zeros(n // 2 + 2)
-    t = np.zeros(n // 2 + 2)
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        k = np.arange((m + 1) // 2, -1, -1)
-        lo = m - k
-        s[k + 1] = np.cumsum(
-            (a[k + n + 1] - a[lo]) * t[k + 1] + b[k + n + 1] * s[k] - b[lo] * s[k + 1]
-        )
-        s, t = t, s
-    j = np.arange(n // 2 + 1)
-    s[j + 1] = s[j]
-    for m in range(n - 1, 2 * n - 2):
-        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
-        lo = m - k
-        j = n - 1 - lo
-        s[j + 1] = np.cumsum(
-            -(a[k + n + 1] - a[lo]) * t[j + 1] - b[k + n + 1] * s[j + 1] + b[lo] * s[j + 2]
-        )
-        j = j[-1]
-        k = (m + 1) // 2
-        if m % 2 == 0:
-            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
-        else:
-            b[k + n + 1] = s[j + 1] / s[j + 2]
-        s, t = t, s
-    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
-    x, v = scipy.linalg.eigh_tridiagonal(a, np.sqrt(b[1:]))
-    w = b[0] * v[0] ** 2
-    weights = np.zeros((2, 2 * n + 1))
+    leg = np.polynomial.legendre
+    gauss_x, gauss_w = leg.leggauss(n)
+    t, tw = leg.leggauss(2 * n + 2)
+    p = leg.legvander(t, n + 1)
+    moments = (tw * p[:, n] * p[:, : n + 1].T) @ p
+    c = np.linalg.solve(moments[:, : n + 1], -moments[:, n + 1])
+    x = np.sort(np.concatenate([gauss_x, leg.legroots(np.append(c, 1.0))]))
     # the rule is symmetric about 0; averaging the mirror images keeps it so
     x = 0.5 * (x - x[::-1])
+    # the integrals of P_0 ... P_2n over [-1, 1] are 2, 0, ..., 0
+    w = np.linalg.solve(leg.legvander(x, 2 * n).T, np.eye(2 * n + 1)[0] * 2.0)
+    weights = np.zeros((2, 2 * n + 1))
     weights[0] = 0.5 * (w + w[::-1])
-    weights[1, 1::2] = np.polynomial.legendre.leggauss(n)[1]
+    weights[1, 1::2] = gauss_w
     return x, weights
 
 

@@ -132,13 +132,14 @@ def pairs_to_matrix(data, shape: tuple[int, int], name: str) -> np.ndarray:
         return bulk
     if not isinstance(data, list) or len(data) != shape[0]:
         raise ProblemFormatError(f"{name} must have {shape[0]} rows")
-    out = np.empty(shape, dtype=np.complex128)
+    # each row is checked before it is converted, so no array of the declared
+    # shape exists before the data matches it
+    rows = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != shape[1]:
             raise ProblemFormatError(f"{name} row {i} must have {shape[1]} entries")
-        for j, pair in enumerate(row):
-            out[i, j] = pair_to_complex(pair)
-    return out
+        rows.append([pair_to_complex(pair) for pair in row])
+    return np.array(rows, dtype=np.complex128)
 
 
 def problem_to_dict(a: BlockOperator, solver: dict | None = None) -> dict:

@@ -90,6 +90,15 @@ def test_margin_triangular():
     assert dissipativity_margin(triangular()) == pytest.approx(0.5)
 
 
+def test_margins_of_entries_near_the_float_maximum_stay_finite():
+    # the Hermitian parts are halved before they are summed, so entries
+    # near 1e308 do not overflow on the way
+    a = random_dissipative(InstanceSpec(p=2, m=2, margin=1e308))
+    assert np.isfinite(blocks.imag_part(a.to_matrix())).all()
+    assert dissipativity_margin(a) == pytest.approx(1e308)
+    assert condition_i_margin(a) == pytest.approx(1e308)
+
+
 def test_schur_decoupled():
     a = i_j_operator()
     sd = schur_data(a, 2j)

@@ -358,6 +358,27 @@ def test_spec_validation():
     assert InstanceSpec(p=2, m=2, margin=-0.5).margin == -0.5
 
 
+@pytest.mark.parametrize("value", ["x", None, [1], True], ids=["str", "None", "list", "bool"])
+@pytest.mark.parametrize("field", ["margin", "a22_decay", "coupling_scale"])
+def test_spec_rejects_float_fields_that_are_not_real_numbers(field, value):
+    with pytest.raises(KreinError, match=f"{field} must be a real number"):
+        InstanceSpec(p=2, m=2, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["margin", "a22_decay", "coupling_scale"])
+def test_spec_rejects_ints_beyond_the_float_range(field):
+    with pytest.raises(KreinError, match=f"{field} must be finite"):
+        InstanceSpec(p=2, m=2, **{field: 10**400})
+
+
+def test_spec_rejects_a_decay_profile_beyond_the_float_range():
+    # the profile's largest entry is a22_decay * m
+    with pytest.raises(KreinError, match=r"a22_decay \* m must be finite"):
+        InstanceSpec(p=2, m=2, a22_decay=1e308)
+    a = random_dissipative(InstanceSpec(p=2, m=1, a22_decay=1e308))
+    assert np.isfinite(a.to_matrix()).all()
+
+
 @pytest.mark.parametrize(
     ("field", "value"), [("p", 2.5), ("m", True), ("seed", 2.0), ("seed", False)]
 )

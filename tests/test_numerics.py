@@ -187,6 +187,14 @@ def test_shifted_stack_screen_matches_an_svd_of_every_shift(n, seed, kinds, scal
         np.testing.assert_array_equal(got, want)
 
 
+def test_shifted_stack_screens_entries_near_the_float_maximum():
+    # the screen's Hermitian parts are halved before they are summed
+    m = np.diag([1e308, -1e308j]) + 1e307
+    np.testing.assert_array_equal(
+        shifted_stack(m, np.array([1j, 2.0])), floor_checked_by_svd(m, [1j, 2.0])
+    )
+
+
 def test_solve_shifted_scalar_shift_returns_2d():
     m, mus, b = _random_shift_case(7)
     assert solve_shifted(m, mus[0], b).shape == b.shape

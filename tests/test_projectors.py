@@ -250,6 +250,48 @@ def test_kronrod_rule_extends_the_gauss_rule():
     assert np.all(np.diff(x) > 0.0)
 
 
+# QUADPACK's qk15 (Piessens et al., 1983): the nonnegative nodes of the
+# 15-point Kronrod rule, from 0 up, and their weights
+QK15_X = [
+    0.0,
+    0.2077849550078985,
+    0.4058451513773972,
+    0.5860872354676911,
+    0.7415311855993944,
+    0.8648644233597691,
+    0.9491079123427585,
+    0.9914553711208126,
+]
+QK15_W = [
+    0.2094821410847278,
+    0.2044329400752989,
+    0.1903505780647854,
+    0.1690047266392679,
+    0.1406532597155259,
+    0.1047900103222502,
+    0.06309209262997855,
+    0.02293532201052922,
+]
+
+
+def test_kronrod_rule_reproduces_quadpack_qk15():
+    x, (kronrod, _) = projectors._kronrod_rule(7)
+    np.testing.assert_allclose(x, np.r_[-np.array(QK15_X[:0:-1]), QK15_X], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(kronrod, np.r_[QK15_W[:0:-1], QK15_W], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 15, 30])
+def test_kronrod_rule_is_exact_to_degree_3n_plus_1(n):
+    x, (kronrod, gauss) = projectors._kronrod_rule(n)
+    for degree in range(3 * n + 2):
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert abs(kronrod @ x**degree - exact) <= 1e-14
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(x[1::2], gauss_x, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(gauss[1::2], gauss_w)
+    assert np.all(kronrod > 0.0)
+
+
 @pytest.mark.parametrize("normal", [True, False])
 def test_eigenvalue_between_coarse_probes_is_caught(normal):
     # the 9 segment probes of [-R, R] sit R / 4 apart; an eigenvalue 0.5 gap

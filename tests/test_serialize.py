@@ -249,3 +249,19 @@ def test_malformed_block_raises_the_loops_message(data, message):
 def test_huge_int_mu_is_a_problem_format_error():
     with pytest.raises(ProblemFormatError, match="beyond the float range"):
         serialize.config_from_overrides({"mu": [HUGE, 1.0]})
+
+
+@pytest.mark.parametrize("declared", [HUGE, 2**62], ids=["10**400", "2**62"])
+def test_declared_size_is_checked_against_the_rows_before_allocating(declared):
+    # numpy refuses both shapes without allocating: the short row must be
+    # rejected before any array of the declared shape is asked for
+    message = re.escape(f"A12 row 0 must have {declared} entries") + "$"
+    with pytest.raises(ProblemFormatError, match=message):
+        pairs_to_matrix([[[1.0, 0.0]]], (1, declared), "A12")
+    doc = {
+        "version": "1",
+        "structure": {"p": 1, "m": declared},
+        "blocks": {name: [[[1.0, 0.0]]] for name in ("A11", "A12", "A21", "A22")},
+    }
+    with pytest.raises(ProblemFormatError, match=message):
+        serialize.problem_from_dict(doc)
