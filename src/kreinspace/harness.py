@@ -79,6 +79,10 @@ class InstanceSpec:
             object.__setattr__(self, name, validate_int(getattr(self, name), name))
         if self.p < 1 or self.m < 1:
             raise KreinError(f"need p, m >= 1, got p={self.p}, m={self.m}")
+        # numpy's own limit on an array's bytes, for the (p+m)x(p+m) complex A
+        dim = self.p + self.m
+        if 16 * dim * dim > np.iinfo(np.intp).max:
+            raise KreinError(f"p + m = {dim} is beyond numpy's array size limit")
         for name in ("margin", "a22_decay", "coupling_scale"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -276,41 +280,35 @@ def _projector_cross_check(a: BlockOperator, margin: float) -> tuple[float, bool
 
 
 def run_property_suite(specs, cfg: SolverConfig | None = None) -> SuiteReport:
-    """Generate, solve, and estimate-check every instance of ``specs``."""
+    """Generate, solve, and estimate-check every instance of ``specs``.
+
+    A failed row's artifact is built at once; no drawn instance outlives its row.
+    """
     if cfg is None:
         cfg = SolverConfig()
     results: list[InstanceResult] = []
-    # each drawn instance, kept for the failure artifacts
-    drawn: list[tuple[InstanceSpec, BlockOperator]] = []
+    artifacts: list[dict] = []
     no_cauchy = 0
     for spec in specs:
         a = random_dissipative(spec)
-        drawn.append((spec, a))
-        base = InstanceResult(seed=spec.seed, p=spec.p, m=spec.m, margin=spec.margin)
+        row = InstanceResult(seed=spec.seed, p=spec.p, m=spec.m, margin=spec.margin)
         try:
             rep = solve_theorem(a, cfg)
-        except NoCauchyConvergence as exc:
-            no_cauchy += 1
-            base.error = f"NoCauchyConvergence: {exc}"
-            base.report = exc.report
-            results.append(base)
-            continue
         except KreinError as exc:
-            base.error = f"{type(exc).__name__}: {exc}"
-            results.append(base)
-            continue
-        results.append(
-            check_instance(a, rep, cfg, seed=spec.seed, margin_label=spec.margin)
-        )
-    artifacts = [
-        {
-            "spec": dataclasses.asdict(spec),
-            "problem": serialize.problem_to_dict(a),
-            "error": r.error,
-            "checks": {k: bool(v) for k, v in r.checks.items()},
-        }
-        for (spec, a), r in zip(drawn, results)
-        if not r.passed
-    ]
-    passed = not artifacts
-    return SuiteReport(results, passed, no_cauchy, artifacts)
+            row.error = f"{type(exc).__name__}: {exc}"
+            if isinstance(exc, NoCauchyConvergence):
+                no_cauchy += 1
+                row.report = exc.report
+        else:
+            row = check_instance(a, rep, cfg, seed=spec.seed, margin_label=spec.margin)
+        results.append(row)
+        if not row.passed:
+            artifacts.append(
+                {
+                    "spec": dataclasses.asdict(spec),
+                    "problem": serialize.problem_to_dict(a),
+                    "error": row.error,
+                    "checks": {k: bool(v) for k, v in row.checks.items()},
+                }
+            )
+    return SuiteReport(results, not artifacts, no_cauchy, artifacts)

@@ -159,6 +159,10 @@ def problem_to_dict(a: BlockOperator, solver: dict | None = None) -> dict:
 
 
 def problem_from_dict(doc) -> tuple[BlockOperator, dict]:
+    """The operator of a problem document and its ``"solver"`` object ({} if absent).
+
+    :func:`config_from_overrides` reads that object's keys and values.
+    """
     if not isinstance(doc, dict):
         raise ProblemFormatError("problem document must be a JSON object")
     if doc.get("version") != "1":
@@ -183,9 +187,6 @@ def problem_from_dict(doc) -> tuple[BlockOperator, dict]:
     solver = doc.get("solver", {})
     if not isinstance(solver, dict):
         raise ProblemFormatError("solver overrides must be an object")
-    unknown = set(solver) - _CONFIG_KEYS
-    if unknown:
-        raise ProblemFormatError(f"unknown solver keys: {sorted(unknown)}")
     a = BlockOperator(
         KreinStructure(p, m), mats["A11"], mats["A12"], mats["A21"], mats["A22"]
     )
@@ -195,15 +196,14 @@ def problem_from_dict(doc) -> tuple[BlockOperator, dict]:
 def config_from_overrides(overrides: dict) -> SolverConfig:
     """The :class:`SolverConfig` of a problem file's ``"solver"`` object.
 
-    Only ``mu`` is converted here, from its ``[re, im]`` pair; every value
-    is checked by ``SolverConfig`` itself, and what it rejects is raised as
-    :class:`ProblemFormatError`.
+    The one reader of that object: an unknown key, and every value that
+    ``SolverConfig`` itself rejects, raise :class:`ProblemFormatError`.
     """
-    kwargs = dict(overrides)
-    if kwargs.get("mu") is not None:
-        kwargs["mu"] = pair_to_complex(kwargs["mu"])
+    unknown = set(overrides) - _CONFIG_KEYS
+    if unknown:
+        raise ProblemFormatError(f"unknown solver keys: {sorted(unknown)}")
     try:
-        return SolverConfig(**kwargs)
+        return SolverConfig(**overrides)
     except KreinError as exc:
         raise ProblemFormatError(f"bad solver overrides {overrides!r}: {exc}") from exc
 

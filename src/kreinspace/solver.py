@@ -101,8 +101,8 @@ _NEWTON_MAX_ITER = 30
 _CONTINUATION_MAX_STEPS = 8
 
 
-def _is_number(x, kind) -> bool:
-    return isinstance(x, kind) and not isinstance(x, bool)
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _sequence(value, name: str) -> tuple:
@@ -117,10 +117,11 @@ def _sequence(value, name: str) -> tuple:
 class SolverConfig:
     """Settings of the regularized Galerkin pipeline.
 
-    ``mu`` fixes the transfer-function shift; None selects the smallest
-    i*t with |G(i t + i eps)| < 1/2 across the whole schedule.  The real
-    epsilon schedule must decrease strictly and reach 1e-4 or below; the
-    default is the last three values of :data:`DOUBLE_LIMIT_EPS_SCHEDULE`.
+    The transfer-function shift is no setting: every solve takes the
+    smallest i*t with |G(i t + i eps)| < 1/2 across the whole schedule
+    (:func:`_select_mu`).  The real epsilon schedule must decrease strictly
+    and reach 1e-4 or below; the default is the last three values of
+    :data:`DOUBLE_LIMIT_EPS_SCHEDULE`.
     ``galerkin_dims`` lists the Galerkin dimensions (None: p alone) and the
     bool ``polish`` turns the final Newton polish on.  As in a problem file,
     a bool or a string is no number.  The full double-limit
@@ -136,7 +137,6 @@ class SolverConfig:
     ``cfg.invariance_tol`` and so on, never set per instance.
     """
 
-    mu: complex | None = None
     eps_schedule: tuple[float, ...] = _DEFAULT_EPS_SCHEDULE
     galerkin_dims: tuple[int, ...] | None = None
     polish: bool = True
@@ -149,12 +149,10 @@ class SolverConfig:
     dissipativity_tol: ClassVar[float] = DISSIPATIVITY_TOL
 
     def __post_init__(self):
-        if not (self.mu is None or _is_number(self.mu, numbers.Number)):
-            raise DimensionMismatch(f"mu must be None or a number, got {self.mu!r}")
         if not isinstance(self.polish, bool):
             raise DimensionMismatch(f"polish must be a bool, got {self.polish!r}")
         eps = _sequence(self.eps_schedule, "eps schedule")
-        if not all(_is_number(e, numbers.Real) for e in eps):
+        if not all(map(_is_real, eps)):
             raise DimensionMismatch(f"eps values must be real numbers, got {eps!r}")
         try:
             eps = tuple(float(e) for e in eps)
@@ -584,14 +582,8 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
     if dims[-1] != p:
         raise DimensionMismatch("the last Galerkin dimension must equal p")
     eps_all = np.array((*cfg.eps_schedule, 0.0))
-    mu = _select_mu(a, eps_all) if cfg.mu is None else complex(cfg.mu)
+    mu = _select_mu(a, eps_all)
     sd_all = schur_data(a, mu + 1j * eps_all)
-    if cfg.mu is not None:
-        worst = float(np.max(operator_norms(sd_all.g)))
-        if worst >= _MU_COUPLING_BOUND:
-            raise DimensionMismatch(
-                f"fixed mu gives |G(mu + i eps)| = {worst:.3f} >= 1/2"
-            )
     # continuity constant of i eps + S(mu + i eps) over the schedule
     i_eps = 1j * eps_all[:, np.newaxis, np.newaxis] * np.eye(p)
     c_const = float(np.max(operator_norms(i_eps + sd_all.s)))

@@ -13,6 +13,7 @@ import pytest
 import kreinspace
 from kreinspace.blocks import assemble
 from kreinspace.cli import main
+from kreinspace.errors import BoundaryEigenvalue
 from kreinspace.serialize import CSV_HEADER, dump_json, problem_to_dict
 
 
@@ -221,6 +222,21 @@ def test_non_finite_instance_parameters_exit_2(capsys, argv):
     assert err.startswith("error:") and "must be finite" in err
 
 
+@pytest.mark.parametrize("m", [str(10**42), str(2**40)], ids=["10**42", "2**40"])
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", "--p", "2"], ["verify", "--suite", "--seeds", "1"]],
+    ids=["generate", "verify"],
+)
+def test_a_size_numpy_cannot_index_exits_2(capsys, argv, m):
+    # numpy would refuse the array without allocating; the spec refuses first
+    code, out, err = run(capsys, *argv, "--m", m)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: KreinError:")
+    assert "beyond numpy's array size limit" in err
+
+
 # the solve still overflows in A22 - mu, with mu near |A22|, until the
 # problem is scaled first; the warnings are not what this test checks
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -323,6 +339,19 @@ def test_no_cauchy_exit_4_emits_report(capsys, tmp_path):
         doc = json.loads(out)
         assert doc["error"].startswith("NoCauchyConvergence")
         assert doc["report"]["convergence_trace"]
+
+
+def test_no_cauchy_exit_4_without_a_report(capsys, monkeypatch, ij_problem):
+    # no full-dimension cell can be solved, so only the error is written
+    def boundary(*args, **kwargs):
+        raise BoundaryEigenvalue("injected")
+
+    monkeypatch.setattr("kreinspace.solver.upper_schur_form", boundary)
+    expected = {"error": "NoCauchyConvergence: no full-dimension cell could be solved"}
+    for command in ("solve", "verify"):
+        code, out, _ = run(capsys, command, ij_problem)
+        assert code == 4
+        assert out == dump_json(expected)
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from kreinspace.serialize import config_from_overrides, problem_from_dict, probl
 
 # a 2+1 problem with every solver override set
 SOLVER = {
-    "mu": [0.0, 3.0],
     "eps_schedule": [0.01, 0.0001],
     "galerkin_dims": [1, 2],
     "polish": False,

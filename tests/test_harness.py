@@ -14,7 +14,7 @@ from kreinspace.blocks import (
     resolvent_identity_residuals,
     schur_data,
 )
-from kreinspace.errors import KreinError, NoCauchyConvergence
+from kreinspace.errors import BoundaryEigenvalue, KreinError, NoCauchyConvergence
 from kreinspace.geometry import AngleOperator
 from kreinspace.harness import (
     InstanceSpec,
@@ -285,6 +285,119 @@ def test_cells_check_flips_on_a_trace_cell_with_k_norm_1(solved_4):
         assert _failed_checks(a, rep, trace=trace) == failed
 
 
+@pytest.fixture(scope="module")
+def solved_43():
+    a = random_dissipative(InstanceSpec(4, 3, margin=0.1, seed=0))
+    return a, solve_theorem(a)
+
+
+def _checks_failing(a, rep):
+    """The checks that fail on ``rep`` as it is, with no report rebuilt."""
+    res = check_instance(a, rep, SolverConfig(), seed=0)
+    return sorted(name for name, ok in res.checks.items() if not ok)
+
+
+def _added_to_s(term):
+    """A mutation of ``blocks._schur_complements`` that adds term(a, F) to S."""
+
+    def mutate(original):
+        def schur_complements(a, shifted):
+            s, f = original(a, shifted)
+            return s + term(a, f), f
+
+        return schur_complements
+
+    return mutate
+
+
+# Negative controls of the exact identities and proven bounds.  Each
+# mutation is injected after the solve, so only check_instance sees it.  The
+# detection thresholds on this instance, from a scan over decades of the
+# mutation size d:
+# - S + d A11: factorization fails from d = 1e-8 (1e-9 holds), asymptotics
+#   too from d = 1e-5
+# - (1 + d) B (A22 - mu)^{-1}: identities fail from d = 1e-9 (1e-10 holds),
+#   factorization too from d = 1e-8, g_bound too from d = 100
+# - S + d A12 F: factorization fails from d = 1e-8, identities too from
+#   1e-7, asymptotics too from 1e-3
+# - c |G|: g_bound fails from c = 100 (10 holds); the instance's worst
+#   |G| / bound is 0.013, so the bound has 75x headroom
+@pytest.mark.parametrize(
+    "target, mutate, flipped",
+    [
+        (
+            "_schur_complements",
+            _added_to_s(lambda a, f: 1e-6 * a.a11),
+            ["factorization"],
+        ),
+        (
+            "_applied_left",
+            lambda original: lambda shifted, b: (1.0 + 1e-6) * original(shifted, b),
+            ["factorization", "identities"],
+        ),
+        (
+            "_schur_complements",
+            _added_to_s(lambda a, f: 1e-3 * (a.a12 @ f)),
+            ["asymptotics", "factorization", "identities"],
+        ),
+        (
+            "g_norms",
+            lambda original: lambda a, shifts: 1e3 * original(a, shifts),
+            ["g_bound"],
+        ),
+    ],
+    ids=["S+1e-6*A11", "applied_left*(1+1e-6)", "S+1e-3*A12F", "g_norms*1e3"],
+)
+def test_a_mutated_transfer_kernel_flips_its_checks(
+    monkeypatch, solved_43, target, mutate, flipped
+):
+    a, rep = solved_43
+    assert _checks_failing(a, rep) == []
+    monkeypatch.setattr(blocks, target, mutate(getattr(blocks, target)))
+    assert _checks_failing(a, rep) == flipped
+
+
+def test_estimate10_check_flips_below_the_lower_bound(solved_43):
+    # the check is slack >= -1e-8: a Rayleigh quotient 1e-9 below the bound
+    # passes, 1e-6 below fails (the solved report's slack is 0.53)
+    a, rep = solved_43
+    est10 = rep.estimate10
+    for below, flipped in ((1e-9, []), (1e-6, ["estimate10"])):
+        low = dataclasses.replace(est10, min_rayleigh=est10.lower_bound - below)
+        assert _checks_failing(a, dataclasses.replace(rep, estimate10=low)) == flipped
+
+
+def test_estimate11_check_flips_on_the_reports_verdict(solved_43):
+    # the check reads estimate11.holds as the report states it
+    a, rep = solved_43
+    broken = dataclasses.replace(rep.estimate11, holds=False)
+    assert _checks_failing(a, dataclasses.replace(rep, estimate11=broken)) == [
+        "estimate11"
+    ]
+
+
+def test_suite_keeps_a_no_cauchy_row_without_a_report(monkeypatch):
+    # no full-dimension cell can be solved, so the error carries no report
+    def boundary(*args, **kwargs):
+        raise BoundaryEigenvalue("injected")
+
+    monkeypatch.setattr(solver, "upper_schur_form", boundary)
+    spec = InstanceSpec(p=2, m=2, margin=0.5, seed=0)
+    suite = run_property_suite([spec], FAST)
+    assert suite.no_cauchy_count == 1 and not suite.passed
+    [row] = suite.results
+    assert row.report is None and row.checks == {}
+    assert row.error == "NoCauchyConvergence: no full-dimension cell could be solved"
+    assert suite.failure_artifacts == [
+        {
+            "spec": dataclasses.asdict(spec),
+            "problem": serialize.problem_to_dict(random_dissipative(spec)),
+            "error": row.error,
+            "checks": {},
+        }
+    ]
+
+
 def test_suite_draws_each_instance_once(monkeypatch):
     # the failure artifact reuses the drawn instance
     drawn = []
@@ -356,6 +469,14 @@ def test_spec_validation():
             InstanceSpec(p=2, m=2, **{field: value})
     # a negative margin stays allowed: it makes a negative control
     assert InstanceSpec(p=2, m=2, margin=-0.5).margin == -0.5
+
+
+@pytest.mark.parametrize("m", [10**42, 2**40], ids=["10**42", "2**40"])
+def test_spec_rejects_a_size_numpy_cannot_index(m):
+    # a (p+m)x(p+m) complex array of more than intp-max bytes is refused by
+    # numpy without allocating; the spec refuses it first, as bad input
+    with pytest.raises(KreinError, match="beyond numpy's array size limit"):
+        InstanceSpec(p=2, m=m)
 
 
 @pytest.mark.parametrize("value", ["x", None, [1], True], ids=["str", "None", "list", "bool"])

@@ -246,9 +246,21 @@ def test_malformed_block_raises_the_loops_message(data, message):
         pairs_to_matrix(data, (1, 2), "A12")
 
 
-def test_huge_int_mu_is_a_problem_format_error():
-    with pytest.raises(ProblemFormatError, match="beyond the float range"):
-        serialize.config_from_overrides({"mu": [HUGE, 1.0]})
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"mu": [0.0, 3.0]}, "mu"),
+        ({"contour_rule": "x"}, "contour_rule"),
+        ({"riccati_tol": 1.0}, "riccati_tol"),
+    ],
+    ids=["mu", "contour_rule", "riccati_tol"],
+)
+def test_config_from_overrides_refuses_unknown_keys(overrides, key):
+    # the one reader of the solver object names the key; the shift is always
+    # selected, and the quadrature rule and the thresholds are fixed
+    message = re.escape(f"unknown solver keys: ['{key}']") + "$"
+    with pytest.raises(ProblemFormatError, match=message):
+        serialize.config_from_overrides({"polish": False, **overrides})
 
 
 @pytest.mark.parametrize("declared", [HUGE, 2**62], ids=["10**400", "2**62"])

@@ -591,7 +591,7 @@ def test_solve_theorem_reports_unstable_tail():
 
 def test_solver_config_settings_and_fixed_thresholds():
     names = {f.name for f in dataclasses.fields(SolverConfig)}
-    assert names == {"mu", "eps_schedule", "galerkin_dims", "polish"}
+    assert names == {"eps_schedule", "galerkin_dims", "polish"}
     cfg = SolverConfig()
     assert (cfg.riccati_tol, cfg.invariance_tol) == (1e-8, 1e-7)
     assert (cfg.norm_slack, cfg.spec_slack) == (1e-8, 1e-6)
@@ -626,9 +626,6 @@ def test_solver_config_validation():
         ("eps_schedule", ("0.5", 1e-5), "eps values must be real numbers"),
         ("eps_schedule", (True, 1e-5), "eps values must be real numbers"),
         ("eps_schedule", (0.5 + 0j, 1e-5), "eps values must be real numbers"),
-        ("mu", "4j", "mu must be None or a number"),
-        ("mu", True, "mu must be None or a number"),
-        ("mu", [0.0, 4.0], "mu must be None or a number"),
         ("eps_schedule", 0.5, "eps schedule must be a sequence"),
         ("galerkin_dims", 3, "galerkin dims must be a sequence"),
     ],
@@ -639,12 +636,8 @@ def test_solver_config_rejects_what_a_problem_file_cannot_pass(field, value, mat
 
 
 def test_solver_config_accepts_numpy_numbers():
-    cfg = SolverConfig(
-        mu=np.complex128(4j), eps_schedule=(np.float64(0.5), np.float32(1e-5))
-    )
-    assert cfg.mu == 4j
+    cfg = SolverConfig(eps_schedule=(np.float64(0.5), np.float32(1e-5)))
     assert cfg.eps_schedule == (0.5, float(np.float32(1e-5)))
-    assert SolverConfig(mu=2).mu == 2
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3])
@@ -681,13 +674,6 @@ def test_estimate_11_is_decided_on_every_solve():
         assert type(est11.holds) is bool and est11.holds
         for cell in rep.convergence_trace:
             assert type(cell.ok) is bool and type(cell.l_bound_ok) is bool
-
-
-def test_solve_theorem_fixed_mu_gate():
-    a = random_dissipative(InstanceSpec(p=2, m=2, margin=0.5, seed=15))
-    bad = SolverConfig(mu=0.01j, eps_schedule=(0.5, 1e-4))
-    with pytest.raises(DimensionMismatch):
-        solve_theorem(a, bad)
 
 
 @pytest.mark.parametrize(
