@@ -19,9 +19,9 @@ LU factorizations alone.  The check keeps its original names,
 mean that this independent LU-only route agrees with the Schur projector;
 the paper's contour quadrature is checked against the Schur projector by
 acceptance criterion 2 and the projector tests instead.  The cross-check
-reads only the two projectors, so it computes neither route's defects or
-enclosed eigenvalues.  Failures are data: offending instances are kept in
-the report for replay, and the suite passes only with zero failures.
+reads only the two projectors, so it computes neither route's defects.
+Failures are data: offending instances are kept in the report for replay,
+and the suite passes only with zero failures.
 """
 
 from __future__ import annotations
@@ -91,19 +91,14 @@ class InstanceSpec:
                 raise KreinError(f"{name} must be finite, got {value}")
         if self.coupling_scale < 0 or self.a22_decay < 0:
             raise KreinError("coupling_scale and a22_decay must be nonnegative")
-        # the decay profile's largest entry is a22_decay * m
-        if self.a22_decay > 0 and not _within_float_range(self.a22_decay, self.m):
-            raise KreinError(
-                f"a22_decay * m must be finite, got a22_decay={self.a22_decay}, m={self.m}"
-            )
         if self.seed < 0:
             raise KreinError("seed must be nonnegative")
 
 
-def _within_float_range(*factors) -> bool:
-    """Whether the product of the real ``factors`` is a finite float."""
+def _within_float_range(value) -> bool:
+    """Whether the real ``value`` is a finite float."""
     try:
-        return math.isfinite(math.prod(float(f) for f in factors))
+        return math.isfinite(float(value))
     except OverflowError:  # an int beyond the float range
         return False
 
@@ -114,21 +109,28 @@ def _hermitian_ginibre(rng, n: int) -> np.ndarray:
 
 
 def random_dissipative(spec: InstanceSpec) -> BlockOperator:
-    """Draw the block operator described by ``spec`` (deterministic per seed)."""
+    """Draw the block operator described by ``spec`` (deterministic per seed).
+
+    Fields that put A beyond the float range raise :class:`KreinError`.
+    """
     s = KreinStructure(spec.p, spec.m)
     rng = np.random.Generator(np.random.Philox(spec.seed))
     d = s.dim
     r_part = _hermitian_ginibre(rng, d)
     h_part = _hermitian_ginibre(rng, d)
-    for block in (r_part, h_part):
-        block[: s.p, s.p:] *= spec.coupling_scale
-        block[s.p:, : s.p] *= spec.coupling_scale
-    shift = spec.margin - float(np.linalg.eigvalsh(h_part)[0])
-    h_part += shift * np.eye(d)
-    a_mat = s.signature() @ (r_part + 1j * h_part)
-    if spec.a22_decay > 0:
-        profile = spec.a22_decay * (1.0 + np.arange(s.m)) / s.m
-        a_mat[s.p:, s.p:] -= 1j * np.diag(profile)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in (r_part, h_part):
+            block[: s.p, s.p:] *= spec.coupling_scale
+            block[s.p:, : s.p] *= spec.coupling_scale
+        # eigvalsh needs finite entries; an overflowed block leaves A NaN
+        lowest = np.linalg.eigvalsh(h_part)[0] if np.isfinite(h_part).all() else np.nan
+        h_part += (spec.margin - float(lowest)) * np.eye(d)
+        a_mat = s.signature() @ (r_part + 1j * h_part)
+        if spec.a22_decay > 0:
+            profile = spec.a22_decay * (1.0 + np.arange(s.m)) / s.m
+            a_mat[s.p:, s.p:] -= 1j * np.diag(profile)
+    if not np.isfinite(a_mat).all():
+        raise KreinError(f"the entries of A must be finite, got {spec}")
     return decompose(a_mat, s)
 
 
@@ -267,12 +269,13 @@ def _projector_cross_check(a: BlockOperator, margin: float) -> tuple[float, bool
     The regularization raises the margin to ``margin + 1``, so every
     eigenvalue is at least that far from the real axis, which bounds the
     sign iteration's step count; A + iJ is the solver's first
-    full-dimension cell under ``DOUBLE_LIMIT_EPS_SCHEDULE``.
+    full-dimension cell under ``DOUBLE_LIMIT_EPS_SCHEDULE``.  A margin <= -1
+    leaves no clearance: the sign route raises and the gap reads inf.
     """
     cell = regularize(a, 1.0).to_matrix()
     try:
         sign, _ = _sign_projector(cell, margin + 1.0)
-        schur, _ = _schur_projector(cell, (margin + 1.0) / 2.0)
+        schur = _schur_projector(cell, (margin + 1.0) / 2.0)
     except KreinError:
         return math.inf, False
     gap = operator_norm(sign - schur)

@@ -124,7 +124,6 @@ class ProjectorReport:
     q_plus: np.ndarray = field(repr=False)
     idempotency_defect: float = 0.0
     commutation_defect: float = 0.0
-    enclosed_eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0, complex))
     trace: float = 0.0
 
 
@@ -342,16 +341,19 @@ def _sign_projector(mat: np.ndarray, clearance: float) -> tuple[np.ndarray, int]
     SIAM 2008, ch. 5; Kenney & Laub, SIAM J. Matrix Anal. Appl. 13, 1992).
     It uses LU factorizations only, so it shares nothing with the Schur
     route.  It stops once the relative 1-norm change of a step is at most
-    ``SIGN_TOL`` (5e-13).  ``clearance`` > 0 is the caller's lower bound on
+    ``SIGN_TOL`` (5e-13).  ``clearance`` is the caller's lower bound on
     the distance of the spectrum from the real axis.  The iteration is
-    capped at ``ceil(log2(R / clearance)) + 10`` steps, R the
+    capped at ``max(ceil(log2(R / clearance)), 0) + 10`` steps, R the
     :func:`default_contour_radius` of M.  An exactly singular iterate, no
     settling within the cap, ``|X^2 - I|_1 > 1e-10 |X|_1^2`` or a projector
     trace more than 1e-6 from an integer raise :class:`BoundaryEigenvalue`:
-    an eigenvalue on or near the real axis leaves the sign undefined.
+    an eigenvalue on or near the real axis leaves the sign undefined.  So
+    does a clearance outside (0, inf), which bounds no step count.
     """
+    if not 0.0 < clearance < math.inf:  # NaN fails the range test
+        raise BoundaryEigenvalue(f"clearance {clearance} bounds no sign step count")
     d = mat.shape[0]
-    cap = math.ceil(math.log2(default_contour_radius(mat) / clearance)) + 10
+    cap = max(math.ceil(math.log2(default_contour_radius(mat) / clearance)), 0) + 10
     eye = np.eye(d, dtype=np.complex128)
     x = -1j * mat
     for step in range(1, cap + 1):
@@ -382,23 +384,12 @@ def _sign_projector(mat: np.ndarray, clearance: float) -> tuple[np.ndarray, int]
     return q, step
 
 
-def _finish_report(mat, q, enclosed=None) -> ProjectorReport:
-    idem = operator_norm(q @ q - q)
-    comm = operator_norm(mat @ q - q @ mat)
-    tr = float(np.trace(q).real)
-    if enclosed is None:
-        k = int(round(tr))
-        if k <= 0:
-            enclosed = np.empty(0, dtype=np.complex128)
-        else:
-            basis = np.linalg.svd(q)[0][:, :k]
-            enclosed = np.linalg.eigvals(basis.conj().T @ mat @ basis)
+def _finish_report(mat, q) -> ProjectorReport:
     return ProjectorReport(
         q_plus=q,
-        idempotency_defect=idem,
-        commutation_defect=comm,
-        enclosed_eigenvalues=np.asarray(enclosed, dtype=np.complex128),
-        trace=tr,
+        idempotency_defect=operator_norm(q @ q - q),
+        commutation_defect=operator_norm(mat @ q - q @ mat),
+        trace=float(np.trace(q).real),
     )
 
 
@@ -455,21 +446,20 @@ def riesz_projector_exact(a, region: str = "upper_open") -> ProjectorReport:
     if region != "upper_open":
         raise DimensionMismatch(f"unknown region {region!r}")
     mat = validate_matrix(a)
-    q, enclosed = _schur_projector(mat, 1e-9)
-    return _finish_report(mat, q, enclosed=enclosed)
+    return _finish_report(mat, _schur_projector(mat, 1e-9))
 
 
-def _schur_projector(mat: np.ndarray, tol: float):
-    """The projector of :func:`riesz_projector_exact` and its enclosed eigenvalues.
+def _schur_projector(mat: np.ndarray, tol: float) -> np.ndarray:
+    """The projector of :func:`riesz_projector_exact`.
 
     For a caller that reads only the projector: no defects are computed.
     """
     t, z, k = upper_schur_form(mat, tol)
     d = mat.shape[0]
     if k == 0:
-        return np.zeros_like(mat), np.empty(0, dtype=np.complex128)
+        return np.zeros_like(mat)
     if k == d:
-        return np.eye(d, dtype=np.complex128), np.diag(t)
+        return np.eye(d, dtype=np.complex128)
     t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
     # T11 X - X T22 = T12 on blocks that are already triangular
     x, scale, _ = scipy.linalg.lapack.ztrsyl(t11, t22, t12, isgn=-1)
@@ -477,7 +467,7 @@ def _schur_projector(mat: np.ndarray, tol: float):
     core = np.zeros((d, d), dtype=np.complex128)
     core[:k, :k] = np.eye(k)
     core[:k, k:] = x
-    return z @ core @ z.conj().T, np.diag(t11)
+    return z @ core @ z.conj().T
 
 
 def invariant_subspace_from_projector(

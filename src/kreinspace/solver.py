@@ -284,12 +284,9 @@ def graph_defect(a: BlockOperator, k_mat: np.ndarray) -> np.ndarray:
     return a.a21 + a.a22 @ k_mat - k_mat @ a.a11 - k_mat @ (a.a12 @ k_mat)
 
 
-def _riccati_from_schur(
-    a: BlockOperator, k_mat: np.ndarray, sd: SchurData
-) -> tuple[float, np.ndarray]:
-    l_op = a.a21 + (a.a22 - sd.mu * np.eye(a.structure.m)) @ k_mat
-    rhs = k_mat @ (sd.s - sd.mu * np.eye(a.structure.p) + sd.g @ l_op)
-    return operator_norm(l_op - rhs), l_op
+def _l_operator(a: BlockOperator, k_mat: np.ndarray, mu: complex) -> np.ndarray:
+    """L = A21 + (A22 - mu) K, the transfer-side image of the graph of K."""
+    return a.a21 + (a.a22 - mu * np.eye(a.structure.m)) @ k_mat
 
 
 def riccati_residual(
@@ -297,11 +294,11 @@ def riccati_residual(
 ) -> tuple[float, np.ndarray]:
     """Residual of L = K(S - mu + G L) together with L = A21 + (A22 - mu) K.
 
-    The residual is independent of mu (it collapses to :func:`graph_defect`)
-    and vanishes exactly on invariant graphs.
+    The residual is independent of mu: it is computed as the norm of
+    :func:`graph_defect`, from no transfer data, and vanishes exactly on
+    invariant graphs.
     """
-    sd = schur_data(a, mu)
-    return _riccati_from_schur(a, k.matrix, sd)
+    return operator_norm(graph_defect(a, k.matrix)), _l_operator(a, k.matrix, mu)
 
 
 def _select_mu(a: BlockOperator, eps_values) -> complex:
@@ -336,18 +333,23 @@ _CELL_ERRORS = (
 )
 
 
+def _margin_floor(norm_bound: float) -> float:
+    """The margin floor of strict dissipativity for |A| <= norm_bound."""
+    return 1e-14 * max(norm_bound, 1.0)
+
+
 def _upper_projector(
     a: BlockOperator, margin: float, norm_bound: float
 ) -> tuple[AngleOperator, tuple[np.ndarray, np.ndarray]]:
     """Angle operator of the upper spectral subspace of a strictly dissipative A.
 
     ``margin`` is the dissipativity margin of A and ``norm_bound`` an upper
-    bound on |A|; a margin at or below 1e-14 max(norm_bound, 1) raises
+    bound on |A|; a margin at or below :func:`_margin_floor` raises
     :class:`NotUniformlyDissipative`.  K is read from the leading vectors of
     the sorted Schur form, which is returned alongside as ``(T, Z)``.  A
     subspace of dimension other than p raises :class:`NotMaximal`.
     """
-    if margin <= 1e-14 * max(norm_bound, 1.0):
+    if margin <= _margin_floor(norm_bound):
         raise NotUniformlyDissipative(f"margin {margin:.3e} is not positive")
     t, z, sdim = upper_schur_form(a.to_matrix(), tol=margin / 2.0)
     if sdim != a.structure.p:
@@ -427,7 +429,7 @@ def _solve_cell(
     row keeps: ``form`` for a continued cell, the cell's own after a
     fallback).
     """
-    if form is not None and margin > 1e-14 * max(norm_bound, 1.0):
+    if form is not None and margin > _margin_floor(norm_bound):
         k_cell = _continued_angle_operator(cell, form, norm_bound)
         if k_cell is not None:
             min_im = _restriction_min_im(cell, k_cell)
@@ -437,9 +439,14 @@ def _solve_cell(
     return k.matrix, _restriction_min_im(cell, k.matrix), form
 
 
+def _restriction_spectrum(a: BlockOperator, k_mat: np.ndarray) -> np.ndarray:
+    """Spectrum of A11 + A12 K, the restriction of A to the graph of K."""
+    return np.linalg.eigvals(a.a11 + a.a12 @ k_mat)
+
+
 def _restriction_min_im(a: BlockOperator, k_mat: np.ndarray) -> float:
-    """min Im of the spectrum of A11 + A12 K, the restriction to the graph of K."""
-    return float(np.min(np.linalg.eigvals(a.a11 + a.a12 @ k_mat).imag))
+    """min Im of :func:`_restriction_spectrum`."""
+    return float(np.min(_restriction_spectrum(a, k_mat).imag))
 
 
 def solve_uniformly_dissipative(a: BlockOperator) -> SolveReport:
@@ -465,11 +472,9 @@ def _assemble_report(
     trace: list[CellTrace] | None = None,
     polish_method: str = "none",
 ) -> SolveReport:
-    """The report of K with its certificates; ``sd`` is the transfer data at its mu."""
+    """The report of K with its certificates; ``sd`` gives mu and Estimate 11."""
     s = a.structure
-    res, l_op = _riccati_from_schur(a, k.matrix, sd)
-    restriction = sd.s + sd.g @ l_op
-    spectrum = np.linalg.eigvals(restriction)
+    res, l_op = riccati_residual(a, k, sd.mu)
     stacked = np.vstack([np.eye(s.p, dtype=np.complex128), k.matrix])
     basis, _ = np.linalg.qr(stacked)
     subspace = Subspace(s, basis)
@@ -490,7 +495,7 @@ def _assemble_report(
         l_op=l_op,
         riccati_residual=res,
         invariance_residual=invariance,
-        restriction_spectrum=spectrum,
+        restriction_spectrum=_restriction_spectrum(a, k.matrix),
         k_norm=k.norm,
         estimate10=est10,
         estimate11=est11,
@@ -592,7 +597,6 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
     trace: list[CellTrace] = []
     final_ks: list[np.ndarray] = []
     final_eps: list[float] = []
-    shift_m = mu * np.eye(s.m)
     for n in dims:
         a_n = galerkin_truncate(a, n)
         prev = None
@@ -612,8 +616,7 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
             k_tilde = np.zeros((s.m, p), dtype=np.complex128)
             k_tilde[:, :n] = k_cell
             dist = None if prev is None else operator_norm(k_tilde - prev)
-            # L = A21 + (A22 - mu) K; S + G L equals A11 + A12 K
-            l_norm = operator_norm(cell.a21 + (cell.a22 - shift_m) @ k_cell)
+            l_norm = operator_norm(_l_operator(cell, k_cell, mu))
             trace.append(
                 CellTrace(
                     n,

@@ -1,8 +1,10 @@
 """Fuzz gate for the failure boundary: bad input raises a KreinError.
 
-Each example changes one value of a valid problem document, or deletes it,
-and reads the result as ``kreinspace solve`` does.  Reading must return or
-raise a :class:`KreinError`, and warn about nothing.
+Each example of the first test changes one value of a valid problem
+document, or deletes it, and reads the result as ``kreinspace solve`` does.
+Each example of the second draws the fields of an :class:`InstanceSpec`, as
+``kreinspace generate`` does.  Either must return or raise a
+:class:`KreinError`, and warn about nothing.
 """
 
 import copy
@@ -12,7 +14,7 @@ import warnings
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kreinspace.errors import KreinError
+from kreinspace.errors import KreinError, NonFinite
 from kreinspace.harness import InstanceSpec, random_dissipative
 from kreinspace.serialize import config_from_overrides, problem_from_dict, problem_to_dict
 
@@ -87,3 +89,57 @@ def test_reading_a_mutated_problem_returns_or_raises_krein_error(path, value):
         except KreinError:
             pass
     assert not caught, [str(w.message) for w in caught]
+
+
+# InstanceSpec fields: small sizes, the float range's edges and subnormals,
+# ints beyond it, and values of the wrong type
+SIZES = [1, 2, 3, 0, -1, True, 2.5, "2", None, 10**400]
+REALS = [
+    0.0,
+    0.1,
+    1.0,
+    -1.0,
+    30.0,
+    1e308,
+    -1e308,
+    1.7e308,
+    1e-320,
+    -1e-320,
+    10**400,
+    -(10**400),
+    math.nan,
+    math.inf,
+    -math.inf,
+    True,
+    "x",
+    None,
+]
+SEEDS = [0, 7, -1, 10**400, False, 1.0]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(SIZES),
+    st.sampled_from(SIZES),
+    st.sampled_from(REALS),
+    st.sampled_from(REALS),
+    st.sampled_from(REALS),
+    st.sampled_from(SEEDS),
+)
+# kreinspace generate --p 10 --m 10 --coupling 1.7e308 warned three times
+# and then raised NonFinite, which names no flag
+@example(10, 10, 0.0, 0.0, 1.7e308, 0)
+@example(2, 2, 1e308, 0.0, 1e308, 0)
+def test_drawing_an_instance_returns_or_raises_krein_error(
+    p, m, margin, a22_decay, coupling_scale, seed
+):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            spec = InstanceSpec(p, m, margin, a22_decay, coupling_scale, seed)
+            a = random_dissipative(spec)
+        except KreinError as exc:
+            # a field that overflows A is named, not left to decompose's check
+            assert not isinstance(exc, NonFinite), exc
+            return
+    assert a.structure.p == p and a.structure.m == m

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from kreinspace import blocks, harness, projectors, serialize, solver
 from kreinspace.blocks import (
+    assemble,
     dissipativity_margin,
     factorization_residual,
     resolvent_identity_residuals,
@@ -285,6 +287,41 @@ def test_cells_check_flips_on_a_trace_cell_with_k_norm_1(solved_4):
         assert _failed_checks(a, rep, trace=trace) == failed
 
 
+def _zero_k_report(a):
+    """The report of K = 0 on a 1+1 operator, rebuilt as the solver assembles one."""
+    return solver._assemble_report(
+        a,
+        AngleOperator(a.structure, np.zeros((1, 1))),
+        dissipativity_margin(a),
+        schur_data(a, solver._select_mu(a, (0.0,))),
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_spectrum_check_flips_alone_on_a_lower_restriction(seed):
+    # A = diag(-i d, 0.5i) with K = 0: the graph of K is the invariant line of
+    # the eigenvalue -i d, below the axis, and the restriction spectrum is
+    # {-i d}.  The check is min Im >= -spec_slack, so it holds at d = 1e-6
+    # and fails alone from d = 1.01e-6 up to d just below 1, where the
+    # cross-check also fails (margin -d, no clearance at d >= 1).  The
+    # threshold 1e-6 is absolute, about 1e10 above rounding.
+    for d, failed in ((1e-6, []), (1.01e-6, ["spectrum"]), (0.5, ["spectrum"])):
+        a = assemble([[-1j * d]], [[0.0]], [[0.0]], [[0.5j]])
+        res = check_instance(a, _zero_k_report(a), SolverConfig(), seed=seed)
+        assert sorted(name for name, ok in res.checks.items() if not ok) == failed
+
+
+def test_cross_check_fails_when_the_margin_leaves_no_clearance():
+    # margin -2: A + iJ has margin -1, so the sign iteration has no clearance
+    # to bound its steps; the check reads inf and fails instead of raising
+    a = assemble([[-0.5j]], [[0.0]], [[0.0]], [[2j]])
+    rep = _zero_k_report(a)
+    assert rep.margin == -2.0
+    res = check_instance(a, rep, SolverConfig(), seed=0)
+    assert res.quadrature_gap == math.inf and not res.checks["quadrature"]
+    assert not res.passed
+
+
 @pytest.fixture(scope="module")
 def solved_43():
     a = random_dissipative(InstanceSpec(4, 3, margin=0.1, seed=0))
@@ -492,10 +529,31 @@ def test_spec_rejects_ints_beyond_the_float_range(field):
         InstanceSpec(p=2, m=2, **{field: 10**400})
 
 
+@pytest.mark.parametrize(
+    ("kwargs", "named"),
+    [
+        ({"p": 10, "m": 10, "coupling_scale": 1.7e308}, "coupling_scale=1.7e+308"),
+        ({"p": 2, "m": 2, "margin": 1e308, "coupling_scale": 1e308}, "margin=1e+308"),
+    ],
+    ids=["coupling", "margin"],
+)
+def test_random_dissipative_names_the_fields_that_overflow_a(kwargs, named):
+    # coupling_scale 1.7e308 overflows the coupling blocks of the 10+10 draw
+    # and 1e308 does not; the error names the fields, with no numpy warning
+    # (the suite turns a RuntimeWarning into an error)
+    match = "entries of A must be finite, .*" + re.escape(named)
+    with pytest.raises(KreinError, match=match):
+        random_dissipative(InstanceSpec(**kwargs))
+    a = random_dissipative(InstanceSpec(p=10, m=10, coupling_scale=1e308))
+    assert np.isfinite(a.to_matrix()).all()
+
+
 def test_spec_rejects_a_decay_profile_beyond_the_float_range():
-    # the profile's largest entry is a22_decay * m
-    with pytest.raises(KreinError, match=r"a22_decay \* m must be finite"):
-        InstanceSpec(p=2, m=2, a22_decay=1e308)
+    # the profile's largest entry is a22_decay * m; the spec is refused when
+    # it is drawn, by the one check on the entries of A
+    match = r"entries of A must be finite, .*a22_decay=1e\+308"
+    with pytest.raises(KreinError, match=match):
+        random_dissipative(InstanceSpec(p=2, m=2, a22_decay=1e308))
     a = random_dissipative(InstanceSpec(p=2, m=1, a22_decay=1e308))
     assert np.isfinite(a.to_matrix()).all()
 

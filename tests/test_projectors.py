@@ -60,7 +60,6 @@ def test_quadrature_triangular_matches_eigenprojector():
 def test_quadrature_nothing_enclosed():
     rep = riesz_projector_quadrature(np.diag([-1j, -2j, -0.5j]), 10.0)
     np.testing.assert_allclose(rep.q_plus, np.zeros((3, 3)), atol=1e-9)
-    assert rep.enclosed_eigenvalues.size == 0
 
 
 def test_quadrature_defect_contracts():
@@ -339,6 +338,21 @@ def test_sign_projector_stops_at_its_cap_on_a_real_eigenvalue():
         _sign_projector(np.array([[1.0, 1.0], [-1.0, -1.0]], dtype=complex), 1.0)
 
 
+@pytest.mark.parametrize("clearance", [0.0, -1.0, np.nan, np.inf])
+def test_sign_projector_refuses_a_clearance_that_bounds_no_step_count(clearance):
+    # the step cap takes log2(R / clearance), which a clearance outside
+    # (0, inf) would turn into a bare ZeroDivisionError or ValueError
+    with pytest.raises(BoundaryEigenvalue, match="bounds no sign step count"):
+        _sign_projector(np.diag([1j, -1j]), clearance)
+
+
+def test_sign_projector_takes_at_least_ten_steps_on_a_wide_clearance():
+    # a clearance above R makes log2(R / clearance) negative; the cap stays 10
+    q, steps = _sign_projector(np.diag([1j, -1j]), 1e300)
+    np.testing.assert_array_equal(q, np.diag([1.0, 0.0]))
+    assert steps <= 10
+
+
 def test_sign_projector_checks_its_settled_iterate(monkeypatch):
     a = random_dissipative(InstanceSpec(3, 3, margin=0.5, seed=4)).to_matrix()
     assert _sign_projector(a, 0.5)[1] <= 8
@@ -360,7 +374,6 @@ def test_invariance_of_range():
 def test_exact_diagonal():
     rep = riesz_projector_exact(np.diag([1j, -1j]))
     np.testing.assert_allclose(rep.q_plus, np.diag([1.0, 0.0]), atol=1e-12)
-    np.testing.assert_allclose(rep.enclosed_eigenvalues, [1j], atol=1e-12)
 
 
 def test_exact_triangular():

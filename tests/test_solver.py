@@ -661,8 +661,35 @@ def test_default_solve_builds_the_transfer_data_once(monkeypatch):
     assert calls == []
     solve_theorem(a)
     assert calls == [(4,)]
-    solve_uniformly_dissipative(a)
+    rep = solve_uniformly_dissipative(a)
     assert calls == [(4,), ()]
+    # the Riccati residual and L read no transfer data
+    riccati_residual(a, rep.k, rep.mu)
+    assert calls == [(4,), ()]
+
+
+@pytest.mark.parametrize("solve", [solve_theorem, solve_uniformly_dissipative])
+@pytest.mark.parametrize(
+    "spec",
+    [InstanceSpec(4, 3, margin=0.1, seed=0), InstanceSpec(6, 6, margin=1.0, seed=5)],
+)
+def test_report_certificates_have_one_formula_each(solve, spec):
+    # the residual is the norm of the shift-free graph defect, L is
+    # A21 + (A22 - mu) K and the restriction spectrum that of A11 + A12 K,
+    # bit for bit; none goes through the transfer data S + G L
+    a = random_dissipative(spec)
+    rep = solve(a)
+    k_mat = rep.k.matrix
+    assert rep.riccati_residual == operator_norm(graph_defect(a, k_mat))
+    np.testing.assert_array_equal(
+        rep.restriction_spectrum, np.linalg.eigvals(a.a11 + a.a12 @ k_mat)
+    )
+    res, l_op = riccati_residual(a, rep.k, rep.mu)
+    assert res == rep.riccati_residual
+    np.testing.assert_array_equal(rep.l_op, l_op)
+    np.testing.assert_array_equal(
+        l_op, a.a21 + (a.a22 - rep.mu * np.eye(spec.m)) @ k_mat
+    )
 
 
 def test_estimate_11_is_decided_on_every_solve():

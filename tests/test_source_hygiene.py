@@ -175,8 +175,6 @@ CALLER_LESS_EXPORTS = {
     "a target of bench/worker.py TARGETS",
     "invariant_subspace_from_projector": "the range of a projector report; "
     "bench/gate.py builds its reference K with it",
-    "riccati_residual": "the Riccati residual of any K at any mu; acceptance "
-    "criteria 3 and 11 call it",
     "riesz_projector_exact": "the sorted-Schur projector with its defects; "
     "acceptance criterion 2 checks the quadrature against it, and bench/gate.py "
     "builds its reference K with it",
