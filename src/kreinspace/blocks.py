@@ -321,7 +321,8 @@ def resolvent_asymptotics_check(
     every radius are one stack: one floor-checked A22 - lambda stack with
     one solve for F and none for G (which the probe never reads), one solve
     of S - lambda, and one solve of lambda - A for the 4 vectors (z, 0),
-    since the identity reads only z* [(lambda - A)^{-1}]_11 z.
+    since the identity reads only z* [(lambda - A)^{-1}]_11 z.  Each
+    shifted stack is a copy whose diagonal is shifted in place.
     """
     rs = sorted(float(r) for r in radii)
     # a comparison with NaN is false, so NaN fails the range test
@@ -337,7 +338,6 @@ def resolvent_asymptotics_check(
     rng = np.random.Generator(np.random.Philox(seed))
     zs = rng.standard_normal((4, p)) + 1j * rng.standard_normal((4, p))
     zs /= np.linalg.norm(zs, axis=1, keepdims=True)
-    full = a.to_matrix()
     d = a.structure.dim
     eye_p = np.eye(p, dtype=np.complex128)
     # the columns (z, 0) of the 4 test vectors
@@ -345,14 +345,20 @@ def resolvent_asymptotics_check(
     z_full[:p] = zs.T
     thetas = np.linspace(0.0, np.pi, 16)
     lams = (np.array(rs)[:, np.newaxis] * np.exp(1j * thetas)).ravel()
-    lam_eye = lams[:, np.newaxis, np.newaxis]
-    s, _ = _schur_complements(a, shifted_stack(a.a22, lams))
+    shift = lams[:, np.newaxis]
+    diag_p, diag_d = np.arange(p), np.arange(d)
+    s_minus_lam, _ = _schur_complements(a, shifted_stack(a.a22, lams))
+    s_minus_lam[:, diag_p, diag_p] -= shift
     # (S - lambda)^{-1}; (lambda - S)^{-1} is its negative
-    inv = np.linalg.solve(s - lam_eye * eye_p, np.broadcast_to(eye_p, s.shape))
-    c_fit = np.abs(lams) ** 2 * operator_norms(inv + eye_p / lam_eye)
+    inv = np.linalg.solve(s_minus_lam, np.broadcast_to(eye_p, s_minus_lam.shape))
+    inv_plus = inv.copy()
+    inv_plus[:, diag_p, diag_p] += 1.0 / shift
+    c_fit = np.abs(lams) ** 2 * operator_norms(inv_plus)
     constants = [float(c) for c in np.max(c_fit.reshape(len(rs), -1), axis=1)]
+    lam_minus_a = np.repeat(-a.to_matrix()[np.newaxis], lams.size, axis=0)
+    lam_minus_a[:, diag_d, diag_d] += shift
     applied = np.linalg.solve(
-        lam_eye * np.eye(d) - full, np.broadcast_to(z_full, (lams.size, *z_full.shape))
+        lam_minus_a, np.broadcast_to(z_full, (lams.size, *z_full.shape))
     )
     lhs = np.einsum("zi,kiz->kz", zs.conj(), applied[:, :p, :])
     rhs = np.einsum("zi,kij,zj->kz", zs.conj(), -inv, zs)

@@ -279,7 +279,8 @@ def _projector_cross_check(a: BlockOperator, margin: float) -> tuple[float, bool
     except KreinError:
         return math.inf, False
     gap = operator_norm(sign - schur)
-    return gap, gap <= _QUADRATURE_TOL * max(1.0, operator_norm(schur))
+    # max(1, |Q|) >= 1, so a gap within the tolerance needs no |Q|
+    return gap, gap <= _QUADRATURE_TOL or gap <= _QUADRATURE_TOL * operator_norm(schur)
 
 
 def run_property_suite(specs, cfg: SolverConfig | None = None) -> SuiteReport:

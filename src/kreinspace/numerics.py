@@ -44,7 +44,7 @@ def validate_matrix(m, name: str = "matrix") -> np.ndarray:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatch(f"{name} must be nonempty, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFinite(f"{name} contains NaN or Inf entries")
     return a
 
@@ -64,7 +64,7 @@ def validate_vector(x, length: int | None = None, name: str = "vector") -> np.nd
     a = np.asarray(x, dtype=np.complex128).reshape(-1)
     if length is not None and a.shape[0] != length:
         raise DimensionMismatch(f"{name} must have length {length}, got {a.shape[0]}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFinite(f"{name} contains NaN or Inf entries")
     return a
 
@@ -114,7 +114,7 @@ def shifted_stack(m, mu) -> np.ndarray:
         raise DimensionMismatch(
             f"mu must be a scalar or a nonempty 1-D array, got shape {shifts.shape}"
         )
-    if not np.all(np.isfinite(shifts)):
+    if not np.isfinite(shifts).all():
         raise NonFinite("mu contains NaN or Inf entries")
     mus = shifts.reshape(-1)
     d = a.shape[0]

@@ -164,7 +164,7 @@ def _refine_probes(xs, cs, mat, to_lambda, floor: float):
     for _ in range(20):
         width = np.diff(xs)
         tight = (np.minimum(cs[:-1], cs[1:]) < 2.0 * width) & (width > 0.5 * floor)
-        if not np.any(tight):
+        if not tight.any():
             break
         mids = 0.5 * (xs[:-1] + xs[1:])[tight]
         mid_c = _batch_sigma_min(to_lambda(mids), mat)
@@ -419,7 +419,7 @@ def upper_schur_form(a, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
     except np.linalg.LinAlgError as exc:
         raise BoundaryEigenvalue(f"Schur reordering failed: {exc}") from exc
     eigs = np.diag(t)
-    if np.any(np.abs(eigs.imag) < tol):
+    if (np.abs(eigs.imag) < tol).any():
         worst = eigs[np.argmin(np.abs(eigs.imag))]
         raise BoundaryEigenvalue(
             f"eigenvalue {worst:.6g} within {tol:.1e} of the real axis"

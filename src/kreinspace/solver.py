@@ -270,10 +270,14 @@ def galerkin_truncate(a: BlockOperator, n: int) -> BlockOperator:
 
     The Galerkin space is the span of the first n coordinate vectors of H+.
     The negative component is kept whole, so the result acts on C^(n+m).
+    At n = p the compression is ``a`` itself, returned as it is: its blocks
+    are already built and checked.
     """
     p = a.structure.p
     if not 1 <= n <= p:
         raise DimensionMismatch(f"need 1 <= n <= {p}, got {n}")
+    if n == p:
+        return a
     return BlockOperator(
         KreinStructure(n, a.structure.m), a.a11[:n, :n], a.a12[:n], a.a21[:, :n], a.a22
     )

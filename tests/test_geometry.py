@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from kreinspace import geometry
 from kreinspace.errors import DimensionMismatch, NormExceeded, NotMaximal, NotNonnegative
 from kreinspace.geometry import (
+    CLASSIFY_TOL,
     INDEFINITE,
     NEGATIVE_TOUCHING,
     NONNEGATIVE,
@@ -116,6 +118,96 @@ def test_angle_operator_rejects_non_maximal():
     s = KreinStructure(2, 1)
     with pytest.raises(NotMaximal):
         angle_operator_from_subspace(column_subspace(s, [1, 0, 0]))
+
+
+def _gram_deviation_basis(deviation):
+    """A (k+1)-by-k basis B with B*B = I + diag(deviation) up to rounding."""
+    k = len(deviation)
+    basis = np.zeros((k + 1, k), dtype=complex)
+    basis[:k] = np.diag(np.sqrt(1.0 + np.asarray(deviation)))
+    return basis
+
+
+def _count_operator_norms(monkeypatch):
+    calls = []
+    original = geometry.operator_norm
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(geometry, "operator_norm", counting)
+    return calls
+
+
+def test_subspace_passes_a_small_frobenius_deviation_without_an_svd(monkeypatch):
+    calls = _count_operator_norms(monkeypatch)
+    Subspace(KreinStructure(2, 2), _gram_deviation_basis([4e-11, -4e-11, 4e-11]))
+    assert calls == []
+
+
+def test_subspace_decides_a_large_frobenius_deviation_by_its_spectral_norm(monkeypatch):
+    # |D|_F = 1.2e-10 exceeds the tolerance, |D|_2 = 6e-11 does not
+    calls = _count_operator_norms(monkeypatch)
+    Subspace(KreinStructure(3, 2), _gram_deviation_basis([6e-11, -6e-11, 6e-11, 6e-11]))
+    assert len(calls) == 1
+    assert 1e-10 < np.linalg.norm(calls[0]) and np.linalg.norm(calls[0], 2) < 1e-10
+
+
+def test_subspace_rejects_a_spectral_deviation_above_the_tolerance(monkeypatch):
+    calls = _count_operator_norms(monkeypatch)
+    with pytest.raises(DimensionMismatch, match="not orthonormal"):
+        Subspace(KreinStructure(2, 2), _gram_deviation_basis([1.5e-10, 0.0, 0.0]))
+    assert len(calls) == 1
+
+
+#: Smallest sigma_min(B+)^2 seen over the examples of
+#: ``test_nonnegative_subspace_plus_block_is_well_conditioned``: 0.5000000000000001,
+#: at |K| = 1, where the subspace holds a neutral vector and the exact value
+#: is 1/(1 + |K|^2) = 1/2.
+PLUS_BLOCK_BOUND = (1.0 - 1e-10 - CLASSIFY_TOL) / 2.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.5, 0.9, 1.0 - 1e-9, 1.0]),
+    st.booleans(),
+)
+def test_nonnegative_subspace_plus_block_is_well_conditioned(p, m, seed, k_norm, drop):
+    # B+*B+ = (B*B + B*JB)/2 >= (1 - 1e-10 - CLASSIFY_TOL)/2 on any nonnegative
+    # subspace that passes Subspace, which is why angle_operator_from_subspace
+    # needs no rank test of B+; a graph of |K| = 1 holds a neutral vector
+    rng = np.random.Generator(np.random.Philox(seed))
+    s = KreinStructure(p, m)
+    k_mat = rng.standard_normal((m, p)) + 1j * rng.standard_normal((m, p))
+    k_mat *= k_norm / np.linalg.norm(k_mat, 2)
+    graph = np.vstack([np.eye(p), k_mat])
+    # a subspace of the graph, of dimension p - 1 when a column is dropped
+    k = p - 1 if drop and p > 1 else p
+    mix = rng.standard_normal((p, k)) + 1j * rng.standard_normal((p, k))
+    sub = Subspace(s, np.linalg.qr(graph @ mix)[0])
+    assert classify_subspace(sub).kind in (NONNEGATIVE, UNIFORMLY_POSITIVE)
+    sigma_min = np.linalg.svd(sub.plus_block(), compute_uv=False)[-1]
+    assert sigma_min**2 >= PLUS_BLOCK_BOUND
+
+
+def test_angle_operator_makes_no_svd(monkeypatch):
+    sub = subspace_from_angle_operator(
+        AngleOperator(KreinStructure(3, 2), np.full((2, 3), 0.2))
+    )
+    calls = []
+    original = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    angle_operator_from_subspace(sub)
+    assert calls == []
 
 
 def test_subspace_from_zero_angle():

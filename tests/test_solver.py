@@ -85,7 +85,8 @@ def test_regularize_shifts_margin_exactly():
 def test_galerkin_full_dimension_is_identity():
     a = random_dissipative(InstanceSpec(p=3, m=2, margin=0.2, seed=2))
     b = galerkin_truncate(a, 3)
-    np.testing.assert_allclose(b.to_matrix(), a.to_matrix(), atol=1e-14)
+    # the full-dimension compression is the operator itself, not a rebuilt copy
+    assert b is a
 
 
 def test_galerkin_single_coordinate():

@@ -9,7 +9,10 @@ names, apart from the few listed with a reason in ``PRIVATE_READS``.  No
 handler catches ``Exception`` or ``BaseException``, or everything with a
 bare ``except:``: a defect must not pass for an expected failure.  No
 function binds a local name that it never reads, unless the name starts
-with an underscore.
+with an underscore.  No module but ``numerics`` takes a spectral norm
+(``norm(x, 2)`` or ``norm(x, ord=2)``): spectral norms go through
+``numerics.operator_norm`` and ``operator_norms``, so a rule that screens a
+norm before paying for an SVD is written once.
 """
 
 import ast
@@ -296,3 +299,28 @@ def _unused_locals(tree):
 @pytest.mark.parametrize("name", sorted(TREES))
 def test_no_unused_locals(name):
     assert _unused_locals(TREES[name]) == []
+
+
+def _spectral_norms(tree):
+    """Line of each ``norm(x, 2)`` or ``norm(x, ord=2)`` call."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _dotted(node.func)
+        if name is None or name.rsplit(".", 1)[-1] != "norm":
+            continue
+        orders = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "ord"]
+        if any(isinstance(o, ast.Constant) and o.value == 2 for o in orders):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_spectral_norm_detector_flags_both_spellings():
+    source = "np.linalg.norm(x, 2)\nnorm(x, ord=2)\nnp.linalg.norm(x)\nnorm(x, 1)\n"
+    assert _spectral_norms(ast.parse(source)) == [1, 2]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in TREES if n != "numerics.py"))
+def test_spectral_norms_are_taken_only_in_numerics(name):
+    assert _spectral_norms(TREES[name]) == []
