@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConditionIFailed, DimensionMismatch, NotUniformlyDissipative
 from .geometry import KreinStructure
-from .numerics import operator_norm, operator_norms, shifted_stack
+from .numerics import operator_norm, operator_norms, shifted, shifted_stack
 from .numerics import validate_int, validate_matrix, validate_vector
 
 _EPS_A = 1e-6  # relative headroom on the half-norm constant a > 2|A P+|
@@ -114,9 +114,11 @@ def dissipativity_margin(a: BlockOperator) -> float:
     """lambda_min of the Hermitian part (JA - (JA)*)/(2i).
 
     Positive iff A is uniformly dissipative in the indefinite metric with
-    that constant; nonnegative iff dissipative.
+    that constant; nonnegative iff dissipative.  JA is A with its H- rows
+    negated, as in :func:`geometry.gram_matrix`.
     """
-    ja = a.structure.signature() @ a.to_matrix()
+    ja = a.to_matrix()
+    ja[a.structure.p:] *= -1.0
     return float(np.linalg.eigvalsh(imag_part(ja))[0])
 
 
@@ -196,16 +198,15 @@ def factorization_residual(a: BlockOperator, sd: SchurData) -> np.ndarray:
     """
     mus = _stack_shifts(sd)
     p, d = a.structure.p, a.structure.dim
-    mu_eye = mus[:, np.newaxis, np.newaxis]
     eye = np.eye(d, dtype=np.complex128)
     upper = np.repeat(eye[np.newaxis], mus.size, axis=0)
     upper[:, :p, p:] = sd.g
     diag = np.zeros_like(upper)
-    diag[:, :p, :p] = sd.s - mu_eye * eye[:p, :p]
-    diag[:, p:, p:] = a.a22 - mu_eye * eye[p:, p:]
+    diag[:, :p, :p] = shifted(sd.s, mus)
+    diag[:, p:, p:] = shifted(a.a22, mus)
     lower = np.repeat(eye[np.newaxis], mus.size, axis=0)
     lower[:, p:, :p] = sd.f
-    recon = mu_eye * eye + upper @ diag @ lower
+    recon = shifted(upper @ diag @ lower, -mus)
     return operator_norms(a.to_matrix() - recon) / (a.norm() or 1.0)
 
 
@@ -311,8 +312,8 @@ def resolvent_asymptotics_check(
 ) -> AsymptoticsReport:
     """Probe (S(lambda) - lambda)^{-1} = -1/lambda + O(1/lambda^2).
 
-    For each radius the constant C = max |lambda|^2 |(S-lambda)^{-1} +
-    1/lambda| is fitted at 16 shifts on an upper semicircle; C must be
+    For each radius the constant C = max |lambda| (|lambda| |(S-lambda)^{-1}
+    + 1/lambda|) is fitted at 16 shifts on an upper semicircle; C must be
     stable within a factor 4 across the two largest radii.  The compression
     identity ((lambda - A)^{-1} z, z) = ((lambda - S(lambda))^{-1} z, z) for
     4 random unit z in H+ (drawn from the integer ``seed`` >= 0) is checked
@@ -321,8 +322,9 @@ def resolvent_asymptotics_check(
     every radius are one stack: one floor-checked A22 - lambda stack with
     one solve for F and none for G (which the probe never reads), one solve
     of S - lambda, and one solve of lambda - A for the 4 vectors (z, 0),
-    since the identity reads only z* [(lambda - A)^{-1}]_11 z.  Each
-    shifted stack is a copy whose diagonal is shifted in place.
+    since the identity reads only z* [(lambda - A)^{-1}]_11 z.  The stacks
+    S - lambda, (S - lambda)^{-1} + 1/lambda and lambda - A are each one
+    :func:`numerics.shifted` call.
     """
     rs = sorted(float(r) for r in radii)
     # a comparison with NaN is false, so NaN fails the range test
@@ -338,27 +340,21 @@ def resolvent_asymptotics_check(
     rng = np.random.Generator(np.random.Philox(seed))
     zs = rng.standard_normal((4, p)) + 1j * rng.standard_normal((4, p))
     zs /= np.linalg.norm(zs, axis=1, keepdims=True)
-    d = a.structure.dim
-    eye_p = np.eye(p, dtype=np.complex128)
     # the columns (z, 0) of the 4 test vectors
-    z_full = np.zeros((d, len(zs)), dtype=np.complex128)
+    z_full = np.zeros((a.structure.dim, len(zs)), dtype=np.complex128)
     z_full[:p] = zs.T
     thetas = np.linspace(0.0, np.pi, 16)
     lams = (np.array(rs)[:, np.newaxis] * np.exp(1j * thetas)).ravel()
-    shift = lams[:, np.newaxis]
-    diag_p, diag_d = np.arange(p), np.arange(d)
-    s_minus_lam, _ = _schur_complements(a, shifted_stack(a.a22, lams))
-    s_minus_lam[:, diag_p, diag_p] -= shift
+    s, _ = _schur_complements(a, shifted_stack(a.a22, lams))
     # (S - lambda)^{-1}; (lambda - S)^{-1} is its negative
-    inv = np.linalg.solve(s_minus_lam, np.broadcast_to(eye_p, s_minus_lam.shape))
-    inv_plus = inv.copy()
-    inv_plus[:, diag_p, diag_p] += 1.0 / shift
-    c_fit = np.abs(lams) ** 2 * operator_norms(inv_plus)
+    inv = np.linalg.inv(shifted(s, lams))
+    # |lambda| is applied twice, since |lambda|^2 overflows from |A| ~ 1e153
+    radius = np.abs(lams)
+    c_fit = radius * (radius * operator_norms(shifted(inv, -1.0 / lams)))
     constants = [float(c) for c in np.max(c_fit.reshape(len(rs), -1), axis=1)]
-    lam_minus_a = np.repeat(-a.to_matrix()[np.newaxis], lams.size, axis=0)
-    lam_minus_a[:, diag_d, diag_d] += shift
     applied = np.linalg.solve(
-        lam_minus_a, np.broadcast_to(z_full, (lams.size, *z_full.shape))
+        shifted(-a.to_matrix(), -lams),
+        np.broadcast_to(z_full, (lams.size, *z_full.shape)),
     )
     lhs = np.einsum("zi,kiz->kz", zs.conj(), applied[:, :p, :])
     rhs = np.einsum("zi,kij,zj->kz", zs.conj(), -inv, zs)

@@ -7,16 +7,17 @@ LAPACK (via numpy/scipy); each carries an accuracy contract that the test
 suite checks, and the contract, not the algorithm, is what the rest of the
 package relies on.
 
-Shifted solves take the shift as a batch dimension: :func:`shifted_stack`
-builds the ``(k, d, d)`` stack of shifted matrices for a 1-D array of shifts
-and checks it against the singular floor, and :func:`solve_shifted` solves
-it in one batched LU call, so a caller that samples many shifts pays the
-per-call overhead once.  A caller that solves with the same stack twice, or
-with its transpose, checks it once.  The floor check first screens every
-shift with two certified bounds, a lower bound on sigma_min from the
-numerical range and an upper bound on sigma_max from the Frobenius norm;
-only a shift the screen cannot clear goes through the batched SVD, so the
-check raises for exactly the shifts an SVD of every one would flag.
+This module owns every shifted stack of the package and its singular floor:
+:func:`shifted` forms the ``(k, d, d)`` stack of M - mu_k I for a 1-D array
+of shifts, :func:`shifted_stack` forms it and checks it against the floor,
+and :func:`solve_shifted` solves a checked stack in one batched LU call, so
+a caller that samples many shifts pays the per-call overhead once.  A
+caller that solves with the same stack twice, or with its transpose, checks
+it once.  The floor check first screens every shift with two certified
+bounds, a lower bound on sigma_min from the numerical range and an upper
+bound on sigma_max from the Frobenius norm; only a shift the screen cannot
+clear goes through the batched SVD, so the check raises for exactly the
+shifts an SVD of every one would flag.
 
 Everything in this module is a pure function over immutable values and safe
 to call concurrently.
@@ -83,6 +84,19 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
+def shifted(m: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """The ``(k, d, d)`` stack of M - mu_k I, as a new array and unchecked.
+
+    ``m`` is a complex128 d x d matrix, shifted by each shift of the 1-D
+    ``mus``, or a ``(k, d, d)`` stack, slice k shifted by ``mus[k]``.  The
+    stack of lambda_k - A is ``shifted(-a, -lams)``, bit for bit.
+    """
+    out = np.repeat(m[np.newaxis], mus.size, axis=0) if m.ndim == 2 else m.copy()
+    diag = np.arange(m.shape[-1])
+    out[:, diag, diag] -= mus[:, np.newaxis]
+    return out
+
+
 def shifted_stack(m, mu) -> np.ndarray:
     """The ``(k, d, d)`` stack of the matrices M - mu_k I, each one checked.
 
@@ -117,13 +131,10 @@ def shifted_stack(m, mu) -> np.ndarray:
     if not np.isfinite(shifts).all():
         raise NonFinite("mu contains NaN or Inf entries")
     mus = shifts.reshape(-1)
-    d = a.shape[0]
-    shifted = np.repeat(a[np.newaxis], mus.size, axis=0)
-    diag = np.arange(d)
-    shifted[:, diag, diag] -= mus[:, np.newaxis]
+    stack = shifted(a, mus)
     unscreened = np.flatnonzero(~_clears_floor(a, mus))
     if unscreened.size:
-        sings = np.linalg.svd(shifted[unscreened], compute_uv=False)
+        sings = np.linalg.svd(stack[unscreened], compute_uv=False)
         below = sings[:, -1] < SINGULAR_FLOOR * np.maximum(sings[:, 0], 1.0)
         if below.any():
             i = int(np.argmax(below))
@@ -131,7 +142,7 @@ def shifted_stack(m, mu) -> np.ndarray:
                 f"sigma_min(M - mu I) = {sings[i, -1]:.3e} below floor; "
                 f"mu = {complex(mus[unscreened[i]])} is numerically in the spectrum"
             )
-    return shifted
+    return stack
 
 
 def _clears_floor(a: np.ndarray, mus: np.ndarray) -> np.ndarray:
@@ -178,12 +189,12 @@ def solve_shifted(m, mu, b) -> np.ndarray:
     ``|(M - mu_k I) X_k - B| <= 1e-10 (|M| + |mu_k|) |X_k|``.
     """
     rhs = validate_matrix(b, "B")
-    shifted = shifted_stack(m, mu)
-    if shifted.shape[1] != rhs.shape[0]:
+    stack = shifted_stack(m, mu)
+    if stack.shape[1] != rhs.shape[0]:
         raise DimensionMismatch(
-            f"B has {rhs.shape[0]} rows, expected {shifted.shape[1]}"
+            f"B has {rhs.shape[0]} rows, expected {stack.shape[1]}"
         )
     # numpy < 2 reads a 2-D right-hand side of a stacked solve as a stack of
     # vectors, so B is broadcast to (k, d, n) explicitly
-    x = np.linalg.solve(shifted, np.broadcast_to(rhs, (shifted.shape[0], *rhs.shape)))
+    x = np.linalg.solve(stack, np.broadcast_to(rhs, (stack.shape[0], *rhs.shape)))
     return x if np.ndim(mu) else x[0]

@@ -62,7 +62,7 @@ from .errors import (
     RankAmbiguous,
 )
 from .geometry import KreinStructure, Subspace
-from .numerics import operator_norm, validate_matrix
+from .numerics import operator_norm, shifted, validate_matrix
 
 #: the quadrature rule ``kreinspace spectrum`` reports as ``contour_used.rule``
 QUADRATURE_RULE = "gauss_segments"
@@ -137,18 +137,8 @@ def default_contour_radius(a) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _shifted_stack(lams: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The stack of lambda_k I - A, one d x d slice per node."""
-    d = a.shape[0]
-    shifted = np.empty((lams.size, d, d), dtype=np.complex128)
-    shifted[:] = -a
-    diag = np.arange(d)
-    shifted[:, diag, diag] += lams[:, None]
-    return shifted
-
-
 def _batch_sigma_min(lams: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(_shifted_stack(lams, a), compute_uv=False)[:, -1]
+    return np.linalg.svd(shifted(-a, -lams), compute_uv=False)[:, -1]
 
 
 def _refine_probes(xs, cs, mat, to_lambda, floor: float):
@@ -242,7 +232,7 @@ def _quadrature_sum(a: np.ndarray, lams: np.ndarray, weights: np.ndarray, gap: f
     for start in range(0, lams.size, KRONROD_PANEL_ORDER):
         panel = slice(start, start + KRONROD_PANEL_ORDER)
         try:
-            inverses = np.linalg.inv(_shifted_stack(lams[panel], a))
+            inverses = np.linalg.inv(shifted(-a, -lams[panel]))
         except np.linalg.LinAlgError as exc:
             raise ContourTooClose(f"resolvent singular on the contour: {exc}") from exc
         # sigma_min >= 1/frobenius(inverse); only ambiguous nodes get the exact check

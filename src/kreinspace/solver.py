@@ -84,7 +84,7 @@ from .geometry import (
     gram_matrix,
     maximality_witness,
 )
-from .numerics import operator_norm, operator_norms, validate_int
+from .numerics import operator_norm, operator_norms, shifted, validate_int
 from .projectors import upper_schur_form
 
 # the full eps row of the double limit; the default solve runs only its tail,
@@ -494,19 +494,22 @@ def _assemble_report(
     s_norm = operator_norm(sd.s)
     bound = 2.0 * (s_norm + gamma / (1.0 - gamma) * (s_norm + abs(sd.mu)))
     est11 = Estimate11(gamma, s_norm, bound, a_plus_norm <= bound + 1e-8)
+    k_norm = k.norm
+    # sigma_min(B+) = (1 + |K|^2)^(-1/2) clears the witness's 1e-8 cut below 1e7
+    witness = maximality_witness(subspace) if k_norm >= 1e7 else None
     return SolveReport(
         k=k,
         l_op=l_op,
         riccati_residual=res,
         invariance_residual=invariance,
         restriction_spectrum=_restriction_spectrum(a, k.matrix),
-        k_norm=k.norm,
+        k_norm=k_norm,
         estimate10=est10,
         estimate11=est11,
         convergence_trace=trace or [],
         mu=complex(sd.mu),
         margin=margin,
-        witness=maximality_witness(subspace),
+        witness=witness,
         polish_method=polish_method,
     )
 
@@ -594,8 +597,7 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
     mu = _select_mu(a, eps_all)
     sd_all = schur_data(a, mu + 1j * eps_all)
     # continuity constant of i eps + S(mu + i eps) over the schedule
-    i_eps = 1j * eps_all[:, np.newaxis, np.newaxis] * np.eye(p)
-    c_const = float(np.max(operator_norms(i_eps + sd_all.s)))
+    c_const = float(np.max(operator_norms(shifted(sd_all.s, -1j * eps_all))))
     l_cap = 2.0 * (c_const + abs(mu))
 
     trace: list[CellTrace] = []

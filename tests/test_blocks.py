@@ -1,5 +1,6 @@
 """Block operators, transfer data, and the quantitative resolvent checks."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -28,9 +29,10 @@ from kreinspace.errors import (
     SingularShift,
 )
 from kreinspace.geometry import KreinStructure
-from kreinspace.harness import InstanceSpec, random_dissipative
+from kreinspace.harness import InstanceSpec, check_instance, random_dissipative
 from kreinspace import blocks
 from kreinspace.numerics import solve_shifted
+from kreinspace.solver import SolverConfig, solve_theorem
 
 
 def scalar_block():
@@ -97,6 +99,21 @@ def test_margins_of_entries_near_the_float_maximum_stay_finite():
     assert np.isfinite(blocks.imag_part(a.to_matrix())).all()
     assert dissipativity_margin(a) == pytest.approx(1e308)
     assert condition_i_margin(a) == pytest.approx(1e308)
+
+
+@pytest.mark.parametrize("coupling, margin", [(0.0, 0.1), (1.0, 0.0), (0.0, 0.0)])
+@pytest.mark.parametrize("p, m", [(1, 1), (3, 5), (6, 2)])
+def test_margin_negates_the_h_minus_rows_bit_for_bit(monkeypatch, p, m, coupling, margin):
+    # JA is A with its H- rows negated: the margin equals the one read off
+    # the dense product J @ A exactly, and the product is never formed
+    spec = InstanceSpec(p, m, margin=margin, coupling_scale=coupling)
+    for seed in range(3):
+        a = random_dissipative(dataclasses.replace(spec, seed=seed))
+        ja = a.structure.signature() @ a.to_matrix()
+        want = np.linalg.eigvalsh(blocks.imag_part(ja))[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(KreinStructure, "signature", None)
+            assert dissipativity_margin(a) == want
 
 
 def test_schur_decoupled():
@@ -526,6 +543,22 @@ def test_asymptotics_forms_no_g_stack(monkeypatch):
     a = random_dissipative(STACK_SPECS[0])
     r0 = 8.0 * (1.0 + a.norm())
     assert resolvent_asymptotics_check(a, [r0, 2.0 * r0]).passed
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_asymptotics_and_check_instance_pass_at_scale_1e200(seed):
+    # the probe's radii reach 16 (1 + |A|) ~ 1e201, whose square overflows,
+    # so C is formed as |lambda| (|lambda| |(S - lambda)^{-1} + 1/lambda|)
+    a = random_dissipative(InstanceSpec(p=2, m=3, margin=0.1, seed=seed))
+    big = decompose(1e200 * a.to_matrix(), a.structure)
+    r0 = 8.0 * (1.0 + big.norm())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = resolvent_asymptotics_check(big, [r0, 2.0 * r0], seed=seed)
+        solved = solve_theorem(big)
+        row = check_instance(big, solved, SolverConfig(), seed=seed)
+    assert rep.passed and np.isfinite(rep.constants).all()
+    assert row.checks["asymptotics"] and row.passed
 
 
 def test_g_bound_rejects_lower_samples_and_empty_sets():

@@ -277,6 +277,31 @@ def test_maximal_check_flips_only_near_k_norm_1e8(solved_4):
     assert "maximal" in _failed_checks(a, rep, rep.k.matrix + 1e9 * e)
 
 
+def test_report_takes_the_maximality_svd_only_at_k_norm_1e7(monkeypatch, solved_4):
+    # below |K| = 1e7 the graph basis has sigma_min(B+) >= 1e-7, so the
+    # witness is None without a call of maximality_witness
+    calls = []
+    original = solver.maximality_witness
+
+    def spy(subspace):
+        calls.append(subspace)
+        return original(subspace)
+
+    monkeypatch.setattr(solver, "maximality_witness", spy)
+    a, rep, e = solved_4
+    sd = schur_data(a, rep.mu)
+
+    def rebuilt(s):
+        k = AngleOperator(a.structure, rep.k.matrix + s * e)
+        return solver._assemble_report(a, k, rep.margin, sd)
+
+    # |K + s E| <= |K| + s <= 1 for every s here
+    for s in (0.0, 0.5 * (1.0 - rep.k_norm), 1.0 - rep.k_norm):
+        assert rebuilt(s).maximal
+    assert calls == []
+    assert rebuilt(1e9).witness is not None and len(calls) == 1
+
+
 def test_cells_check_flips_on_a_trace_cell_with_k_norm_1(solved_4):
     # the check is |K| < 1 on every ok cell: 1 - 1e-12 passes, 1 fails
     a, rep, _ = solved_4

@@ -15,6 +15,7 @@ from kreinspace.numerics import (
     SINGULAR_FLOOR,
     operator_norm,
     operator_norms,
+    shifted,
     shifted_stack,
     solve_shifted,
     validate_matrix,
@@ -43,6 +44,30 @@ def test_operator_norms_equal_numpy_spectral_norms(shape):
     np.testing.assert_array_equal(
         operator_norms(stack), np.linalg.norm(stack, 2, axis=(-2, -1))
     )
+
+
+def test_shifted_equals_the_identity_product_formula_bit_for_bit():
+    rng = np.random.Generator(np.random.Philox(11))
+    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    stack = rng.standard_normal((7, 5, 5)) + 1j * rng.standard_normal((7, 5, 5))
+    mus = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    m_before, stack_before = m.copy(), stack.copy()
+    eye = np.eye(5)
+    # one matrix, shifted by each of the 1-D shifts
+    np.testing.assert_array_equal(shifted(m, mus), m - mus[:, None, None] * eye)
+    # a stack, slice k shifted by mus[k]
+    np.testing.assert_array_equal(shifted(stack, mus), stack - mus[:, None, None] * eye)
+    # the inputs are left untouched
+    np.testing.assert_array_equal(m, m_before)
+    np.testing.assert_array_equal(stack, stack_before)
+
+
+def test_shifted_of_the_negated_matrix_is_lambda_minus_a():
+    rng = np.random.Generator(np.random.Philox(4))
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    lams = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    expected = lams[:, None, None] * np.eye(5) - a[None, :, :]
+    assert (shifted(-a, -lams) == expected).all()
 
 
 def test_validate_rejects_nonfinite():

@@ -200,14 +200,6 @@ def test_contour_nodes_keep_the_budget(case):
     assert weights.shape == (2, lams.size)
 
 
-def test_shifted_stack_matches_broadcast():
-    rng = np.random.Generator(np.random.Philox(4))
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    lams = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    expected = lams[:, None, None] * np.eye(5) - a[None, :, :]
-    np.testing.assert_array_equal(projectors._shifted_stack(lams, a), expected)
-
-
 def test_each_rung_evaluates_43_nodes_per_panel(monkeypatch):
     counted = count_nodes(monkeypatch)
     rng = np.random.Generator(np.random.Philox(0))

@@ -12,7 +12,11 @@ function binds a local name that it never reads, unless the name starts
 with an underscore.  No module but ``numerics`` takes a spectral norm
 (``norm(x, 2)`` or ``norm(x, ord=2)``): spectral norms go through
 ``numerics.operator_norm`` and ``operator_norms``, so a rule that screens a
-norm before paying for an SVD is written once.
+norm before paying for an SVD is written once.  No module but ``numerics``
+shifts a diagonal by fancy index (``x[:, d, d]`` or ``x[..., d, d]``):
+shifted stacks are built by ``numerics.shifted``.  No function calls
+``signature()`` apart from the few listed with a reason in
+``SIGNATURE_CALLS``: J is applied by negating the H- rows.
 """
 
 import ast
@@ -324,3 +328,71 @@ def test_spectral_norm_detector_flags_both_spellings():
 @pytest.mark.parametrize("name", sorted(n for n in TREES if n != "numerics.py"))
 def test_spectral_norms_are_taken_only_in_numerics(name):
     assert _spectral_norms(TREES[name]) == []
+
+
+def _diagonal_shifts(tree):
+    """Line of each ``x[:, d, d]`` or ``x[..., d, d]``, the same name twice."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Subscript) or not isinstance(node.slice, ast.Tuple):
+            continue
+        parts = node.slice.elts
+        if (
+            len(parts) == 3
+            and (
+                isinstance(parts[0], ast.Slice)
+                or (isinstance(parts[0], ast.Constant) and parts[0].value is Ellipsis)
+            )
+            and all(isinstance(part, ast.Name) for part in parts[1:])
+            and parts[1].id == parts[2].id
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_diagonal_shift_detector_flags_both_spellings():
+    source = "x[:, d, d] -= mu\ny = x[..., i, i]\nx[:, i, j]\nx[:p, :p]\nx[0, d, d]\n"
+    assert _diagonal_shifts(ast.parse(source)) == [1, 2]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in TREES if n != "numerics.py"))
+def test_diagonals_are_shifted_only_in_numerics(name):
+    assert _diagonal_shifts(TREES[name]) == []
+
+
+#: ``(module, function)`` of the calls of ``signature()``, each with why the
+#: dense J stays there.
+SIGNATURE_CALLS = {
+    ("harness.py", "random_dissipative"): "the generated bytes: A = J (R + iH) "
+    "by the dense product writes 0.0 where negated rows would write -0.0 in "
+    "the coupling-0 instances",
+}
+
+
+def _signature_calls(tree):
+    """``(function, line)`` of each ``signature()`` call, by innermost function."""
+    calls = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in _own_scope(func):
+            if (
+                isinstance(node, ast.Call)
+                and (_dotted(node.func) or "").rsplit(".", 1)[-1] == "signature"
+            ):
+                calls.append((func.name, node.lineno))
+    return calls
+
+
+def test_signature_call_detector_finds_the_enclosing_function():
+    source = "def f(s):\n    return s.structure.signature() @ a\ndef g():\n    signature\n"
+    assert _signature_calls(ast.parse(source)) == [("f", 2)]
+
+
+def test_j_is_applied_densely_only_where_listed():
+    calls = {
+        (module, func) for module, tree in TREES.items() for func, _ in _signature_calls(tree)
+    }
+    assert sorted(calls - set(SIGNATURE_CALLS)) == []
+    # an allowance no function uses any more is dropped with it
+    assert sorted(set(SIGNATURE_CALLS) - calls) == []
