@@ -26,24 +26,29 @@ All functions here are pure.  Shift samples are stacked: :func:`schur_data`
 takes a 1-D array of shifts and returns the transfer data as stacks, so each
 check that samples many shifts solves all of them in one batched call.
 Each transfer quantity is computed once for all its readers: :func:`g_norms`
-forms only |G| (for the bound on G, the decay profile and the solver's mu),
-and the identity checks take the :class:`SchurData` stack they verify, so
-a caller builds the A22 - mu stack once for both.  Each stack of
-A22 - mu_k is checked against the singular floor once, and its transpose
-solves, which have the same singular values, reuse that check.  Each check
-takes only what it cannot derive: the uniform bound on G reads its eps from
-:func:`dissipativity_margin`.
+forms only |G| (for the decay profile and the solver's mu), the uniform
+bound on G forms the same stack of G but takes the SVD only of the samples
+that can hold its largest norm, and the identity checks take the
+:class:`SchurData` stack they verify, so a caller builds the A22 - mu stack
+once for both.  Each stack of A22 - mu_k is checked against the singular
+floor once, and its transpose solves, which have the same singular values,
+reuse that check.  Each check takes only what it cannot derive: the uniform
+bound on G and the asymptotics probe read their eps from
+:func:`dissipativity_margin`, which, like |A|, a :class:`BlockOperator`
+computes at most once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConditionIFailed, DimensionMismatch, NotUniformlyDissipative
 from .geometry import KreinStructure
 from .numerics import operator_norm, operator_norms, shifted, shifted_stack
+from .numerics import top_operator_norms
 from .numerics import validate_int, validate_matrix, validate_vector
 
 _EPS_A = 1e-6  # relative headroom on the half-norm constant a > 2|A P+|
@@ -53,7 +58,13 @@ DISSIPATIVITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """The four complex blocks of an operator matrix on H+ (+) H-."""
+    """The four complex blocks of an operator matrix on H+ (+) H-.
+
+    Each block is the operator's own read-only copy: writing into it
+    raises, and a later change to the array it was built from leaves the
+    operator as it was.  So |A| (:meth:`norm`) and the dissipativity margin
+    (:func:`dissipativity_margin`) are computed at most once per operator.
+    """
 
     structure: KreinStructure
     a11: np.ndarray = field(repr=False)
@@ -68,6 +79,8 @@ class BlockOperator:
             block = validate_matrix(getattr(self, name), name)
             if block.shape != want:
                 raise DimensionMismatch(f"{name} must be {want}, got {block.shape}")
+            block = block.copy()
+            block.flags.writeable = False
             object.__setattr__(self, name, block)
 
     def to_matrix(self) -> np.ndarray:
@@ -78,7 +91,17 @@ class BlockOperator:
         return full
 
     def norm(self) -> float:
+        return self._norm
+
+    @cached_property
+    def _norm(self) -> float:
         return operator_norm(self.to_matrix())
+
+    @cached_property
+    def _margin(self) -> float:
+        ja = self.to_matrix()
+        ja[self.structure.p:] *= -1.0
+        return float(np.linalg.eigvalsh(imag_part(ja))[0])
 
 
 def assemble(a11, a12, a21, a22) -> BlockOperator:
@@ -115,11 +138,10 @@ def dissipativity_margin(a: BlockOperator) -> float:
 
     Positive iff A is uniformly dissipative in the indefinite metric with
     that constant; nonnegative iff dissipative.  JA is A with its H- rows
-    negated, as in :func:`geometry.gram_matrix`.
+    negated, as in :func:`geometry.gram_matrix`.  It is computed once per
+    operator.
     """
-    ja = a.to_matrix()
-    ja[a.structure.p:] *= -1.0
-    return float(np.linalg.eigvalsh(imag_part(ja))[0])
+    return a._margin
 
 
 @dataclass(frozen=True)
@@ -227,7 +249,12 @@ def condition_i_margin(a: BlockOperator) -> float:
 
 def g_norms(a: BlockOperator, shifts) -> np.ndarray:
     """|G(mu_k)| at each of the shifts mu_k; F and S are not formed."""
-    return operator_norms(_applied_left(shifted_stack(a.a22, shifts), a.a12))
+    return operator_norms(_g_stack(a, shifts))
+
+
+def _g_stack(a: BlockOperator, shifts) -> np.ndarray:
+    """The stack of G(mu_k) at the shifts mu_k, from one checked A22 stack."""
+    return _applied_left(shifted_stack(a.a22, shifts), a.a12)
 
 
 def g_decay_profile(a: BlockOperator, heights) -> np.ndarray:
@@ -271,10 +298,13 @@ def g_uniform_bound_check(a: BlockOperator, sample_lambdas) -> GBoundReport:
     ``eps`` is the dissipativity margin of A (a smaller one only loosens the
     bound); a margin <= 0 raises :class:`NotUniformlyDissipative`, and a
     positive one makes A22 - lambda invertible at every sample.
-    a = 2 |A P+| (1 + 1e-6).  All samples are one :func:`g_norms` stack;
-    ``worst_lambda`` is the first sample of largest ratio, and 0
-    when every ratio is 0.  A NaN or infinite sample raises
-    :class:`NonFinite`, an empty sample set :class:`DimensionMismatch`.
+    a = 2 |A P+| (1 + 1e-6).  All samples are one stack of G, as in
+    :func:`g_norms`, but only the samples that can hold its largest norm go
+    through the SVD (:func:`numerics.top_operator_norms`); the report is the
+    one a norm at every sample gives, bit for bit.  ``worst_lambda`` is the
+    first sample of largest ratio, and 0 when every ratio is 0.  A NaN or
+    infinite sample raises :class:`NonFinite`, an empty sample set
+    :class:`DimensionMismatch`.
     """
     lams = validate_vector(sample_lambdas, name="sample_lambdas")
     eps = dissipativity_margin(a)
@@ -286,10 +316,13 @@ def g_uniform_bound_check(a: BlockOperator, sample_lambdas) -> GBoundReport:
     if below.any():
         lam = complex(lams[np.argmax(below)])
         raise DimensionMismatch(f"sample {lam} is not in the closed upper half-plane")
-    ratios = g_norms(a, lams) / bound
+    # the slack of the screen keeps every tie of the ratios, so the first
+    # argmax among the candidates is the first argmax of all samples
+    candidates, norms = top_operator_norms(_g_stack(a, lams))
+    ratios = norms / bound
     k = int(np.argmax(ratios))
     worst = float(ratios[k])
-    worst_lam = complex(lams[k]) if worst > 0.0 else 0j
+    worst_lam = complex(lams[candidates[k]]) if worst > 0.0 else 0j
     return GBoundReport(a_const, eps, bound, worst, worst_lam, worst <= 1.0 + 1e-9)
 
 

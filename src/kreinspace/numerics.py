@@ -19,6 +19,12 @@ bound on sigma_max from the Frobenius norm; only a shift the screen cannot
 clear goes through the batched SVD, so the check raises for exactly the
 shifts an SVD of every one would flag.
 
+A caller that needs only the largest spectral norm of a stack, and where it
+sits, calls :func:`top_operator_norms`: it takes the SVD of the slice of
+largest Frobenius norm, then of the slices whose Frobenius norm, times a
+relative ``slack`` far above rounding, reaches that slice's spectral norm,
+since no other slice can.
+
 Everything in this module is a pure function over immutable values and safe
 to call concurrently.
 """
@@ -82,6 +88,39 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     # the largest singular values, as np.linalg.norm(stack, 2, axis=(-2, -1))
     # computes them, without its reduction overhead
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def top_operator_norms(
+    stack: np.ndarray, slack: float = 1.0 + 1e-12
+) -> tuple[np.ndarray, np.ndarray]:
+    """The slices of a ``(k, r, c)`` stack that can hold its largest spectral norm.
+
+    Returns the increasing indices of those slices and their spectral norms,
+    each bit for bit as :func:`operator_norms` computes it, so the largest
+    of them is ``operator_norms(stack).max()``.  The slice of largest
+    Frobenius norm goes first through the SVD; ``|M|_2 <= |M|_F`` rules out
+    every slice whose Frobenius norm times ``slack`` stays below the
+    spectral norm of that first slice, and the others go through one
+    batched SVD.  The ``slack``, far above the rounding of either norm,
+    keeps every slice whose spectral norm ties with the largest one to
+    rounding, so a ratio of these norms to a common bound has its first
+    argmax among them.  The Frobenius norms are scaled by each slice's
+    largest entry, so finite entries near the float maximum do not
+    overflow.
+    """
+    mags = np.abs(stack).reshape(stack.shape[0], -1)
+    peak = mags.max(axis=1)
+    peak[peak == 0.0] = 1.0
+    fro = peak * np.sqrt(np.sum(np.square(mags / peak[:, np.newaxis]), axis=1))
+    first = int(np.argmax(fro))
+    norms = np.zeros(stack.shape[0])
+    norms[first] = operator_norms(stack[first : first + 1])[0]
+    reach = fro * slack >= norms[first]
+    reach[first] = False
+    if reach.any():
+        norms[reach] = operator_norms(stack[reach])
+    reach[first] = True
+    return np.flatnonzero(reach), norms[reach]
 
 
 def shifted(m: np.ndarray, mus: np.ndarray) -> np.ndarray:

@@ -475,10 +475,18 @@ def _assemble_report(
     sd: SchurData,
     trace: list[CellTrace] | None = None,
     polish_method: str = "none",
+    residual: float | None = None,
 ) -> SolveReport:
-    """The report of K with its certificates; ``sd`` gives mu and Estimate 11."""
+    """The report of K with its certificates; ``sd`` gives mu and Estimate 11.
+
+    ``residual`` is K's Riccati residual when the caller already holds it;
+    without it :func:`riccati_residual` computes it.
+    """
     s = a.structure
-    res, l_op = riccati_residual(a, k, sd.mu)
+    if residual is None:
+        residual, l_op = riccati_residual(a, k, sd.mu)
+    else:
+        l_op = _l_operator(a, k.matrix, sd.mu)
     stacked = np.vstack([np.eye(s.p, dtype=np.complex128), k.matrix])
     basis, _ = np.linalg.qr(stacked)
     subspace = Subspace(s, basis)
@@ -500,7 +508,7 @@ def _assemble_report(
     return SolveReport(
         k=k,
         l_op=l_op,
-        riccati_residual=res,
+        riccati_residual=residual,
         invariance_residual=invariance,
         restriction_spectrum=_restriction_spectrum(a, k.matrix),
         k_norm=k_norm,
@@ -655,11 +663,12 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
     defects = [operator_norm(graph_defect(a, k)) for k in candidates]
     best = min(range(len(candidates)), key=defects.__getitem__)
     k_best = candidates[best]
+    residual = defects[best]
     polish_method = "richardson" if best == 1 else "none"
     if cfg.polish:
-        k_polished, _, improved = _newton_polish(a, k_best, a_norm, defects[best])
+        k_polished, res_polished, improved = _newton_polish(a, k_best, a_norm, residual)
         if improved:
-            k_best, polish_method = k_polished, "newton"
+            k_best, residual, polish_method = k_polished, res_polished, "newton"
 
     # the eps = 0 slice of the schedule's stack is the transfer data at mu
     sd_mu = SchurData(mu, sd_all.s[-1], sd_all.f[-1], sd_all.g[-1])
@@ -670,6 +679,7 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
         sd_mu,
         trace=trace,
         polish_method=polish_method,
+        residual=residual,
     )
     # a limit is accepted when the tail met the Cauchy tolerance or the
     # assembled K passes the a-posteriori Riccati certificate

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kreinspace.blocks import (
+    GBoundReport,
     assemble,
     condition_i_margin,
     decompose,
     dissipativity_margin,
     factorization_residual,
     g_decay_profile,
+    g_norms,
     g_uniform_bound_check,
     half_range_norm,
     resolvent_asymptotics_check,
@@ -31,7 +33,7 @@ from kreinspace.errors import (
 from kreinspace.geometry import KreinStructure
 from kreinspace.harness import InstanceSpec, check_instance, random_dissipative
 from kreinspace import blocks
-from kreinspace.numerics import solve_shifted
+from kreinspace.numerics import operator_norm, solve_shifted
 from kreinspace.solver import SolverConfig, solve_theorem
 
 
@@ -51,6 +53,33 @@ def triangular():
 def one_shift_factorization(a, mu):
     """The LDU defect at one shift, checked as a one-shift stack."""
     return float(factorization_residual(a, schur_data(a, [mu]))[0])
+
+
+def test_an_operator_keeps_read_only_copies_of_its_blocks():
+    # |A| and the margin are computed once, so no block may change after it
+    rng = np.random.Generator(np.random.Philox(2))
+    mat = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    before = mat.copy()
+    a = decompose(mat, KreinStructure(2, 3))
+    norm, margin = a.norm(), dissipativity_margin(a)
+    for name in ("a11", "a12", "a21", "a22"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(a, name)[0, 0] = 7.0
+    mat[:] = 0.0
+    np.testing.assert_array_equal(a.to_matrix(), before)
+    assert a.norm() == norm == operator_norm(before)
+    assert dissipativity_margin(a) == margin
+    assert margin == dissipativity_margin(decompose(before, a.structure))
+
+
+def test_a_replaced_operator_computes_its_own_norm_and_margin():
+    a = random_dissipative(InstanceSpec(p=2, m=3, margin=0.5, seed=4))
+    norm, margin = a.norm(), dissipativity_margin(a)
+    b = dataclasses.replace(a, a11=a.a11 + 3j * np.eye(2))
+    fresh = decompose(b.to_matrix(), b.structure)
+    assert b.norm() == fresh.norm() != norm
+    assert dissipativity_margin(b) == dissipativity_margin(fresh) != margin
+    assert a.norm() == norm and dissipativity_margin(a) == margin
 
 
 def test_assemble_decompose_diagonal():
@@ -236,6 +265,71 @@ def test_g_bound_random_ensemble():
     rep = g_uniform_bound_check(a, lams)
     assert rep.eps == dissipativity_margin(a)
     assert rep.passed
+
+
+def _g_bound_at_every_sample(a, lams):
+    """The G bound's report from |G| at every sample, which the check must match."""
+    eps = dissipativity_margin(a)
+    a_const = 2.0 * half_range_norm(a) * (1.0 + blocks._EPS_A)
+    bound = 2.0 + 2.0 * a_const / eps
+    ratios = g_norms(a, lams) / bound
+    k = int(np.argmax(ratios))
+    worst = float(ratios[k])
+    worst_lam = complex(lams[k]) if worst > 0.0 else 0j
+    return GBoundReport(a_const, eps, bound, worst, worst_lam, worst <= 1.0 + 1e-9)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.sampled_from([1, 2, 5]),
+    st.sampled_from([1, 3, 7]),
+    st.sampled_from([0.1, 1.0]),
+    st.sampled_from([0.0, 1.0, 30.0]),
+    st.sampled_from([2.0**-600, 1.0, 2.0**600]),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_g_bound_report_equals_the_all_samples_formula(
+    p, m, margin, coupling, scale, twice, seed
+):
+    # p = 1 or m = 1 makes every G rank one (|G|_2 = |G|_F), coupling 0 makes
+    # G = 0 (worst_lambda 0), and a sample set given twice ties every ratio
+    spec = InstanceSpec(p, m, margin, coupling_scale=coupling, seed=seed)
+    base = random_dissipative(spec)
+    a = decompose(scale * base.to_matrix(), base.structure)
+    rng = np.random.Generator(np.random.Philox(seed))
+    radius = 2.0 * (1.0 + a.norm())
+    lams = rng.uniform(-radius, radius, 12) + 1j * rng.uniform(0.0, radius, 12)
+    if twice:
+        lams = np.concatenate([lams, lams[::-1]])
+    got = g_uniform_bound_check(a, lams)
+    assert repr(got) == repr(_g_bound_at_every_sample(a, lams))
+
+
+def test_g_bound_takes_the_svd_of_few_samples(monkeypatch):
+    # the seed-0 24+24 instance at check_instance's 50 samples: at most a
+    # few samples, and |A P+|, go through the SVD
+    a = random_dissipative(InstanceSpec(24, 24, 0.1, seed=0))
+    rng = np.random.Generator(np.random.Philox(key=0, counter=1))
+    radius = 2.0 * (1.0 + a.norm())
+    lams = np.concatenate(
+        [
+            rng.uniform(-radius, radius, 25) + 1j * rng.uniform(0.0, radius, 25),
+            rng.uniform(-radius, radius, 25),
+        ]
+    )
+    slices = []
+    svd = np.linalg.svd
+
+    def spy(x, *args, **kwargs):
+        slices.append(int(np.prod(np.shape(x)[:-2])))
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    rep = g_uniform_bound_check(a, lams)
+    monkeypatch.undo()
+    assert sum(slices) < 50
+    assert repr(rep) == repr(_g_bound_at_every_sample(a, lams))
 
 
 def test_g_bound_requires_margin():

@@ -382,8 +382,9 @@ def _added_to_s(term):
 #   factorization too from d = 1e-8, g_bound too from d = 100
 # - S + d A12 F: factorization fails from d = 1e-8, identities too from
 #   1e-7, asymptotics too from 1e-3
-# - c |G|: g_bound fails from c = 100 (10 holds); the instance's worst
-#   |G| / bound is 0.013, so the bound has 75x headroom
+# - c |G| (the G stack scaled by c as the bound check reads it): g_bound
+#   fails from c = 100 (10 holds); the instance's worst |G| / bound is
+#   0.013, so the bound has 75x headroom
 @pytest.mark.parametrize(
     "target, mutate, flipped",
     [
@@ -403,12 +404,17 @@ def _added_to_s(term):
             ["asymptotics", "factorization", "identities"],
         ),
         (
-            "g_norms",
-            lambda original: lambda a, shifts: 1e3 * original(a, shifts),
+            "top_operator_norms",
+            lambda original: lambda stack: original(1e3 * stack),
             ["g_bound"],
         ),
     ],
-    ids=["S+1e-6*A11", "applied_left*(1+1e-6)", "S+1e-3*A12F", "g_norms*1e3"],
+    ids=[
+        "S+1e-6*A11",
+        "applied_left*(1+1e-6)",
+        "S+1e-3*A12F",
+        "top_operator_norms*1e3",
+    ],
 )
 def test_a_mutated_transfer_kernel_flips_its_checks(
     monkeypatch, solved_43, target, mutate, flipped
@@ -458,6 +464,35 @@ def test_suite_keeps_a_no_cauchy_row_without_a_report(monkeypatch):
             "checks": {},
         }
     ]
+
+
+def test_a_verified_solve_takes_the_norm_and_the_margin_of_a_once(monkeypatch):
+    # solve, report and check read |A| and the margin of the same operator:
+    # one d x d SVD of A and one eigvalsh of Im JA in all
+    a = random_dissipative(InstanceSpec(p=4, m=3, margin=0.1, seed=0))
+    full = a.to_matrix()
+    ja = full.copy()
+    ja[4:] *= -1.0
+    im_ja = blocks.imag_part(ja)
+    svds, eigs = [], []
+    svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+
+    def svd_spy(x, *args, **kwargs):
+        svds.append(np.array_equal(x, full))
+        return svd(x, *args, **kwargs)
+
+    def eigvalsh_spy(x, *args, **kwargs):
+        eigs.append(np.array_equal(x, im_ja))
+        return eigvalsh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
+    cfg = SolverConfig()
+    rep = solve_theorem(a, cfg)
+    serialize.report_to_dict(rep, a.norm(), cfg)
+    assert check_instance(a, rep, cfg, seed=0).passed
+    monkeypatch.undo()
+    assert sum(svds) == 1 and sum(eigs) == 1
 
 
 def test_suite_draws_each_instance_once(monkeypatch):

@@ -18,6 +18,7 @@ from kreinspace.numerics import (
     shifted,
     shifted_stack,
     solve_shifted,
+    top_operator_norms,
     validate_matrix,
 )
 
@@ -44,6 +45,75 @@ def test_operator_norms_equal_numpy_spectral_norms(shape):
     np.testing.assert_array_equal(
         operator_norms(stack), np.linalg.norm(stack, 2, axis=(-2, -1))
     )
+
+
+def _first_worst(norms, bound):
+    """(index, ratio) of the first largest norm / bound, as the G bound states it."""
+    ratios = norms / bound
+    k = int(np.argmax(ratios))
+    return k, float(ratios[k])
+
+
+@st.composite
+def _screened_stacks(draw):
+    """Stacks with ties, rank-one and zero slices, scaled by 2^-600, 1 or 2^600."""
+    k, r, c = draw(st.integers(1, 12)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    kind = draw(st.sampled_from(["random", "rank_one", "zero", "duplicates", "ulps"]))
+    stack = rng.standard_normal((k, r, c)) + 1j * rng.standard_normal((k, r, c))
+    if kind == "rank_one":
+        stack = stack[:, :, :1] * stack[:, :1, :]
+    elif kind == "zero":
+        stack = np.zeros_like(stack)
+    elif kind == "duplicates":
+        stack = stack[rng.integers(0, min(k, 2), k)]
+    elif kind == "ulps":
+        # one slice scaled by a few ulps each way: near-ties of every norm
+        stack = stack[0] * (1.0 + np.finfo(float).eps * rng.integers(-3, 4, (k, 1, 1)))
+    scale = draw(st.sampled_from([2.0**-600, 1.0, 2.0**600]))
+    bound = draw(st.floats(0.5, 100.0)) * scale
+    return stack * scale, bound
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_screened_stacks())
+def test_top_operator_norms_give_the_largest_norm_and_its_first_ratio(case):
+    # entries near 2^600 would overflow an unscaled Frobenius norm into a
+    # RuntimeWarning, an error in this suite
+    stack, bound = case
+    every = operator_norms(stack)
+    idx, norms = top_operator_norms(stack)
+    assert np.all(np.diff(idx) > 0)
+    np.testing.assert_array_equal(norms, every[idx])
+    assert norms.max() == every.max()
+    k, worst = _first_worst(norms, bound)
+    assert (idx[k], worst) == _first_worst(every, bound)
+
+
+def test_top_operator_norms_keep_the_first_of_a_tie_after_the_division():
+    # two rank-one slices whose norms are one ulp apart and whose ratios to
+    # the bound 2.5 round to the same value: the first sample wins, though
+    # its norm is the smaller one.  |M|_F = |M|_2 up to rounding, and the
+    # first slice's Frobenius norm falls below the second's spectral norm,
+    # so without the slack the screen would drop it
+    rng = np.random.Generator(np.random.Philox(11))
+    u, v = rng.standard_normal((2, 4, 1)) + 1j * rng.standard_normal((2, 4, 1))
+    u_up = u.copy()
+    u_up[0, 0] = np.nextafter(np.nextafter(u.real[0, 0], 9.0), 9.0) + 1j * u.imag[0, 0]
+    stack = np.stack([u * v[:3].T, u_up * v[:3].T])
+    every = operator_norms(stack)
+    assert every[1] == np.nextafter(every[0], 9.0) and every[0] / 2.5 == every[1] / 2.5
+    assert list(top_operator_norms(stack, slack=1.0)[0]) == [1]
+    idx, norms = top_operator_norms(stack)
+    assert list(idx) == [0, 1]
+    assert _first_worst(norms, 2.5) == _first_worst(every, 2.5) == (0, every[0] / 2.5)
+
+
+def test_top_operator_norms_skip_the_slices_that_cannot_reach_the_maximum():
+    stack = np.stack([np.eye(3), 5.0 * np.eye(3), np.diag([5.0, 0.0, 0.0])])
+    idx, norms = top_operator_norms(stack)
+    # |I|_F = 1.7 < 5 cannot reach it; |diag(5, 0, 0)|_F = 5 can
+    assert list(idx) == [1, 2] and list(norms) == [5.0, 5.0]
 
 
 def test_shifted_equals_the_identity_product_formula_bit_for_bit():

@@ -730,6 +730,25 @@ def test_newton_polish_contract(spec, offset):
         assert improved
 
 
+@pytest.mark.parametrize("polish", [True, False])
+def test_solve_forms_the_defect_of_the_accepted_k_once(monkeypatch, polish):
+    # the report takes the Riccati residual the selection or the polish
+    # already computed for the accepted K
+    defects = []
+    original = solver.graph_defect
+
+    def spy(a, k_mat):
+        defects.append(np.array(k_mat))
+        return original(a, k_mat)
+
+    monkeypatch.setattr(solver, "graph_defect", spy)
+    a = random_dissipative(InstanceSpec(4, 4, 0.1, seed=0))
+    rep = solve_theorem(a, SolverConfig(polish=polish))
+    assert rep.polish_method == ("newton" if polish else "richardson")
+    assert sum(np.array_equal(k, rep.k.matrix) for k in defects) == 1
+    assert rep.riccati_residual == operator_norm(original(a, rep.k.matrix))
+
+
 def test_non_finite_newton_correction_stops_the_polish(monkeypatch):
     a = random_dissipative(InstanceSpec(4, 4, 0.1, seed=0))
     unpolished = solve_theorem(a, SolverConfig(polish=False))
