@@ -91,14 +91,17 @@ class BlockOperator:
         return full
 
     def norm(self) -> float:
+        """|A|, read from the operator's one computation of it."""
         return self._norm
 
     @cached_property
     def _norm(self) -> float:
+        # the only computation of |A|; norm() reads it
         return operator_norm(self.to_matrix())
 
     @cached_property
     def _margin(self) -> float:
+        # the only computation of the margin; dissipativity_margin reads it
         ja = self.to_matrix()
         ja[self.structure.p:] *= -1.0
         return float(np.linalg.eigvalsh(imag_part(ja))[0])
@@ -139,7 +142,8 @@ def dissipativity_margin(a: BlockOperator) -> float:
     Positive iff A is uniformly dissipative in the indefinite metric with
     that constant; nonnegative iff dissipative.  JA is A with its H- rows
     negated, as in :func:`geometry.gram_matrix`.  It is computed once per
-    operator.
+    operator, by the operator's cached ``_margin``, the formula's only
+    implementation.
     """
     return a._margin
 

@@ -21,9 +21,9 @@ shifts an SVD of every one would flag.
 
 A caller that needs only the largest spectral norm of a stack, and where it
 sits, calls :func:`top_operator_norms`: it takes the SVD of the slice of
-largest Frobenius norm, then of the slices whose Frobenius norm, times a
-relative ``slack`` far above rounding, reaches that slice's spectral norm,
-since no other slice can.
+largest Frobenius norm, then of the slices whose Frobenius norm, times the
+relative slack :data:`_SCREEN_SLACK` far above rounding, reaches that
+slice's spectral norm, since no other slice can.
 
 Everything in this module is a pure function over immutable values and safe
 to call concurrently.
@@ -38,6 +38,11 @@ from .errors import DimensionMismatch, NonFinite, SingularShift
 
 #: Relative floor below which a shifted matrix counts as singular.
 SINGULAR_FLOOR = 1e-12
+
+# the Frobenius screen of top_operator_norms keeps a slice whose Frobenius
+# norm times this reaches the largest spectral norm; far above the rounding
+# of either norm, it keeps every slice that ties with the largest one
+_SCREEN_SLACK = 1.0 + 1e-12
 
 
 def validate_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -90,23 +95,21 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
-def top_operator_norms(
-    stack: np.ndarray, slack: float = 1.0 + 1e-12
-) -> tuple[np.ndarray, np.ndarray]:
+def top_operator_norms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The slices of a ``(k, r, c)`` stack that can hold its largest spectral norm.
 
     Returns the increasing indices of those slices and their spectral norms,
     each bit for bit as :func:`operator_norms` computes it, so the largest
     of them is ``operator_norms(stack).max()``.  The slice of largest
     Frobenius norm goes first through the SVD; ``|M|_2 <= |M|_F`` rules out
-    every slice whose Frobenius norm times ``slack`` stays below the
-    spectral norm of that first slice, and the others go through one
-    batched SVD.  The ``slack``, far above the rounding of either norm,
+    every slice whose Frobenius norm times :data:`_SCREEN_SLACK` stays
+    below the spectral norm of that first slice, and the others go through
+    one batched SVD.  The slack, far above the rounding of either norm,
     keeps every slice whose spectral norm ties with the largest one to
     rounding, so a ratio of these norms to a common bound has its first
     argmax among them.  The Frobenius norms are scaled by each slice's
-    largest entry, so finite entries near the float maximum do not
-    overflow.
+    largest entry, so they do not overflow while that entry stays below
+    about the float maximum over sqrt(r c) (entries of 1e250 are fine).
     """
     mags = np.abs(stack).reshape(stack.shape[0], -1)
     peak = mags.max(axis=1)
@@ -115,7 +118,7 @@ def top_operator_norms(
     first = int(np.argmax(fro))
     norms = np.zeros(stack.shape[0])
     norms[first] = operator_norms(stack[first : first + 1])[0]
-    reach = fro * slack >= norms[first]
+    reach = fro * _SCREEN_SLACK >= norms[first]
     reach[first] = False
     if reach.any():
         norms[reach] = operator_norms(stack[reach])

@@ -465,7 +465,9 @@ def solve_uniformly_dissipative(a: BlockOperator) -> SolveReport:
     """
     margin = dissipativity_margin(a)
     k, _ = _upper_projector(a, margin, a.norm())
-    return _assemble_report(a, k, margin, schur_data(a, _select_mu(a, (0.0,))))
+    sd = schur_data(a, _select_mu(a, (0.0,)))
+    residual, _ = riccati_residual(a, k, sd.mu)
+    return _assemble_report(a, k, margin, sd, residual)
 
 
 def _assemble_report(
@@ -473,20 +475,17 @@ def _assemble_report(
     k: AngleOperator,
     margin: float,
     sd: SchurData,
+    residual: float,
     trace: list[CellTrace] | None = None,
     polish_method: str = "none",
-    residual: float | None = None,
 ) -> SolveReport:
     """The report of K with its certificates; ``sd`` gives mu and Estimate 11.
 
-    ``residual`` is K's Riccati residual when the caller already holds it;
-    without it :func:`riccati_residual` computes it.
+    ``residual`` is K's Riccati residual, the norm of its
+    :func:`graph_defect`, which every caller already holds.
     """
     s = a.structure
-    if residual is None:
-        residual, l_op = riccati_residual(a, k, sd.mu)
-    else:
-        l_op = _l_operator(a, k.matrix, sd.mu)
+    l_op = _l_operator(a, k.matrix, sd.mu)
     stacked = np.vstack([np.eye(s.p, dtype=np.complex128), k.matrix])
     basis, _ = np.linalg.qr(stacked)
     subspace = Subspace(s, basis)
@@ -677,9 +676,9 @@ def solve_theorem(a: BlockOperator, cfg: SolverConfig | None = None) -> SolveRep
         AngleOperator(s, k_best),
         margin0,
         sd_mu,
+        residual,
         trace=trace,
         polish_method=polish_method,
-        residual=residual,
     )
     # a limit is accepted when the tail met the Cauchy tolerance or the
     # assembled K passes the a-posteriori Riccati certificate

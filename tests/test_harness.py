@@ -24,6 +24,7 @@ from kreinspace.harness import (
     random_dissipative,
     run_property_suite,
 )
+from kreinspace.numerics import operator_norm
 from kreinspace.solver import SolverConfig, solve_theorem, solve_uniformly_dissipative
 
 FAST = SolverConfig(eps_schedule=(0.5, 0.25, 0.125, 1e-4))
@@ -249,7 +250,12 @@ def _failed_checks(a, rep, k=None, trace=None):
     k = rep.k.matrix if k is None else k
     trace = rep.convergence_trace if trace is None else trace
     rebuilt = solver._assemble_report(
-        a, AngleOperator(a.structure, k), rep.margin, schur_data(a, rep.mu), trace
+        a,
+        AngleOperator(a.structure, k),
+        rep.margin,
+        schur_data(a, rep.mu),
+        operator_norm(solver.graph_defect(a, k)),
+        trace,
     )
     res = check_instance(a, rebuilt, SolverConfig(), seed=0)
     return sorted(name for name, ok in res.checks.items() if not ok)
@@ -293,7 +299,8 @@ def test_report_takes_the_maximality_svd_only_at_k_norm_1e7(monkeypatch, solved_
 
     def rebuilt(s):
         k = AngleOperator(a.structure, rep.k.matrix + s * e)
-        return solver._assemble_report(a, k, rep.margin, sd)
+        residual = operator_norm(solver.graph_defect(a, k.matrix))
+        return solver._assemble_report(a, k, rep.margin, sd, residual)
 
     # |K + s E| <= |K| + s <= 1 for every s here
     for s in (0.0, 0.5 * (1.0 - rep.k_norm), 1.0 - rep.k_norm):
@@ -314,11 +321,13 @@ def test_cells_check_flips_on_a_trace_cell_with_k_norm_1(solved_4):
 
 def _zero_k_report(a):
     """The report of K = 0 on a 1+1 operator, rebuilt as the solver assembles one."""
+    k = np.zeros((1, 1))
     return solver._assemble_report(
         a,
-        AngleOperator(a.structure, np.zeros((1, 1))),
+        AngleOperator(a.structure, k),
         dissipativity_margin(a),
         schur_data(a, solver._select_mu(a, (0.0,))),
+        operator_norm(solver.graph_defect(a, k)),
     )
 
 
